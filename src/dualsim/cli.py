@@ -3,7 +3,8 @@ simulation, training experiments, and report re-summarization.
 
 One JSON config document drives a run; every field has a default (listed
 in DEFAULT_CONFIG) and unknown fields are rejected so a typo like
-"lamda1" cannot silently fall back to a default. All randomness flows
+"lamda1" cannot silently fall back to a default. Each value must have the
+type of its default, checked when the config is loaded. All randomness flows
 from declared seeds, so every command is deterministic given its config.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
@@ -16,14 +17,16 @@ reruns of the same config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import DualSimError, InfeasibleParamsError, ValidationError
+from .errors import DualSimError, ValidationError
 from .learner import (
     PHASE_ORDER,
     dual_learning,
@@ -45,9 +48,11 @@ from .outcome_model import (
     RedistributionPolicy,
     TripleOutcomeParams,
     build_dual_joint,
-    build_triple_joint,
     lambda_feasible_range,
     lambda_loose_range,
+    random_dual_params,
+    random_policy,
+    random_triple_params,
 )
 from .synth_lang import build_corpus, generate_world
 from .theory import (
@@ -58,6 +63,7 @@ from .theory import (
     predict_multistep,
     proportional_dual_accuracy,
     proportional_policy,
+    proportional_triple_policy,
 )
 from .translator import TabularTranslator, TrainConfig
 
@@ -129,9 +135,35 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
+    """Type check and its description for a config leaf, from its default."""
+    if path == "theory.delta":
+        return (
+            lambda v: _is_number(v) or (isinstance(v, list) and v and all(map(_is_number, v))),
+            "a number or a nonempty list of numbers",
+        )
+    if default is None:
+        return (lambda v: v is None or isinstance(v, dict)), "null or an object"
+    if isinstance(default, list):
+        item, what = _leaf_type(default[0], path)
+        return (lambda v: isinstance(v, list) and all(map(item, v))), f"a list of items each {what}"
+    if isinstance(default, float):
+        return _is_number, "a number"
+    what = {bool: "a boolean", int: "an integer", str: "a string"}[type(default)]
+    return (lambda v: type(v) is type(default)), what
+
+
 def _merge_config(defaults: Any, user: Any, path: str) -> Any:
-    """Overlay user config on defaults, rejecting unknown keys."""
+    """Overlay user config on defaults, rejecting unknown keys and leaves
+    whose type does not match the default's (an int may stand for a float)."""
     if not isinstance(defaults, dict):
+        check, what = _leaf_type(defaults, path)
+        if not check(user):
+            raise ValidationError(f"config field {path} must be {what}, got {user!r}")
         return user
     if user is None:
         return defaults
@@ -142,16 +174,14 @@ def _merge_config(defaults: Any, user: Any, path: str) -> Any:
         child = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ValidationError(f"unknown config field: {child}")
-        if isinstance(defaults[key], dict) and defaults[key]:
-            merged[key] = _merge_config(defaults[key], value, child)
-        else:
-            merged[key] = value
+        merged[key] = _merge_config(defaults[key], value, child)
     return merged
 
 
 def load_config(path: str | None) -> dict[str, Any]:
+    defaults = json.loads(json.dumps(DEFAULT_CONFIG))  # callers may mutate the result
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return defaults
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
@@ -160,7 +190,7 @@ def load_config(path: str | None) -> dict[str, Any]:
         user = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"config {path} is not valid JSON: {e}") from e
-    return _merge_config(DEFAULT_CONFIG, user, "")
+    return _merge_config(defaults, user, "")
 
 
 def _config_hash(cfg: dict[str, Any]) -> str:
@@ -252,18 +282,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
                 block["q12"], block["q23"], block["q31"],
                 block["lambda1"], block["lambda2"], delta,
             )
-            if explicit is not None:
-                policy = explicit
-            else:
-                # proportional split between the two reconstructing cases
-                pred0 = predict_multistep(params, RedistributionPolicy(1.0, 0.0, 0.0))
-                total = pred0.p_case11 + pred0.p_case12
-                if total <= 0.0:
-                    raise ValidationError("proportional policy undefined for these parameters")
-                g = block["gamma"]
-                policy = RedistributionPolicy(
-                    (1 - g) * pred0.p_case11 / total, (1 - g) * pred0.p_case12 / total, g
-                )
+            policy = explicit or proportional_triple_policy(params, block["gamma"])
             pred = predict_multistep(params, policy)
             rows.append(
                 [
@@ -284,55 +303,26 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
     return 0
 
 
-def _random_dual_params(rng: np.random.Generator) -> DualOutcomeParams:
-    p12 = rng.uniform(0.05, 0.95)
-    p21r = rng.uniform(0.05, 0.95)
-    low, high = lambda_feasible_range(p12, p21r)
-    lam = rng.uniform(low, high)
-    return DualOutcomeParams(p12, p21r, lam, rng.uniform(0.0, 1.0))
-
-
-def _random_policy(rng: np.random.Generator) -> RedistributionPolicy:
-    a, b, _ = rng.dirichlet([1.0, 1.0, 1.0])
-    # close the simplex exactly in floating point
-    g = max(0.0, 1.0 - a - b)
-    return RedistributionPolicy(a, b, g)
-
-
-def _random_triple_params(
-    rng: np.random.Generator, with_dependence: bool
-) -> TripleOutcomeParams:
-    while True:
-        q = rng.uniform(0.05, 0.95, size=3)
-        if not with_dependence:
-            lam1 = lam2 = 0.0
-        else:
-            lam1 = rng.uniform(-0.05, 0.05)
-            lam2 = rng.uniform(-0.05, 0.05)
-        params = TripleOutcomeParams(q[0], q[1], q[2], lam1, lam2, rng.uniform(0.0, 1.0))
-        try:
-            build_triple_joint(params)
-            return params
-        except InfeasibleParamsError:
-            continue
-
-
 def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["verify"]
-    draws = int(block["draws"])
-    tol = float(block["tolerance"])
-    rng = np.random.default_rng(int(block["seed"]))
+    draws, tol = block["draws"], float(block["tolerance"])
+    if draws < 1:
+        raise ValidationError(f"verify.draws must be at least 1, got {draws!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"verify.tolerance must be finite and nonnegative, got {tol!r}")
+    rng = np.random.default_rng(block["seed"])
     worst = 0.0
     worst_desc = "none"
 
     def track(diff: float, desc: str) -> None:
+        # a NaN difference is the worst possible one and stays the worst
         nonlocal worst, worst_desc
-        if diff > worst:
+        if not math.isnan(worst) and (math.isnan(diff) or diff > worst):
             worst, worst_desc = float(diff), desc
 
     for _ in range(draws):
-        params = _random_dual_params(rng)
-        policy = _random_policy(rng)
+        params = random_dual_params(rng)
+        policy = random_policy(rng)
         spec = GenerativeSpec(params, policy)
         pred = predict_dual(params, policy)
         track(abs(pred.p_d12 - enumerate_dual(spec).accuracy), f"dual formula vs enumeration {params}")
@@ -344,8 +334,8 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
 
     for with_dep in (False, True):
         for _ in range(draws):
-            params = _random_triple_params(rng, with_dep)
-            policy = _random_policy(rng)
+            params = random_triple_params(rng, with_dep)
+            policy = random_policy(rng)
             spec = GenerativeSpec(params, policy)
             pred = predict_multistep(params, policy)
             track(
@@ -371,7 +361,7 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
         track(abs(by_name["case12"].shortcut - exact12), "shortcut case12 vs enumeration")
 
     print(f"max |difference|: {worst!r} (tolerance {tol!r})")
-    if worst > tol:
+    if not worst <= tol:
         print(f"FAIL worst offender: {worst_desc}")
         return 1
     print("PASS")
@@ -391,7 +381,7 @@ def cmd_simulate(cfg: dict[str, Any], out_dir: Path | None) -> int:
         exact = enumerate_triple(spec)
     else:
         raise ValidationError(f"simulate.kind must be 'dual' or 'triple', got {block['kind']!r}")
-    result = monte_carlo(spec, int(block["n"]), int(block["seed"]))
+    result = monte_carlo(spec, block["n"], block["seed"])
     z = (result.accuracy - exact.accuracy) / result.stderr if result.stderr > 0 else 0.0
     print(f"samples: {result.n_samples}")
     print(f"estimate: {result.accuracy!r} stderr: {result.stderr!r}")
@@ -426,39 +416,39 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
     unknown = [p for p in phases_wanted if p not in PHASE_ORDER]
     if unknown:
         raise ValidationError(f"unknown phases {unknown}; allowed: {list(PHASE_ORDER)}")
-    k = int(wb["k"])
+    k = wb["k"]
     if "multistep" in phases_wanted and k < 3:
         raise ValidationError(
             "multistep phase needs at least 3 languages (k >= 3); "
             "a 2-language world degenerates to plain dual learning"
         )
-    world = generate_world(k, int(wb["m"]), int(wb["s"]), float(wb["skew"]), int(wb["seed"]))
+    world = generate_world(k, wb["m"], wb["s"], wb["skew"], wb["seed"])
     corpus_seed, *phase_seeds = _sub_seeds(run_seed, 4)
     corpus = build_corpus(
         world,
-        int(cb["parallel_per_pair"]),
-        int(cb["monolingual_per_language"]),
+        cb["parallel_per_pair"],
+        cb["monolingual_per_language"],
         corpus_seed,
         within_cluster=cb["within_cluster"],
     )
     n = world.n_sentences
     directions = [(i, j) for i in range(k) for j in range(k) if i != j]
 
-    phases: dict[str, dict[tuple[int, int], TabularTranslator]] = {}
-    sup_cfg = lambda seed: TrainConfig(  # noqa: E731
-        learning_rate=float(tb["learning_rate"]),
-        steps=int(tb["supervised_steps"]),
-        supervised_batch=int(tb["supervised_batch"]),
-        reconstruction_batch=int(tb["reconstruction_batch"]),
-        supervised_mix=float(tb["supervised_mix"]),
-        update_pivots=bool(tb["update_pivots"]),
-        seed=seed,
+    base = TrainConfig(
+        learning_rate=tb["learning_rate"],
+        supervised_batch=tb["supervised_batch"],
+        reconstruction_batch=tb["reconstruction_batch"],
+        supervised_mix=tb["supervised_mix"],
+        update_pivots=tb["update_pivots"],
     )
+
+    phases: dict[str, dict[tuple[int, int], TabularTranslator]] = {}
     vanilla: dict[tuple[int, int], TabularTranslator] = {}
     seeds = _sub_seeds(phase_seeds[0], len(directions))
     for seed, (i, j) in zip(seeds, directions):
         t = TabularTranslator.uniform(i, j, n, n)
-        vanilla[(i, j)] = train_supervised(t, corpus.parallel[(i, j)], sup_cfg(seed))
+        cfg_ij = dataclasses.replace(base, steps=tb["supervised_steps"], seed=seed)
+        vanilla[(i, j)] = train_supervised(t, corpus.parallel[(i, j)], cfg_ij)
     phases["vanilla"] = vanilla
 
     if "dual" in phases_wanted or "multistep" in phases_wanted:
@@ -468,15 +458,7 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
         dual: dict[tuple[int, int], TabularTranslator] = dict(vanilla)
         seeds = _sub_seeds(phase_seeds[1], len(dual_pairs))
         for seed, (i, j) in zip(seeds, dual_pairs):
-            cfg_ij = TrainConfig(
-                learning_rate=float(tb["learning_rate"]),
-                steps=int(tb["dual_steps"]),
-                supervised_batch=int(tb["supervised_batch"]),
-                reconstruction_batch=int(tb["reconstruction_batch"]),
-                supervised_mix=float(tb["supervised_mix"]),
-                update_pivots=bool(tb["update_pivots"]),
-                seed=seed,
-            )
+            cfg_ij = dataclasses.replace(base, steps=tb["dual_steps"], seed=seed)
             dual[(i, j)], dual[(j, i)] = dual_learning(
                 vanilla[(i, j)], vanilla[(j, i)], corpus, cfg_ij
             )
@@ -484,15 +466,7 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
             phases["dual"] = dual
 
     if "multistep" in phases_wanted:
-        multi_cfg = TrainConfig(
-            learning_rate=float(tb["learning_rate"]),
-            steps=int(tb["multistep_steps"]),
-            supervised_batch=int(tb["supervised_batch"]),
-            reconstruction_batch=int(tb["reconstruction_batch"]),
-            supervised_mix=float(tb["supervised_mix"]),
-            update_pivots=bool(tb["update_pivots"]),
-            seed=phase_seeds[2],
-        )
+        multi_cfg = dataclasses.replace(base, steps=tb["multistep_steps"], seed=phase_seeds[2])
         phases["multistep"] = multistep_dual_learning(dual, corpus, multi_cfg, pair=(0, 1))
 
     return phases, world, corpus
@@ -500,7 +474,7 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
 
 def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["train"]
-    seeds = [int(s) for s in block["seeds"]]
+    seeds = block["seeds"]
     if not seeds:
         raise ValidationError("train.seeds must list at least one seed")
     chash = _config_hash(cfg["train"])
@@ -632,9 +606,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(cfg, out_dir)
         return cmd_report(out_dir)
-    except (ValidationError, InfeasibleParamsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except DualSimError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

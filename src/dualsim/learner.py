@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ValidationError
 from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
 from .synth_lang import Corpus, World
-from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs
+from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs, sample_row
 
 __all__ = [
     "ExperimentRecord",
@@ -37,17 +37,11 @@ __all__ = [
     "dual_learning",
     "multistep_dual_learning",
     "evaluate",
-    "sample_pivot_chain",
     "loop_log_prob",
     "loop_log_prob_bound",
 ]
 
 PHASE_ORDER = ("vanilla", "dual", "multistep")
-
-
-def _sample_row(theta_row: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(row_probs(theta_row))
-    return int(np.searchsorted(cum, rng.random(), side="right").clip(0, len(cum) - 1))
 
 
 def _supervised_update(
@@ -81,17 +75,36 @@ def train_supervised(
 
 
 def _recon_update(
-    theta_fwd: np.ndarray,
+    chain: tuple[np.ndarray, ...],
     theta_bwd: np.ndarray,
-    mono: np.ndarray,
+    x: int,
     rng: np.random.Generator,
     lr: float,
 ) -> None:
-    """Single round-trip update: sample x, sample a forward translation,
-    push the backward row at that translation toward x."""
-    x = int(mono[rng.integers(mono.size)])
-    mid = _sample_row(theta_fwd[x], rng)
-    theta_bwd[mid] += lr * log_prob_grad_row(theta_bwd[mid], x)
+    """Single reconstruction update: sample x along the hops of ``chain``
+    (one hop for a round trip, two for a pivot chain), then push the
+    backward row at the sampled end toward x."""
+    end = x
+    for theta in chain:
+        end = sample_row(theta[end], rng)
+    theta_bwd[end] += lr * log_prob_grad_row(theta_bwd[end], x)
+
+
+def _replayed(
+    th_fwd: np.ndarray,
+    th_bwd: np.ndarray,
+    pairs_fwd: np.ndarray | None,
+    pairs_bwd: np.ndarray | None,
+    rng: np.random.Generator,
+    cfg: TrainConfig,
+) -> bool:
+    """With probability ``supervised_mix``, replay parallel data on both
+    directions of a pair; returns whether the step was a replay step."""
+    if rng.random() >= cfg.supervised_mix:
+        return False
+    _supervised_update(th_fwd, pairs_fwd, rng, cfg.supervised_batch, cfg.learning_rate)
+    _supervised_update(th_bwd, pairs_bwd, rng, cfg.supervised_batch, cfg.learning_rate)
+    return True
 
 
 def dual_learning(
@@ -123,31 +136,16 @@ def dual_learning(
     th12 = t12.theta.copy()
     th21 = t21.theta.copy()
     for _ in range(cfg.steps):
-        if rng.random() < cfg.supervised_mix:
-            _supervised_update(th12, pairs_ij, rng, cfg.supervised_batch, cfg.learning_rate)
-            _supervised_update(th21, pairs_ji, rng, cfg.supervised_batch, cfg.learning_rate)
-        else:
-            for _ in range(cfg.reconstruction_batch):
-                _recon_update(th12, th21, mono_i, rng, cfg.learning_rate)
-                _recon_update(th21, th12, mono_j, rng, cfg.learning_rate)
+        if _replayed(th12, th21, pairs_ij, pairs_ji, rng, cfg):
+            continue
+        for _ in range(cfg.reconstruction_batch):
+            for fwd, bwd, mono in ((th12, th21, mono_i), (th21, th12, mono_j)):
+                x = int(mono[rng.integers(mono.size)])
+                _recon_update((fwd,), bwd, x, rng, cfg.learning_rate)
     return (
         TabularTranslator(i, j, th12),
         TabularTranslator(j, i, th21),
     )
-
-
-def sample_pivot_chain(
-    t_first: TabularTranslator,
-    t_second: TabularTranslator,
-    x: int,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Sample a two-hop chain x -> mid -> end through a pivot language."""
-    if t_first.dst_lang != t_second.src_lang:
-        raise ValidationError("pivot chain hops do not compose")
-    mid = _sample_row(t_first.theta[x], rng)
-    end = _sample_row(t_second.theta[mid], rng)
-    return mid, end
 
 
 def multistep_dual_learning(
@@ -186,46 +184,37 @@ def multistep_dual_learning(
     missing = [key for key in required if key not in translators]
     if missing:
         raise ValidationError(f"missing pretrained translators for pairs: {missing}")
-    mono_a = corpus.monolingual.get(a)
-    mono_b = corpus.monolingual.get(b)
-    if mono_a is None or mono_b is None or mono_a.size == 0 or mono_b.size == 0:
+    mono = {lang: corpus.monolingual.get(lang) for lang in langs}
+    if mono[a] is None or mono[b] is None or mono[a].size == 0 or mono[b].size == 0:
         raise ValidationError(f"multi-step training needs monolingual data for {a} and {b}")
+    if cfg.update_pivots:
+        for q in pivots:
+            if mono[q] is None or mono[q].size == 0:
+                raise ValidationError(f"update_pivots needs monolingual data for {q}")
     pairs_ab = corpus.parallel.get((a, b))
     if cfg.supervised_mix > 0.0 and (pairs_ab is None or pairs_ab.size == 0):
         raise ValidationError(f"supervised replay needs parallel data for pair {pair}")
+    pairs_ba = pairs_ab[:, ::-1] if pairs_ab is not None else None
 
     rng = np.random.default_rng(cfg.seed)
     thetas = {key: t.theta.copy() for key, t in translators.items()}
-    pairs_ba = pairs_ab[:, ::-1] if pairs_ab is not None else None
     lr = cfg.learning_rate
     for _ in range(cfg.steps):
-        if rng.random() < cfg.supervised_mix:
-            _supervised_update(thetas[(a, b)], pairs_ab, rng, cfg.supervised_batch, lr)
-            _supervised_update(thetas[(b, a)], pairs_ba, rng, cfg.supervised_batch, lr)
+        if _replayed(thetas[(a, b)], thetas[(b, a)], pairs_ab, pairs_ba, rng, cfg):
             continue
         p = pivots[rng.integers(len(pivots))]
         for _ in range(cfg.reconstruction_batch):
-            x_a = int(mono_a[rng.integers(mono_a.size)])
-            x_b = int(mono_b[rng.integers(mono_b.size)])
+            x_a = int(mono[a][rng.integers(mono[a].size)])
+            x_b = int(mono[b][rng.integers(mono[b].size)])
             # pseudo-target for x_a through a -> p -> b trains the b -> a model
-            mid = _sample_row(thetas[(a, p)][x_a], rng)
-            pseudo_b = _sample_row(thetas[(p, b)][mid], rng)
-            th_ba = thetas[(b, a)]
-            th_ba[pseudo_b] += lr * log_prob_grad_row(th_ba[pseudo_b], x_a)
+            _recon_update((thetas[(a, p)], thetas[(p, b)]), thetas[(b, a)], x_a, rng, lr)
             # pseudo-source for x_b through b -> p -> a trains the a -> b model
-            mid2 = _sample_row(thetas[(b, p)][x_b], rng)
-            pseudo_a = _sample_row(thetas[(p, a)][mid2], rng)
-            th_ab = thetas[(a, b)]
-            th_ab[pseudo_a] += lr * log_prob_grad_row(th_ab[pseudo_a], x_b)
+            _recon_update((thetas[(b, p)], thetas[(p, a)]), thetas[(a, b)], x_b, rng, lr)
         if cfg.update_pivots:
             for q in pivots:
-                mono_q = corpus.monolingual.get(q)
-                if mono_q is None or mono_q.size == 0:
-                    raise ValidationError(f"update_pivots needs monolingual data for {q}")
-                _recon_update(thetas[(a, q)], thetas[(q, a)], mono_a, rng, lr)
-                _recon_update(thetas[(q, a)], thetas[(a, q)], mono_q, rng, lr)
-                _recon_update(thetas[(b, q)], thetas[(q, b)], mono_b, rng, lr)
-                _recon_update(thetas[(q, b)], thetas[(b, q)], mono_q, rng, lr)
+                for src, dst in ((a, q), (q, a), (b, q), (q, b)):
+                    x = int(mono[src][rng.integers(mono[src].size)])
+                    _recon_update((thetas[(src, dst)],), thetas[(dst, src)], x, rng, lr)
     return {
         key: TabularTranslator(key[0], key[1], theta) for key, theta in thetas.items()
     }

@@ -23,6 +23,7 @@ Reconstruction probabilities per joint cell:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,66 +97,54 @@ class OracleResult:
     counts: OutcomeCounts | None = None
 
 
-def _dual_cells(params: DualOutcomeParams) -> list[tuple[tuple[int, int], float]]:
-    t = build_dual_joint(params)
-    return [((1, 1), t.p11), ((1, 0), t.p10), ((0, 1), t.p01), ((0, 0), t.p00)]
+def _event_table(spec: GenerativeSpec, blanket: bool = False) -> list[tuple[float, float, int]]:
+    """(mass, reconstruction probability, first-hop bit) per joint cell.
 
-
-def _dual_recon_prob(cell: tuple[int, int], delta: float) -> float:
-    if cell == (1, 1):
-        return 1.0
-    if cell == (0, 0):
-        return delta
-    return 0.0
-
-
-def _triple_cells(
-    params: TripleOutcomeParams,
-) -> list[tuple[tuple[int, int, int], float]]:
+    Cells come in a fixed order: dual (1,1), (1,0), (0,1), (0,0); triple
+    (1,1,1), (1,1,0), ..., (0,0,0). The Monte Carlo cell draw depends on it.
+    """
+    params = spec.params
+    d = params.delta
+    if spec.kind == "dual":
+        t = build_dual_joint(params)
+        return [(t.p11, 1.0, 1), (t.p10, 0.0, 1), (t.p01, 0.0, 0), (t.p00, d, 0)]
     t = build_triple_joint(params)
-    return [
-        ((z12, z23, z31), t.cell(z12, z23, z31))
-        for z12 in (1, 0)
-        for z23 in (1, 0)
-        for z31 in (1, 0)
-    ]
+    table = []
+    for cell in itertools.product((1, 0), repeat=3):
+        ones = sum(cell)
+        r = 1.0 if ones == 3 else d if ones <= 1 or blanket else 0.0
+        table.append((t.cell(*cell), r, cell[0]))
+    return table
 
 
-def _triple_recon_prob(cell: tuple[int, int, int], delta: float, blanket: bool) -> float:
-    ones = sum(cell)
-    if ones == 3:
-        return 1.0
-    if ones <= 1:
-        return delta
-    return delta if blanket else 0.0
-
-
-def enumerate_dual(spec: GenerativeSpec) -> OracleResult:
-    """Exact event-tree summation of the dual accuracy.
+def _walk(spec: GenerativeSpec, blanket: bool = False) -> OracleResult:
+    """Exact event-tree summation shared by both enumerators.
 
     For each joint cell: reconstructed mass goes to case 1.1 (correct) if
     the first hop was correct, else to case 1.2 (incorrect but kept);
     unreconstructed mass is case 2, of which the policy's alpha share
     becomes correct and the rest stays incorrect.
     """
-    if spec.kind != "dual":
-        raise ValidationError("enumerate_dual requires a dual GenerativeSpec")
-    params = spec.params
-    assert isinstance(params, DualOutcomeParams)
     alpha = spec.policy.alpha
     acc = 0.0
     case11 = case12 = case2 = 0.0
-    for (y12, _y21), mass in _dual_cells(params):
-        r = _dual_recon_prob((y12, _y21), params.delta)
+    for mass, r, hop1 in _event_table(spec, blanket):
         reconstructed = mass * r
         unreconstructed = mass * (1.0 - r)
-        if y12 == 1:
+        if hop1:
             case11 += reconstructed
         else:
             case12 += reconstructed
         case2 += unreconstructed
-        acc += reconstructed * y12 + unreconstructed * alpha
+        acc += reconstructed * hop1 + unreconstructed * alpha
     return OracleResult(accuracy=acc, case_masses=(case11, case12, case2))
+
+
+def enumerate_dual(spec: GenerativeSpec) -> OracleResult:
+    """Exact event-tree summation of the dual accuracy over the four cells."""
+    if spec.kind != "dual":
+        raise ValidationError("enumerate_dual requires a dual GenerativeSpec")
+    return _walk(spec)
 
 
 def enumerate_triple(spec: GenerativeSpec, blanket_delta: bool = False) -> OracleResult:
@@ -166,22 +155,7 @@ def enumerate_triple(spec: GenerativeSpec, blanket_delta: bool = False) -> Oracl
     """
     if spec.kind != "triple":
         raise ValidationError("enumerate_triple requires a triple GenerativeSpec")
-    params = spec.params
-    assert isinstance(params, TripleOutcomeParams)
-    alpha = spec.policy.alpha
-    acc = 0.0
-    case11 = case12 = case2 = 0.0
-    for cell, mass in _triple_cells(params):
-        r = _triple_recon_prob(cell, params.delta, blanket_delta)
-        reconstructed = mass * r
-        unreconstructed = mass * (1.0 - r)
-        if cell[0] == 1:
-            case11 += reconstructed
-        else:
-            case12 += reconstructed
-        case2 += unreconstructed
-        acc += reconstructed * cell[0] + unreconstructed * alpha
-    return OracleResult(accuracy=acc, case_masses=(case11, case12, case2))
+    return _walk(spec, blanket_delta)
 
 
 # Counter-mix generator: sample i's randomness comes only from (seed, i),
@@ -219,18 +193,8 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
-    params = spec.params
-    if spec.kind == "dual":
-        assert isinstance(params, DualOutcomeParams)
-        cells = _dual_cells(params)
-        recon = np.array([_dual_recon_prob(c, params.delta) for c, _ in cells])
-        first_hop = np.array([c[0] for c, _ in cells])
-    else:
-        assert isinstance(params, TripleOutcomeParams)
-        cells = _triple_cells(params)
-        recon = np.array([_triple_recon_prob(c, params.delta, False) for c, _ in cells])
-        first_hop = np.array([c[0] for c, _ in cells])
-    cum = np.cumsum([m for _, m in cells])
+    masses, recon, first_hop = (np.array(col) for col in zip(*_event_table(spec)))
+    cum = np.cumsum(masses)
     alpha, beta = spec.policy.alpha, spec.policy.beta
 
     n_correct = 0
@@ -242,7 +206,7 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
         u_redis = counter_uniforms(seed, idx * np.uint64(3) + np.uint64(2))
 
         which = np.searchsorted(cum, u_cell, side="right")
-        np.clip(which, 0, len(cells) - 1, out=which)
+        np.clip(which, 0, len(cum) - 1, out=which)
         reconstructed = u_recon < recon[which]
         hop1 = first_hop[which] == 1
 
@@ -301,31 +265,11 @@ def errata_report(params: TripleOutcomeParams) -> list[ErrataRecord]:
     case11, case12, _ = enumerate_triple(neutral).case_masses
 
     shortcut_100 = q1 * (1.0 - q2) * (1.0 - q3) + l2
-    records = [
+    return [
         ErrataRecord("cell(1,0,0)", shortcut_100, table.cell(1, 0, 0)),
-        ErrataRecord(
-            "cell(0,1,0)",
-            (1.0 - q1) * q2 * (1.0 - q3) - 2.0 * l1 + l2,
-            table.cell(0, 1, 0),
-        ),
-        ErrataRecord(
-            "cell(0,0,1)",
-            (1.0 - q1) * (1.0 - q2) * q3 - 2.0 * l1 + l2,
-            table.cell(0, 0, 1),
-        ),
-        ErrataRecord(
-            "cell(0,0,0)",
-            (1.0 - q1) * (1.0 - q2) * (1.0 - q3) + 3.0 * l1 - l2,
-            table.cell(0, 0, 0),
-        ),
-        ErrataRecord(
-            "case11", table.cell(1, 1, 1) + d * shortcut_100, case11
-        ),
-        ErrataRecord(
-            "case12", d * (1.0 - q1) * (1.0 - q2 * q3 - l1 + l2), case12
-        ),
+        ErrataRecord("case11", table.cell(1, 1, 1) + d * shortcut_100, case11),
+        ErrataRecord("case12", d * (1.0 - q1) * (1.0 - q2 * q3 - l1 + l2), case12),
     ]
-    return records
 
 
 def errata_to_text(records: list[ErrataRecord]) -> str:

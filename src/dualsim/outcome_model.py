@@ -14,13 +14,16 @@ Conventions:
     not when a parameter object is constructed, so that infeasible
     parameter combinations can be constructed and then rejected with the
     offending cell named
-  - all types are immutable; all functions are pure
+  - all types are immutable; all functions are pure, except the random_*
+    draws, which advance the generator they are given
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InfeasibleParamsError, ValidationError
 
@@ -34,6 +37,9 @@ __all__ = [
     "build_triple_joint",
     "lambda_feasible_range",
     "lambda_loose_range",
+    "random_dual_params",
+    "random_policy",
+    "random_triple_params",
 ]
 
 _SUM_TOL = 1e-12
@@ -285,3 +291,39 @@ def build_triple_joint(params: TripleOutcomeParams) -> TripleJointTable:
         for z31 in (0, 1)
     )
     return TripleJointTable(cells=cells)  # type: ignore[arg-type]
+
+
+# Random feasible draws for the verify command and the test suite. Feasibility
+# is checked by the real table builders, never by a re-derived condition.
+
+
+def random_dual_params(rng: np.random.Generator) -> DualOutcomeParams:
+    p12 = rng.uniform(0.05, 0.95)
+    p21r = rng.uniform(0.05, 0.95)
+    low, high = lambda_feasible_range(p12, p21r)
+    return DualOutcomeParams(p12, p21r, rng.uniform(low, high), rng.uniform(0.0, 1.0))
+
+
+def random_policy(rng: np.random.Generator) -> RedistributionPolicy:
+    a, b, _ = rng.dirichlet([1.0, 1.0, 1.0])
+    # close the simplex exactly in floating point
+    return RedistributionPolicy(a, b, max(0.0, 1.0 - a - b))
+
+
+def random_triple_params(
+    rng: np.random.Generator, with_dependence: bool = False
+) -> TripleOutcomeParams:
+    """Rejection-sample triple parameters until build_triple_joint accepts them."""
+    while True:
+        q = rng.uniform(0.05, 0.95, size=3)
+        if with_dependence:
+            lam1 = rng.uniform(-0.05, 0.05)
+            lam2 = rng.uniform(-0.05, 0.05)
+        else:
+            lam1 = lam2 = 0.0
+        params = TripleOutcomeParams(q[0], q[1], q[2], lam1, lam2, rng.uniform(0.0, 1.0))
+        try:
+            build_triple_joint(params)
+            return params
+        except InfeasibleParamsError:
+            continue

@@ -10,10 +10,6 @@ closes). Sentences are opaque integer ids; there is no text anywhere.
 Per-language sentence distributions are controlled by ``skew``: 0 gives
 an exactly uniform distribution, larger values an increasingly lopsided
 one (log-normal weights, normalized).
-
-Worlds and corpora serialize to a line-oriented text format (one record
-per sentence / pair / monolingual draw) documented in the README; floats
-round-trip exactly via repr.
 """
 
 from __future__ import annotations
@@ -26,17 +22,11 @@ from .errors import ValidationError
 
 __all__ = [
     "World",
-    "OracleTranslator",
     "Corpus",
     "generate_world",
-    "oracle_translator",
     "sample_parallel",
     "sample_monolingual",
     "build_corpus",
-    "world_to_text",
-    "world_from_text",
-    "corpus_to_text",
-    "corpus_from_text",
 ]
 
 
@@ -82,38 +72,6 @@ class World:
         if not 0 <= lang < self.n_langs:
             raise ValidationError(f"language id {lang} out of range [0, {self.n_langs})")
         return lang
-
-
-@dataclass(frozen=True)
-class OracleTranslator:
-    """Ground-truth cluster-to-cluster map between two languages.
-
-    Cluster ids are shared, so the map is the identity on ids; it is kept
-    as an object so composition and inversion can be exercised explicitly.
-    """
-
-    src: int
-    dst: int
-
-    def map_cluster(self, cluster: int) -> int:
-        return cluster
-
-    def target_cluster(self, world: World, sentence: int) -> int:
-        """Correct destination cluster for a source sentence."""
-        return int(world.cluster_of[self.src, sentence])
-
-    def compose(self, other: OracleTranslator) -> OracleTranslator:
-        if self.dst != other.src:
-            raise ValidationError(
-                f"cannot compose {self.src}->{self.dst} with {other.src}->{other.dst}"
-            )
-        return OracleTranslator(self.src, other.dst)
-
-
-def oracle_translator(world: World, i: int, j: int) -> OracleTranslator:
-    world.check_language(i)
-    world.check_language(j)
-    return OracleTranslator(i, j)
 
 
 @dataclass(frozen=True)
@@ -235,66 +193,3 @@ def build_corpus(
     for child, lang in zip(children[len(pairs) :], range(world.n_langs)):
         monolingual[lang] = sample_monolingual(world, lang, monolingual_per_language, child)
     return Corpus(parallel=parallel, monolingual=monolingual)
-
-
-def world_to_text(world: World) -> str:
-    """Serialize a world: one header line, then one line per sentence."""
-    lines = [f"world {world.n_langs} {world.n_clusters} {world.cluster_size}"]
-    for lang in range(world.n_langs):
-        for sid in range(world.n_sentences):
-            # repr of a Python float round-trips exactly
-            lines.append(
-                f"sent {lang} {sid} {world.cluster_of[lang, sid]} {float(world.mu[lang, sid])!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
-def world_from_text(text: str) -> World:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("world "):
-        raise ValidationError("world text must start with a 'world k m s' header")
-    _, k, m, s = lines[0].split()
-    k, m, s = int(k), int(m), int(s)
-    n = m * s
-    mu = np.zeros((k, n))
-    cluster_of = np.zeros((k, n), dtype=np.int64)
-    for ln in lines[1:]:
-        tag, lang, sid, cluster, p = ln.split()
-        if tag != "sent":
-            raise ValidationError(f"unexpected record {tag!r} in world text")
-        mu[int(lang), int(sid)] = float(p)
-        cluster_of[int(lang), int(sid)] = int(cluster)
-    return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu, cluster_of=cluster_of)
-
-
-def corpus_to_text(corpus: Corpus) -> str:
-    """Serialize a corpus: 'par i j src tgt' and 'mono i sid' records."""
-    lines = []
-    for (i, j) in sorted(corpus.parallel):
-        for src, tgt in corpus.parallel[(i, j)]:
-            lines.append(f"par {i} {j} {src} {tgt}")
-    for i in sorted(corpus.monolingual):
-        for sid in corpus.monolingual[i]:
-            lines.append(f"mono {i} {sid}")
-    return "\n".join(lines) + "\n"
-
-
-def corpus_from_text(text: str) -> Corpus:
-    parallel: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    monolingual: dict[int, list[int]] = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if parts[0] == "par":
-            _, i, j, src, tgt = parts
-            parallel.setdefault((int(i), int(j)), []).append((int(src), int(tgt)))
-        elif parts[0] == "mono":
-            _, i, sid = parts
-            monolingual.setdefault(int(i), []).append(int(sid))
-        else:
-            raise ValidationError(f"unexpected record {parts[0]!r} in corpus text")
-    return Corpus(
-        parallel={k: np.array(v, dtype=np.int64) for k, v in parallel.items()},
-        monolingual={k: np.array(v, dtype=np.int64) for k, v in monolingual.items()},
-    )

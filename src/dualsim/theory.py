@@ -32,6 +32,7 @@ __all__ = [
     "alignment_probability",
     "predict_dual",
     "proportional_policy",
+    "proportional_triple_policy",
     "proportional_dual_accuracy",
     "dual_improvement",
     "predict_multistep",
@@ -177,6 +178,20 @@ def _triple_case_masses(params: TripleOutcomeParams) -> tuple[float, float, floa
     pr11 = table.cell(1, 1, 1) + d * table.cell(1, 0, 0)
     pr12 = d * (table.cell(0, 0, 0) + table.cell(0, 0, 1) + table.cell(0, 1, 0))
     return pr11, pr12, 1.0 - pr11 - pr12
+
+
+def proportional_triple_policy(
+    params: TripleOutcomeParams, gamma: float
+) -> RedistributionPolicy:
+    """Multi-step twin of proportional_policy: alpha:beta copies the pivot
+    cycle's case 1.1 : case 1.2, with alpha + beta = 1 - gamma."""
+    pr11, pr12, _ = _triple_case_masses(params)
+    total = pr11 + pr12
+    if total <= 0.0:
+        raise ValidationError("proportional policy undefined for these parameters")
+    # (1 - gamma) * pr11 / total, not proportional_policy's (1 - gamma) * (pr11 / total):
+    # the two round differently and the theory table's bits follow this form
+    return RedistributionPolicy((1 - gamma) * pr11 / total, (1 - gamma) * pr12 / total, gamma)
 
 
 def predict_multistep(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["TabularTranslator", "TrainConfig", "row_probs", "log_prob_grad_row"]
+__all__ = ["TabularTranslator", "TrainConfig", "row_probs", "sample_row", "log_prob_grad_row"]
 
 
 def row_probs(theta_row: np.ndarray) -> np.ndarray:
@@ -27,6 +27,12 @@ def row_probs(theta_row: np.ndarray) -> np.ndarray:
     z = theta_row - theta_row.max()
     e = np.exp(z)
     return e / e.sum()
+
+
+def sample_row(theta_row: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw one target id from softmax(theta_row), consuming one rng.random()."""
+    cum = np.cumsum(row_probs(theta_row))
+    return int(np.searchsorted(cum, rng.random(), side="right").clip(0, len(cum) - 1))
 
 
 def log_prob_grad_row(theta_row: np.ndarray, y: int) -> np.ndarray:
@@ -60,14 +66,6 @@ class TabularTranslator:
     def uniform(cls, src_lang: int, dst_lang: int, n_src: int, n_dst: int) -> TabularTranslator:
         return cls(src_lang, dst_lang, np.zeros((n_src, n_dst)))
 
-    @property
-    def n_src(self) -> int:
-        return self.theta.shape[0]
-
-    @property
-    def n_dst(self) -> int:
-        return self.theta.shape[1]
-
     def probs(self, x: int) -> np.ndarray:
         return row_probs(self.theta[x])
 
@@ -87,13 +85,6 @@ class TabularTranslator:
 
     def greedy_all(self) -> np.ndarray:
         return np.argmax(self.theta, axis=1)
-
-    def sample(self, x: int, rng: np.random.Generator) -> int:
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(self.probs(x)), u, side="right").clip(0, self.n_dst - 1))
-
-    def copy(self) -> TabularTranslator:
-        return TabularTranslator(self.src_lang, self.dst_lang, self.theta.copy())
 
 
 @dataclass(frozen=True)

@@ -1,51 +1,18 @@
-"""Shared random-draw helpers for the test suite.
+"""Shared helpers for the test suite.
 
-Feasible parameter draws are rejection-sampled against the real
-feasibility check (table construction), never against a re-derived
-condition, so the draws cannot drift out of sync with the implementation.
+The random parameter draws are the package's own (``dualsim.outcome_model``),
+so the tests sample exactly the distributions ``dualsim verify`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from dualsim.errors import InfeasibleParamsError
-from dualsim.outcome_model import (
-    DualOutcomeParams,
-    RedistributionPolicy,
-    TripleOutcomeParams,
-    build_triple_joint,
-    lambda_feasible_range,
+from dualsim.outcome_model import (  # noqa: F401  (re-exported to the tests)
+    random_dual_params,
+    random_policy,
+    random_triple_params,
 )
-
-
-def random_dual_params(rng: np.random.Generator) -> DualOutcomeParams:
-    p12 = rng.uniform(0.05, 0.95)
-    p21r = rng.uniform(0.05, 0.95)
-    low, high = lambda_feasible_range(p12, p21r)
-    return DualOutcomeParams(p12, p21r, rng.uniform(low, high), rng.uniform(0.0, 1.0))
-
-
-def random_policy(rng: np.random.Generator) -> RedistributionPolicy:
-    a, b, _ = rng.dirichlet([1.0, 1.0, 1.0])
-    return RedistributionPolicy(a, b, max(0.0, 1.0 - a - b))
-
-
-def random_triple_params(
-    rng: np.random.Generator, with_dependence: bool = False
-) -> TripleOutcomeParams:
-    while True:
-        q = rng.uniform(0.05, 0.95, size=3)
-        if with_dependence:
-            lam1, lam2 = rng.uniform(-0.05, 0.05, size=2)
-        else:
-            lam1 = lam2 = 0.0
-        params = TripleOutcomeParams(q[0], q[1], q[2], lam1, lam2, rng.uniform(0.0, 1.0))
-        try:
-            build_triple_joint(params)
-            return params
-        except InfeasibleParamsError:
-            continue
 
 
 def perfect_translator(world, i: int, j: int, scale: float = 60.0):

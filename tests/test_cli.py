@@ -1,8 +1,21 @@
 """CLI verbs, config validation, exit codes, and byte-stable CSV output."""
 
+import contextlib
+import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
-from dualsim.cli import main
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualsim import cli
+from dualsim.cli import DEFAULT_CONFIG, load_config, main, run_training_experiment
+from dualsim.oracle import OracleResult
 
 TINY_TRAIN = {
     "train": {
@@ -18,6 +31,41 @@ TINY_TRAIN = {
         "phases": ["vanilla", "dual", "multistep"],
     }
 }
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+CONFIG_LEAVES = sorted(_leaves(DEFAULT_CONFIG))
+
+_TEXT = st.text(max_size=4)
+_INTS = st.integers(-5, 5)
+_FLOATS = st.floats(-5.0, 5.0).filter(lambda f: not f.is_integer())
+_OBJECTS = st.dictionaries(_TEXT, _INTS, max_size=2)
+
+
+def wrong_type(path, default):
+    """Values of a JSON type the config leaf at ``path`` must not accept."""
+    if path == ("theory", "delta"):
+        return st.one_of(_TEXT, st.booleans(), st.none(), _OBJECTS, st.just([]),
+                         st.lists(_TEXT, min_size=1, max_size=2))
+    if default is None:
+        return st.one_of(_TEXT, st.booleans(), _INTS, _FLOATS, st.lists(_INTS, max_size=2))
+    if isinstance(default, list):
+        item = st.lists(_INTS if isinstance(default[0], str) else _TEXT, min_size=1, max_size=2)
+        return st.one_of(_TEXT, st.booleans(), st.none(), _OBJECTS, _INTS, item)
+    others = {
+        bool: [_TEXT, st.none(), _INTS, _FLOATS],
+        int: [_TEXT, st.none(), st.booleans(), _FLOATS],
+        float: [_TEXT, st.none(), st.booleans()],
+        str: [st.none(), st.booleans(), _INTS, _FLOATS],
+    }[type(default)]
+    return st.one_of(*others, _OBJECTS, st.lists(_INTS, max_size=2))
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -45,6 +93,43 @@ class TestConfigValidation:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent/config.json"]) == 2
+
+    def test_overrides_leave_defaults_untouched(self, tmp_path):
+        path = write_config(tmp_path, {"theory": {}})
+        assert main(["verify", "--config", path, "--seed", "5", "--draws", "1"]) == 0
+        assert DEFAULT_CONFIG["verify"]["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("train", {"train": {"train": {"learning_rate": "x"}}}),
+            ("verify", {"verify": {"draws": "many"}}),
+            ("train", {"train": {"train": {"update_pivots": "no"}}}),
+            ("theory", {"theory": {"delta": []}}),
+        ],
+    )
+    def test_malformed_leaf_rejected_at_load(self, tmp_path, capsys, command, cfg):
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field ") and err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_wrong_leaf_type_exits_2_with_one_line(self, data):
+        path, default = data.draw(st.sampled_from(CONFIG_LEAVES), label="leaf")
+        value = data.draw(wrong_type(path, default), label="value")
+        cfg = value
+        for key in reversed(path):
+            cfg = {key: cfg}
+        command = path[0]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(cfg), encoding="utf-8")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(config), "--out", tmp])
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestTheory:
@@ -112,7 +197,27 @@ class TestVerify:
         assert "shortcut" in out
 
     def test_impossible_tolerance_fails(self, capsys):
-        assert main(["verify", "--draws", "40", "--tolerance", "-1.0"]) == 1
+        # a negative tolerance cannot be met by any run: it is invalid input
+        assert main(["verify", "--draws", "40", "--tolerance", "-1.0"]) == 2
+        assert "verify.tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, capsys, tolerance):
+        assert main(["verify", "--draws", "5", "--tolerance", tolerance]) == 2
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_zero_draws_rejected(self, capsys):
+        assert main(["verify", "--draws", "0"]) == 2
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_nan_difference_fails(self, monkeypatch, capsys):
+        def nan_accuracy(spec):
+            return OracleResult(accuracy=math.nan, case_masses=(0.0, 0.0, 1.0))
+
+        monkeypatch.setattr(cli, "enumerate_dual", nan_accuracy)
+        assert main(["verify", "--draws", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "max |difference|: nan" in out and "FAIL" in out
 
 
 class TestSimulate:
@@ -162,6 +267,37 @@ class TestTrain:
         lines = (out / "accuracy.csv").read_text().splitlines()
         seeds = {ln.split(",")[1] for ln in lines[1:]}
         assert seeds == {"9"}
+
+
+class TestLearnerBitsPinned:
+    """Final thetas of a tiny run that exercises every trainer branch
+    (replay, batched reconstruction, two pivots with pivot updates),
+    pinned by sha256 so a refactor of the learner cannot move one bit."""
+
+    DIGESTS = {
+        "vanilla": "7f368005895666516e69cd37cbf9fb9f177b7735fc47f0cea9b8f2b4a506af8a",
+        "dual": "9436bc21c10963e02d2d51aee32c1a6e86ea8936aa22041875ba55d5a668a4c0",
+        "multistep": "8d09469c5a717d7b79477dfea7a6b7025bbfeda3d782169d8d2d7884e70a1814",
+    }
+
+    def test_final_thetas_match_pinned_digests(self):
+        cfg = load_config(None)
+        cfg["train"]["world"] = {"k": 4, "m": 4, "s": 2, "skew": 0.5, "seed": 3}
+        cfg["train"]["corpus"] = {
+            "parallel_per_pair": 20, "monolingual_per_language": 50, "within_cluster": "mu",
+        }
+        cfg["train"]["train"].update(
+            supervised_steps=60, dual_steps=120, multistep_steps=150, supervised_batch=4,
+            reconstruction_batch=2, supervised_mix=0.25, update_pivots=True,
+        )
+        phases, _, _ = run_training_experiment(cfg, 11)
+        digests = {}
+        for phase, ts in phases.items():
+            h = hashlib.sha256()
+            for key in sorted(ts):
+                h.update(np.ascontiguousarray(ts[key].theta).tobytes())
+            digests[phase] = h.hexdigest()
+        assert digests == self.DIGESTS
 
 
 class TestReport:

@@ -11,17 +11,17 @@ from dualsim.learner import (
     loop_log_prob,
     loop_log_prob_bound,
     multistep_dual_learning,
-    sample_pivot_chain,
     train_supervised,
 )
 from dualsim.learner import _supervised_update
 from dualsim.metrics import accuracy
-from dualsim.synth_lang import build_corpus, generate_world
+from dualsim.synth_lang import Corpus, build_corpus, generate_world
 from dualsim.translator import (
     TabularTranslator,
     TrainConfig,
     log_prob_grad_row,
     row_probs,
+    sample_row,
 )
 
 
@@ -61,10 +61,10 @@ class TestTabularTranslator:
 
     def test_sampling_follows_rows(self):
         rng = np.random.default_rng(1)
-        t = TabularTranslator(0, 1, np.array([[2.0, 0.0, -1.0]]))
-        draws = np.array([t.sample(0, rng) for _ in range(20_000)])
+        row = np.array([2.0, 0.0, -1.0])
+        draws = np.array([sample_row(row, rng) for _ in range(20_000)])
         freqs = np.bincount(draws, minlength=3) / len(draws)
-        assert np.all(np.abs(freqs - row_probs(t.theta[0])) < 0.02)
+        assert np.all(np.abs(freqs - row_probs(row)) < 0.02)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -265,6 +265,18 @@ class TestMultistepDualLearning:
         with pytest.raises(ValidationError, match="missing"):
             multistep_dual_learning(ts, corpus, TrainConfig(steps=1))
 
+    def test_update_pivots_checks_pivot_data_before_training(self):
+        # rejected up front, even when no step would reach a pivot update
+        _, corpus, ts = small_setup()
+        no_pivot_mono = Corpus(
+            parallel=corpus.parallel,
+            monolingual={**corpus.monolingual, 2: np.empty(0, dtype=np.int64)},
+        )
+        cfg = TrainConfig(steps=0, update_pivots=True)
+        with pytest.raises(ValidationError, match="update_pivots"):
+            multistep_dual_learning(ts, no_pivot_mono, cfg)
+        multistep_dual_learning(ts, no_pivot_mono, TrainConfig(steps=0))
+
     def test_single_step_applies_exact_sampled_gradients(self):
         _, corpus, ts = small_setup(seed=7)
         lr = 0.6
@@ -300,7 +312,7 @@ class TestMultistepDualLearning:
         t_p1 = perfect_translator(world, 2, 1)
         for _ in range(200):
             x = int(rng.integers(world.n_sentences))
-            _, end = sample_pivot_chain(t_0p, t_p1, x, rng)
+            end = sample_row(t_p1.theta[sample_row(t_0p.theta[x], rng)], rng)
             assert world.cluster_of[1, end] == world.cluster_of[0, x]
 
     def test_perfect_pivots_give_cluster_correct_updates(self):

@@ -222,8 +222,6 @@ class TestErrataReport:
             for r in errata_report(TripleOutcomeParams(0.5, 0.5, 0.5, lam1, 0.0, 0.1))
         }
         assert records["cell(1,0,0)"].abs_diff == pytest.approx(2 * lam1, abs=1e-12)
-        assert records["cell(0,1,0)"].abs_diff <= 1e-12
-        assert records["cell(0,0,0)"].abs_diff <= 1e-12
         assert records["case11"].abs_diff == pytest.approx(0.1 * 2 * lam1, abs=1e-12)
 
     def test_triple_dependence_leaves_cell_alone(self):
@@ -237,5 +235,5 @@ class TestErrataReport:
         text = errata_to_text(errata_report(TripleOutcomeParams(0.5, 0.5, 0.5, 0.05, 0.0, 0.1)))
         lines = text.strip().splitlines()
         assert lines[0].startswith("formula")
-        assert len(lines) == 7
+        assert len(lines) == 4
         assert any(ln.startswith("cell(1,0,0)") for ln in lines)

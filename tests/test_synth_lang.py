@@ -1,4 +1,4 @@
-"""World generation, oracle consistency, corpus sampling, serialization."""
+"""World generation and corpus sampling."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,9 @@ import pytest
 from dualsim.errors import ValidationError
 from dualsim.synth_lang import (
     build_corpus,
-    corpus_from_text,
-    corpus_to_text,
     generate_world,
-    oracle_translator,
     sample_monolingual,
     sample_parallel,
-    world_from_text,
-    world_to_text,
 )
 
 
@@ -50,32 +45,6 @@ class TestGenerateWorld:
             generate_world(2, 0, 2, 0.0, 0)
         with pytest.raises(ValidationError):
             generate_world(2, 5, 2, -1.0, 0)
-
-
-class TestOracleConsistency:
-    def test_composition_closes_for_all_triples(self):
-        world = generate_world(4, 6, 3, 0.5, 3)
-        for i in range(4):
-            for j in range(4):
-                for l in range(4):
-                    t_ij = oracle_translator(world, i, j)
-                    t_jl = oracle_translator(world, j, l)
-                    t_il = oracle_translator(world, i, l)
-                    composed = t_ij.compose(t_jl)
-                    for c in range(world.n_clusters):
-                        assert composed.map_cluster(c) == t_il.map_cluster(c)
-
-    def test_inverse_is_identity(self):
-        world = generate_world(3, 5, 2, 0.0, 0)
-        fwd = oracle_translator(world, 0, 1)
-        back = oracle_translator(world, 1, 0)
-        for c in range(world.n_clusters):
-            assert back.map_cluster(fwd.map_cluster(c)) == c
-
-    def test_bad_composition_rejected(self):
-        world = generate_world(3, 2, 2, 0.0, 0)
-        with pytest.raises(ValidationError):
-            oracle_translator(world, 0, 1).compose(oracle_translator(world, 0, 2))
 
 
 class TestSampleParallel:
@@ -163,34 +132,3 @@ class TestBuildCorpus:
             assert np.array_equal(c1.parallel[key], c2.parallel[key])
         for key in c1.monolingual:
             assert np.array_equal(c1.monolingual[key], c2.monolingual[key])
-
-
-class TestSerialization:
-    def test_world_round_trip(self):
-        world = generate_world(3, 4, 2, 0.8, 17)
-        restored = world_from_text(world_to_text(world))
-        assert restored.n_langs == world.n_langs
-        assert restored.n_clusters == world.n_clusters
-        assert restored.cluster_size == world.cluster_size
-        assert np.array_equal(restored.mu, world.mu)
-        assert np.array_equal(restored.cluster_of, world.cluster_of)
-
-    def test_world_text_is_stable(self):
-        world = generate_world(2, 3, 2, 0.5, 4)
-        assert world_to_text(world) == world_to_text(world)
-
-    def test_corpus_round_trip(self):
-        world = generate_world(3, 4, 2, 0.0, 0)
-        corpus = build_corpus(world, 20, 40, 6)
-        restored = corpus_from_text(corpus_to_text(corpus))
-        assert set(restored.parallel) == set(corpus.parallel)
-        for key in corpus.parallel:
-            assert np.array_equal(restored.parallel[key], corpus.parallel[key])
-        for key in corpus.monolingual:
-            assert np.array_equal(restored.monolingual[key], corpus.monolingual[key])
-
-    def test_bad_records_rejected(self):
-        with pytest.raises(ValidationError):
-            world_from_text("nonsense 1 2 3\n")
-        with pytest.raises(ValidationError):
-            corpus_from_text("bogus 0 1\n")

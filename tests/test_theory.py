@@ -20,6 +20,7 @@ from dualsim.theory import (
     predict_multistep,
     proportional_dual_accuracy,
     proportional_policy,
+    proportional_triple_policy,
     simplified_multistep_accuracy,
 )
 
@@ -109,6 +110,21 @@ class TestProportionalPolicy:
         # p12=0, p21r=1, lam=0: both reconstructing cases have zero mass
         with pytest.raises(ValidationError):
             proportional_policy(DualOutcomeParams(0.0, 1.0, 0.0, 0.5), 0.2)
+
+
+class TestProportionalTriplePolicy:
+    def test_ratio_copies_reconstructing_cases(self):
+        params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.01, -0.003, 0.1)
+        probe = predict_multistep(params, RedistributionPolicy(1.0, 0.0, 0.0))
+        pol = proportional_triple_policy(params, 0.3)
+        assert pol.gamma == 0.3
+        assert pol.alpha + pol.beta == pytest.approx(0.7, abs=1e-12)
+        assert pol.alpha / pol.beta == pytest.approx(probe.p_case11 / probe.p_case12, rel=1e-12)
+
+    def test_rejects_zero_case_mass(self):
+        # q12 = 0 and delta = 0: neither reconstructing case has mass
+        with pytest.raises(ValidationError):
+            proportional_triple_policy(TripleOutcomeParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.0), 0.2)
 
 
 class TestProportionalDualAccuracy:
@@ -238,18 +254,9 @@ class TestSimplifiedMultistepAccuracy:
         with pytest.raises(ValidationError):
             simplified_multistep_accuracy(0.0, 0.5, 0.0)
 
-    def _proportional_triple_policy(self, params, gamma):
-        probe = predict_multistep(params, RedistributionPolicy(1.0, 0.0, 0.0))
-        total = probe.p_case11 + probe.p_case12
-        return RedistributionPolicy(
-            (1 - gamma) * probe.p_case11 / total,
-            (1 - gamma) * probe.p_case12 / total,
-            gamma,
-        )
-
     def test_matches_full_prediction_under_proportional_policy(self):
         params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.1)
-        policy = self._proportional_triple_policy(params, 0.0)
+        policy = proportional_triple_policy(params, 0.0)
         full = predict_multistep(params, policy)
         m = m_factor(0.7, 0.8, 0.1)
         assert simplified_multistep_accuracy(0.6, m, 0.0) == pytest.approx(
@@ -261,7 +268,7 @@ class TestSimplifiedMultistepAccuracy:
         for _ in range(300):
             params = random_triple_params(rng)
             gamma = rng.uniform(0.0, 1.0)
-            policy = self._proportional_triple_policy(params, gamma)
+            policy = proportional_triple_policy(params, gamma)
             full = predict_multistep(params, policy)
             m = m_factor(params.q23, params.q31, params.delta)
             assert simplified_multistep_accuracy(
