@@ -47,7 +47,6 @@ from .outcome_model import (
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
-    build_dual_joint,
     lambda_feasible_range,
     lambda_loose_range,
     random_dual_params,
@@ -134,6 +133,9 @@ DEFAULT_CONFIG: dict[str, Any] = {
     "report": {},
 }
 
+ACCURACY_HEADER = ["config_hash", "seed", "phase", "src", "dst", "p_hat", "p_expected"]
+_PHASE_RANK = {ph: idx for idx, ph in enumerate(PHASE_ORDER)}
+
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -165,8 +167,6 @@ def _merge_config(defaults: Any, user: Any, path: str) -> Any:
         if not check(user):
             raise ValidationError(f"config field {path} must be {what}, got {user!r}")
         return user
-    if user is None:
-        return defaults
     if not isinstance(user, dict):
         raise ValidationError(f"config field {path or '<root>'} must be an object")
     merged = dict(defaults)
@@ -209,10 +209,20 @@ def _fmt(v: Any) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _emit_table(header: Sequence[str], rows: Sequence[Sequence[Any]], path: Path | None) -> None:
+    """Print a result table as CSV and, given a path, write the same CSV there."""
+    print(",".join(header))
+    for row in rows:
+        print(",".join(_fmt(v) for v in row))
+    if path is not None:
+        _write_csv(path, header, rows)
 
 
 def _dual_params(block: dict[str, Any]) -> DualOutcomeParams:
@@ -260,8 +270,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
             "p_case11", "p_case12", "p_case2", "p_d12", "improvement",
         ]
         for delta in deltas:
-            params = DualOutcomeParams(block["p12"], block["p21r"], lam, delta)
-            build_dual_joint(params)
+            params = _dual_params({**block, "delta": delta})
             policy = explicit or proportional_policy(params, block["gamma"])
             pred = predict_dual(params, policy)
             rows.append(
@@ -278,10 +287,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
             "p_case11", "p_case12", "p_case2", "q_m12",
         ]
         for delta in deltas:
-            params = TripleOutcomeParams(
-                block["q12"], block["q23"], block["q31"],
-                block["lambda1"], block["lambda2"], delta,
-            )
+            params = _triple_params({**block, "delta": delta})
             policy = explicit or proportional_triple_policy(params, block["gamma"])
             pred = predict_multistep(params, policy)
             rows.append(
@@ -294,12 +300,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
             )
     else:
         raise ValidationError(f"theory.kind must be 'dual' or 'triple', got {block['kind']!r}")
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "theory.csv", header, rows)
+    _emit_table(header, rows, None if out_dir is None else out_dir / "theory.csv")
     return 0
 
 
@@ -371,8 +372,6 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
 def cmd_simulate(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["simulate"]
     policy = _policy(block["policy"])
-    if policy is None:
-        raise ValidationError("simulate.policy must be given")
     if block["kind"] == "dual":
         spec = GenerativeSpec(_dual_params(block), policy)
         exact = enumerate_dual(spec)
@@ -394,7 +393,6 @@ def cmd_simulate(cfg: dict[str, Any], out_dir: Path | None) -> int:
         f"(n_fail={est.counts['n_vanilla_fail']})"
     )
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(
             out_dir / "simulate.csv",
             ["n", "seed", "estimate", "stderr", "exact", "alpha_hat", "beta_hat", "gamma_hat"],
@@ -496,27 +494,18 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
             )
         all_warnings += [f"seed {run_seed}: {w}" for w in record.warnings]
 
-    phase_rank = {ph: idx for idx, ph in enumerate(PHASE_ORDER)}
-    acc_rows.sort(key=lambda r: (r[1], phase_rank.get(r[2], 99), r[3], r[4]))
+    acc_rows.sort(key=lambda r: (r[1], _PHASE_RANK.get(r[2], 99), r[3], r[4]))
     est_rows.sort(key=lambda r: (r[1], r[2]))
-
-    acc_header = ["config_hash", "seed", "phase", "src", "dst", "p_hat", "p_expected"]
     est_header = [
         "config_hash", "seed", "comparison", "alpha_hat", "beta_hat", "gamma_hat",
         "eta_hat", "eta_raw", "n_vanilla_fail", "n_vanilla_recon",
     ]
-    summary_header, summary_rows = _summarize(acc_rows)
 
     if out_dir is None:
         out_dir = Path("out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "accuracy.csv", acc_header, acc_rows)
+    _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, acc_rows)
     _write_csv(out_dir / "estimators.csv", est_header, est_rows)
-    _write_csv(out_dir / "summary.csv", summary_header, summary_rows)
-
-    print(",".join(summary_header))
-    for row in summary_rows:
-        print(",".join(_fmt(v) for v in row))
+    _emit_table(*_summarize(acc_rows), out_dir / "summary.csv")
     for w in all_warnings:
         print(f"warning: {w}")
     print(f"wrote {out_dir / 'accuracy.csv'}, estimators.csv, summary.csv")
@@ -530,9 +519,8 @@ def _summarize(acc_rows: list[list[Any]]):
         groups.setdefault((phase, i, j), []).append(p_hat)
     header = ["phase", "src", "dst", "runs", "mean_p_hat"]
     rows: list[list[Any]] = []
-    phase_rank = {ph: idx for idx, ph in enumerate(PHASE_ORDER)}
     for (phase, i, j), vals in sorted(
-        groups.items(), key=lambda kv: (phase_rank.get(kv[0][0], 99), kv[0][1], kv[0][2])
+        groups.items(), key=lambda kv: (_PHASE_RANK.get(kv[0][0], 99), kv[0][1], kv[0][2])
     ):
         rows.append([phase, i, j, len(vals), float(np.mean(vals))])
     means01 = {
@@ -556,17 +544,12 @@ def cmd_report(out_dir: Path | None) -> int:
     rows: list[list[Any]] = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        expected = ["config_hash", "seed", "phase", "src", "dst", "p_hat", "p_expected"]
-        if header != expected:
+        if header != ACCURACY_HEADER:
             raise ValidationError(f"unexpected accuracy.csv header {header}")
         for line in fh:
             chash, seed, phase, i, j, p_hat, p_exp = line.strip().split(",")
             rows.append([chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)])
-    summary_header, summary_rows = _summarize(rows)
-    print(",".join(summary_header))
-    for row in summary_rows:
-        print(",".join(_fmt(v) for v in row))
-    _write_csv(out_dir / "summary.csv", summary_header, summary_rows)
+    _emit_table(*_summarize(rows), out_dir / "summary.csv")
     return 0
 
 

@@ -51,11 +51,7 @@ def _supervised_update(
     idx = rng.integers(0, len(pairs), size=batch)
     xs = pairs[idx, 0]
     ys = pairs[idx, 1]
-    rows = theta[xs]
-    z = rows - rows.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
-    upd = -probs
+    upd = -row_probs(theta[xs])
     upd[np.arange(batch), ys] += 1.0
     np.add.at(theta, xs, (lr / batch) * upd)
 
@@ -169,6 +165,9 @@ def multistep_dual_learning(
     additionally gives each pivot pair its own reconstruction update per
     step. Requires at least three languages; with two this degenerates
     to plain dual learning, which must be called directly.
+
+    Replay feeds theta_ba the reversed (a, b) pairs and ignores
+    ``corpus.parallel[(b, a)]``, which dual_learning replays as given.
     """
     a, b = pair
     langs = sorted({lang for key in translators for lang in key})
@@ -239,27 +238,22 @@ class ExperimentRecord:
 def evaluate(
     phases: Mapping[str, Mapping[tuple[int, int], TabularTranslator]],
     world: World,
-    eval_sentences: np.ndarray | None = None,
-    pair: tuple[int, int] = (0, 1),
 ) -> ExperimentRecord:
     """Exact per-phase, per-direction accuracies plus redistribution estimators.
 
     Estimators compare consecutive phases (in vanilla/dual/multistep
-    order) on the primary pair, decoding greedily over ``eval_sentences``
-    (default: every sentence of the pair's source language).
+    order) on the primary pair (0, 1), decoding greedily over every
+    sentence of the pair's source language.
     """
-    if eval_sentences is None:
-        eval_sentences = np.arange(world.n_sentences)
     accuracies: dict[tuple[str, tuple[int, int]], AccuracyReport] = {}
     for phase, ts in phases.items():
         for direction, t in ts.items():
             accuracies[(phase, direction)] = accuracy(t, world)
 
     ordered = [ph for ph in PHASE_ORDER if ph in phases]
-    ordered += [ph for ph in phases if ph not in ordered]
     reports: dict[str, EstimatorReport] = {}
     warnings: list[str] = []
-    fwd, bwd = pair, (pair[1], pair[0])
+    fwd, bwd = (0, 1), (1, 0)
     for base, second in zip(ordered, ordered[1:]):
         if not all(d in phases[base] and d in phases[second] for d in (fwd, bwd)):
             continue
@@ -267,7 +261,7 @@ def evaluate(
         rep = estimators(
             (phases[base][fwd], phases[base][bwd]),
             (phases[second][fwd], phases[second][bwd]),
-            eval_sentences,
+            np.arange(world.n_sentences),
             world,
         )
         reports[name] = rep

@@ -7,8 +7,7 @@ exact sum over the world: no sampling, no decoding heuristics beyond the
 documented greedy tie-break (argmax, lowest id wins).
 
 The estimator report quantifies what dual training did to the mass that
-the baseline chain failed to reconstruct; all chains are decoded greedily
-and each report is tagged with that decoding mode.
+the baseline chain failed to reconstruct; all chains are decoded greedily.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class AccuracyReport:
     direction: tuple[int, int]
     p_hat: float
     p_expected: float
-    mode: str = "greedy-argmax-lowest-id"
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,6 @@ class EstimatorReport:
     eta_hat: float | None
     eta_raw: float | None
     counts: dict[str, int] = field(default_factory=dict)
-    decoding: str = "greedy"
 
 
 def _check_defined_on(t: TabularTranslator, world: World) -> None:
@@ -129,6 +126,19 @@ def _chain(world: World, pair: tuple[TabularTranslator, TabularTranslator], xs: 
     return hop1, recon
 
 
+def _report(counts: dict[str, int]) -> EstimatorReport:
+    """Estimator ratios from a tally dict; None where a denominator is empty."""
+    n_fail, n_ok = counts["n_vanilla_fail"], counts["n_vanilla_recon"]
+    return EstimatorReport(
+        alpha_hat=counts["n_corrected"] / n_fail if n_fail else None,
+        beta_hat=counts["n_aligned"] / n_fail if n_fail else None,
+        gamma_hat=counts["n_unreconstructed"] / n_fail if n_fail else None,
+        eta_hat=counts["n_kept"] / n_ok if n_ok else None,
+        eta_raw=counts["n_dual_recon"] / n_ok if n_ok else None,
+        counts=counts,
+    )
+
+
 def estimators(
     vanilla: tuple[TabularTranslator, TabularTranslator],
     dual: tuple[TabularTranslator, TabularTranslator],
@@ -153,26 +163,17 @@ def estimators(
     d_hop1, d_recon = _chain(world, dual, xs)
 
     fail = ~v_recon
-    n_fail = int(fail.sum())
-    n_ok = int(v_recon.sum())
-    counts = {
-        "n_eval": int(xs.size),
-        "n_vanilla_fail": n_fail,
-        "n_vanilla_recon": n_ok,
-        "n_corrected": int((fail & d_hop1 & d_recon).sum()),
-        "n_aligned": int((fail & ~d_hop1 & d_recon).sum()),
-        "n_unreconstructed": int((fail & ~d_recon).sum()),
-        "n_kept": int((v_recon & d_recon).sum()),
-        "n_dual_recon": int(d_recon.sum()),
-    }
-    alpha = counts["n_corrected"] / n_fail if n_fail else None
-    beta = counts["n_aligned"] / n_fail if n_fail else None
-    gamma = counts["n_unreconstructed"] / n_fail if n_fail else None
-    eta = counts["n_kept"] / n_ok if n_ok else None
-    eta_raw = counts["n_dual_recon"] / n_ok if n_ok else None
-    return EstimatorReport(
-        alpha_hat=alpha, beta_hat=beta, gamma_hat=gamma,
-        eta_hat=eta, eta_raw=eta_raw, counts=counts,
+    return _report(
+        {
+            "n_eval": int(xs.size),
+            "n_vanilla_fail": int(fail.sum()),
+            "n_vanilla_recon": int(v_recon.sum()),
+            "n_corrected": int((fail & d_hop1 & d_recon).sum()),
+            "n_aligned": int((fail & ~d_hop1 & d_recon).sum()),
+            "n_unreconstructed": int((fail & ~d_recon).sum()),
+            "n_kept": int((v_recon & d_recon).sum()),
+            "n_dual_recon": int(d_recon.sum()),
+        }
     )
 
 
@@ -185,14 +186,8 @@ def estimators_from_counts(counts: OutcomeCounts) -> EstimatorReport:
     """
     n_fail = counts.n_case2
     n_ok = counts.case11 + counts.case12
-    n_dual_recon = n_ok + counts.case2_corrected + counts.case2_aligned
-    return EstimatorReport(
-        alpha_hat=counts.case2_corrected / n_fail if n_fail else None,
-        beta_hat=counts.case2_aligned / n_fail if n_fail else None,
-        gamma_hat=counts.case2_unreconstructed / n_fail if n_fail else None,
-        eta_hat=1.0 if n_ok else None,
-        eta_raw=n_dual_recon / n_ok if n_ok else None,
-        counts={
+    return _report(
+        {
             "n_eval": n_fail + n_ok,
             "n_vanilla_fail": n_fail,
             "n_vanilla_recon": n_ok,
@@ -200,6 +195,6 @@ def estimators_from_counts(counts: OutcomeCounts) -> EstimatorReport:
             "n_aligned": counts.case2_aligned,
             "n_unreconstructed": counts.case2_unreconstructed,
             "n_kept": n_ok,
-            "n_dual_recon": n_dual_recon,
-        },
+            "n_dual_recon": n_ok + counts.case2_corrected + counts.case2_aligned,
+        }
     )

@@ -45,21 +45,19 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 
-def _require_prob(x: float, name: str) -> float:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ValidationError(f"{name} must be a real number, got {x!r}")
-    v = float(x)
-    if not math.isfinite(v) or v < 0.0 or v > 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {v!r}")
-    return v
-
-
 def _require_real(x: float, name: str) -> float:
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ValidationError(f"{name} must be a real number, got {x!r}")
     v = float(x)
     if not math.isfinite(v):
         raise ValidationError(f"{name} must be finite, got {v!r}")
+    return v
+
+
+def _require_prob(x: float, name: str) -> float:
+    v = _require_real(x, name)
+    if v < 0.0 or v > 1.0:
+        raise ValidationError(f"{name} must be in [0, 1], got {v!r}")
     return v
 
 

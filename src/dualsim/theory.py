@@ -14,7 +14,6 @@ Event-tree vocabulary used throughout (see also the oracle module):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -64,16 +63,15 @@ class DualPrediction:
 class TriplePrediction:
     """Predicted outcome of multi-step training through one pivot.
 
-    ``q_m12`` is the predicted post-training accuracy of the first hop,
-    ``m_factor`` the pivot-quality multiplier (NaN when its denominator is
-    zero), and ``gamma_cap_prime`` the loss term gamma' * p_case2.
+    ``q_m12`` is the predicted post-training accuracy of the first hop
+    and ``gamma_cap_prime`` the loss term gamma' * p_case2 (the pivot
+    multiplier M is :func:`m_factor`).
     """
 
     p_case11: float
     p_case12: float
     p_case2: float
     q_m12: float
-    m_factor: float
     gamma_cap_prime: float
 
 
@@ -87,9 +85,9 @@ def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
 def alignment_probability(params: DualOutcomeParams) -> float:
     """Mass of accidental round-trip closures: delta * Pr(both hops wrong).
 
-    Equals ``delta * ((1-p12)*(1-p21r) + lam)``.
+    Equals ``delta * ((1-p12)*(1-p21r) + lam)``; rejects an infeasible ``lam``.
     """
-    return params.delta * ((1.0 - params.p12) * (1.0 - params.p21r) + params.lam)
+    return _dual_case_masses(params)[1]
 
 
 def predict_dual(params: DualOutcomeParams, policy: RedistributionPolicy) -> DualPrediction:
@@ -210,18 +208,11 @@ def predict_multistep(
     nonzero lam1/lam2 as well.
     """
     pr11, pr12, pr2 = _triple_case_masses(params)
-    q_m12 = pr11 + policy.alpha * pr2
-    denom = params.q23 * params.q31 + params.delta * (1.0 - params.q23) * (1.0 - params.q31)
-    if denom > 0.0:
-        m = params.delta * (1.0 - params.q23 * params.q31) / denom
-    else:
-        m = math.nan
     return TriplePrediction(
         p_case11=pr11,
         p_case12=pr12,
         p_case2=pr2,
-        q_m12=q_m12,
-        m_factor=m,
+        q_m12=pr11 + policy.alpha * pr2,
         gamma_cap_prime=policy.gamma * pr2,
     )
 

@@ -22,11 +22,11 @@ from .errors import ValidationError
 __all__ = ["TabularTranslator", "TrainConfig", "row_probs", "sample_row", "log_prob_grad_row"]
 
 
-def row_probs(theta_row: np.ndarray) -> np.ndarray:
-    """Stable softmax of one score row."""
-    z = theta_row - theta_row.max()
+def row_probs(theta: np.ndarray) -> np.ndarray:
+    """Stable softmax of a score row, or of each row of a score matrix."""
+    z = theta - theta.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sample_row(theta_row: np.ndarray, rng: np.random.Generator) -> int:
@@ -70,9 +70,7 @@ class TabularTranslator:
         return row_probs(self.theta[x])
 
     def prob_matrix(self) -> np.ndarray:
-        z = self.theta - self.theta.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return row_probs(self.theta)
 
     def log_prob(self, x: int, y: int) -> float:
         row = self.theta[x]

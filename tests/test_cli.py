@@ -106,6 +106,8 @@ class TestConfigValidation:
             ("verify", {"verify": {"draws": "many"}}),
             ("train", {"train": {"train": {"update_pivots": "no"}}}),
             ("theory", {"theory": {"delta": []}}),
+            ("simulate", {"simulate": {"policy": None}}),
+            ("verify", {"verify": None}),
         ],
     )
     def test_malformed_leaf_rejected_at_load(self, tmp_path, capsys, command, cfg):

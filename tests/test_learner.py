@@ -48,6 +48,10 @@ class TestTabularTranslator:
         t = TabularTranslator(0, 1, 3.0 * rng.normal(size=(6, 6)))
         assert np.allclose(t.prob_matrix().sum(axis=1), 1.0, atol=1e-9)
 
+    def test_row_probs_of_a_matrix_is_row_by_row(self):
+        theta = 3.0 * np.random.default_rng(2).normal(size=(7, 5))
+        assert np.array_equal(row_probs(theta), np.stack([row_probs(r) for r in theta]))
+
     def test_greedy_tie_breaks_to_lowest_id(self):
         theta = np.zeros((2, 5))
         theta[1, 2] = theta[1, 4] = 1.5

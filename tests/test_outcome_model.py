@@ -55,6 +55,8 @@ class TestBuildDualJoint:
             DualOutcomeParams(0.5, 0.5, float("nan"), 0.0)
         with pytest.raises(ValidationError):
             DualOutcomeParams(0.5, 0.5, 0.0, -0.1)
+        with pytest.raises(ValidationError, match="p12 must be finite"):
+            DualOutcomeParams(float("nan"), 0.5, 0.0, 0.0)
 
 
 class TestLambdaRange:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_dual_params, random_policy, random_triple_params
-from dualsim.errors import ValidationError
+from dualsim.errors import InfeasibleParamsError, ValidationError
 from dualsim.oracle import GenerativeSpec, enumerate_dual, enumerate_triple
 from dualsim.outcome_model import (
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
+    lambda_feasible_range,
 )
 from dualsim.theory import (
     alignment_probability,
@@ -35,6 +36,12 @@ class TestAlignmentProbability:
     def test_direct_value(self):
         p = DualOutcomeParams(0.6, 0.7, 0.05, 0.1)
         assert alignment_probability(p) == pytest.approx(0.017, abs=1e-12)
+
+    def test_infeasible_lambda_rejected(self):
+        low, high = lambda_feasible_range(0.6, 0.7)
+        for lam in (low - 0.01, high + 0.01):
+            with pytest.raises(InfeasibleParamsError):
+                alignment_probability(DualOutcomeParams(0.6, 0.7, lam, 0.1))
 
 
 class TestPredictDual:
