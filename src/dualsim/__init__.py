@@ -8,10 +8,9 @@ translators on synthetic clustered language worlds.
 
 from .errors import DualSimError, InfeasibleParamsError, ValidationError
 from .outcome_model import (
-    DualJointTable,
     DualOutcomeParams,
+    JointTable,
     RedistributionPolicy,
-    TripleJointTable,
     TripleOutcomeParams,
     build_dual_joint,
     build_triple_joint,

@@ -184,7 +184,7 @@ def load_config(path: str | None) -> dict[str, Any]:
         return defaults
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read config {path}: {e}") from e
     try:
         user = json.loads(text)
@@ -354,12 +354,11 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
         (out_dir / "errata.txt").write_text(text, encoding="utf-8")
 
     if block["use_shortcut_case_formulas"]:
-        # score the shortcut case formulas as if they were the implementation
-        neutral = GenerativeSpec(errata_params, RedistributionPolicy(1.0, 0.0, 0.0))
-        exact11, exact12, _ = enumerate_triple(neutral).case_masses
-        by_name = {r.name: r for r in records}
-        track(abs(by_name["case11"].shortcut - exact11), "shortcut case11 vs enumeration")
-        track(abs(by_name["case12"].shortcut - exact12), "shortcut case12 vs enumeration")
+        # score the shortcut case formulas as if they were the implementation;
+        # the errata records' consistent side is the enumeration's case mass
+        for r in records:
+            if r.name in ("case11", "case12"):
+                track(r.abs_diff, f"shortcut {r.name} vs enumeration")
 
     print(f"max |difference|: {worst!r} (tolerance {tol!r})")
     if not worst <= tol:
@@ -541,14 +540,20 @@ def cmd_report(out_dir: Path | None) -> int:
     path = out_dir / "accuracy.csv"
     if not path.exists():
         raise ValidationError(f"no accuracy CSV at {path}")
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read {path}: {e}") from e
+    header = lines[0].strip().split(",") if lines else []
+    if header != ACCURACY_HEADER:
+        raise ValidationError(f"unexpected accuracy.csv header {header}")
     rows: list[list[Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ACCURACY_HEADER:
-            raise ValidationError(f"unexpected accuracy.csv header {header}")
-        for line in fh:
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
             chash, seed, phase, i, j, p_hat, p_exp = line.strip().split(",")
             rows.append([chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)])
+        except ValueError as e:
+            raise ValidationError(f"{path} line {lineno}: {e}") from e
     _emit_table(*_summarize(rows), out_dir / "summary.csv")
     return 0
 

@@ -41,7 +41,6 @@ class AccuracyReport:
                 mass the rows place on the correct cluster
     """
 
-    direction: tuple[int, int]
     p_hat: float
     p_expected: float
 
@@ -90,7 +89,7 @@ def accuracy(t: TabularTranslator, world: World) -> AccuracyReport:
     # mass each row places on its correct target cluster
     correct_mask = dst_clusters[None, :] == src_clusters[:, None]
     p_expected = float(mu @ (probs * correct_mask).sum(axis=1))
-    return AccuracyReport(direction=(t.src_lang, t.dst_lang), p_hat=p_hat, p_expected=p_expected)
+    return AccuracyReport(p_hat=p_hat, p_expected=p_expected)
 
 
 def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, world: World) -> float:

@@ -12,13 +12,12 @@ Two independent computation paths over the same generative event tree:
 Neither path calls anything in :mod:`dualsim.theory`; matching those
 formulas to 1e-12 is the package's core acceptance property.
 
-Reconstruction probabilities per joint cell:
-  dual   (1,1) -> 1, (0,0) -> delta, mixed cells -> 0
-  triple (1,1,1) -> 1; cells with at most one correct hop -> delta;
-         cells with exactly one wrong hop -> 0 (a single wrong hop after
-         or before correct hops lands in a definitely-wrong cluster).
-         ``blanket_delta=True`` switches the two-correct-hops cells to
-         delta as well, to quantify how much that cruder rule differs.
+One reconstruction rule covers the round trip (2 hops) and the pivot
+cycle (3 hops), by the number of wrong hops in a joint-table cell:
+  none          -> 1      (the chain closes)
+  exactly one   -> 0      (a single wrong hop before or after correct hops
+                           lands in a definitely-wrong cluster)
+  two or more   -> delta  (the chain closes by accidental alignment)
 """
 
 from __future__ import annotations
@@ -97,27 +96,24 @@ class OracleResult:
     counts: OutcomeCounts | None = None
 
 
-def _event_table(spec: GenerativeSpec, blanket: bool = False) -> list[tuple[float, float, int]]:
+def _event_table(spec: GenerativeSpec) -> list[tuple[float, float, int]]:
     """(mass, reconstruction probability, first-hop bit) per joint cell.
 
-    Cells come in a fixed order: dual (1,1), (1,0), (0,1), (0,0); triple
-    (1,1,1), (1,1,0), ..., (0,0,0). The Monte Carlo cell draw depends on it.
+    Cells come all-correct first, in ``itertools.product((1, 0), repeat=hops)``
+    order: (1,1), (1,0), (0,1), (0,0) for a round trip and (1,1,1), (1,1,0),
+    ..., (0,0,0) for a pivot cycle. The Monte Carlo cell draw depends on it.
     """
-    params = spec.params
-    d = params.delta
-    if spec.kind == "dual":
-        t = build_dual_joint(params)
-        return [(t.p11, 1.0, 1), (t.p10, 0.0, 1), (t.p01, 0.0, 0), (t.p00, d, 0)]
-    t = build_triple_joint(params)
-    table = []
-    for cell in itertools.product((1, 0), repeat=3):
-        ones = sum(cell)
-        r = 1.0 if ones == 3 else d if ones <= 1 or blanket else 0.0
-        table.append((t.cell(*cell), r, cell[0]))
-    return table
+    table = (build_dual_joint if spec.kind == "dual" else build_triple_joint)(spec.params)
+    d, hops = spec.params.delta, table.hops
+    rows = []
+    for bits in itertools.product((1, 0), repeat=hops):
+        wrong = hops - sum(bits)
+        r = 1.0 if wrong == 0 else 0.0 if wrong == 1 else d
+        rows.append((table.cell(*bits), r, bits[0]))
+    return rows
 
 
-def _walk(spec: GenerativeSpec, blanket: bool = False) -> OracleResult:
+def _walk(spec: GenerativeSpec) -> OracleResult:
     """Exact event-tree summation shared by both enumerators.
 
     For each joint cell: reconstructed mass goes to case 1.1 (correct) if
@@ -128,7 +124,7 @@ def _walk(spec: GenerativeSpec, blanket: bool = False) -> OracleResult:
     alpha = spec.policy.alpha
     acc = 0.0
     case11 = case12 = case2 = 0.0
-    for mass, r, hop1 in _event_table(spec, blanket):
+    for mass, r, hop1 in _event_table(spec):
         reconstructed = mass * r
         unreconstructed = mass * (1.0 - r)
         if hop1:
@@ -147,15 +143,15 @@ def enumerate_dual(spec: GenerativeSpec) -> OracleResult:
     return _walk(spec)
 
 
-def enumerate_triple(spec: GenerativeSpec, blanket_delta: bool = False) -> OracleResult:
+def enumerate_triple(spec: GenerativeSpec) -> OracleResult:
     """Exact event-tree summation of the multi-step accuracy.
 
     Same walk as enumerate_dual over the eight cells of the 3-hop cycle,
-    with the reconstruction probabilities documented at module level.
+    with the reconstruction rule documented at module level.
     """
     if spec.kind != "triple":
         raise ValidationError("enumerate_triple requires a triple GenerativeSpec")
-    return _walk(spec, blanket_delta)
+    return _walk(spec)
 
 
 # Counter-mix generator: sample i's randomness comes only from (seed, i),

@@ -2,11 +2,11 @@
 
 A round trip through two translators yields two binary correctness
 indicators (first hop, return hop); a three-hop cycle yields three. This
-module holds the parametric joint distributions of those indicators:
-marginal accuracies plus additive dependence corrections (``lam`` for a
-pair, ``lam1``/``lam2`` for a triple), and the alignment likelihood
-``delta``, the chance that a chain whose hops all went wrong still lands
-back in the source sentence's meaning cluster.
+module holds the parametric joint distributions of those indicators, both
+as one JointTable type: marginal accuracies plus additive dependence
+corrections (``lam`` for a pair, ``lam1``/``lam2`` for a triple), and the
+alignment likelihood ``delta``, the chance that a chain with two or more
+wrong hops still lands back in the source sentence's meaning cluster.
 
 Conventions:
   - probabilities are float64; equality checks elsewhere use abs tol 1e-12
@@ -20,6 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,10 +30,9 @@ from .errors import InfeasibleParamsError, ValidationError
 
 __all__ = [
     "DualOutcomeParams",
-    "DualJointTable",
+    "JointTable",
     "RedistributionPolicy",
     "TripleOutcomeParams",
-    "TripleJointTable",
     "build_dual_joint",
     "build_triple_joint",
     "lambda_feasible_range",
@@ -87,33 +87,52 @@ class DualOutcomeParams:
 
 
 @dataclass(frozen=True)
-class DualJointTable:
-    """Exact joint distribution of the pair of correctness indicators.
+class JointTable:
+    """Exact joint distribution of the hop-correctness bits of a closed chain.
 
-    Cell ``(a, b)`` is Pr(first hop correct == a, return hop correct == b).
-    Invariants: cells sum to 1 within 1e-12 and the marginals reproduce
-    the generating ``p12`` / ``p21r`` exactly.
+    A round trip x -> y -> x has two hops and 4 cells; a pivot cycle
+    x -> y -> z -> x has three hops and 8 cells. ``cells[i]`` is the
+    probability of the outcome whose hop bits, read as a binary number
+    with the first hop most significant, equal ``i``. Invariants: cells
+    sum to 1 within 1e-12 and the marginals reproduce the generating
+    accuracies.
     """
 
-    p11: float
-    p10: float
-    p01: float
-    p00: float
-
-    def cell(self, y12: int, y21: int) -> float:
-        return ((self.p00, self.p01), (self.p10, self.p11))[y12][y21]
+    cells: tuple[float, ...]
 
     @property
-    def cells(self) -> dict[tuple[int, int], float]:
-        return {(1, 1): self.p11, (1, 0): self.p10, (0, 1): self.p01, (0, 0): self.p00}
+    def hops(self) -> int:
+        return len(self.cells).bit_length() - 1
 
-    @property
-    def marginal_first(self) -> float:
-        return self.p11 + self.p10
+    def _shift(self, hop: int) -> int:
+        return self.hops - 1 - hop
 
-    @property
-    def marginal_second(self) -> float:
-        return self.p11 + self.p01
+    def cell(self, *bits: int) -> float:
+        """Pr(hop i correct == bits[i] for every hop); give one bit per hop."""
+        index = 0
+        for b in bits:
+            index = 2 * index + b
+        return self.cells[index]
+
+    def marginal(self, which: int) -> float:
+        """Marginal Pr(hop ``which`` correct), 0-indexed along the chain."""
+        s = self._shift(which)
+        return sum(p for i, p in enumerate(self.cells) if (i >> s) & 1)
+
+    def pairwise(self, a: int, b: int) -> float:
+        """Pr(hop a correct and hop b correct)."""
+        sa, sb = self._shift(a), self._shift(b)
+        return sum(p for i, p in enumerate(self.cells) if (i >> sa) & 1 and (i >> sb) & 1)
+
+
+def _checked_table(named: dict[tuple[int, ...], float]) -> JointTable:
+    """Raise InfeasibleParamsError on the first negative cell, in ``named``'s
+    order; otherwise return the cells as a JointTable in bit order."""
+    for cell, value in named.items():
+        if value < 0.0:
+            raise InfeasibleParamsError(cell, value)
+    hops = len(next(iter(named)))
+    return JointTable(tuple(named[bits] for bits in itertools.product((0, 1), repeat=hops)))
 
 
 @dataclass(frozen=True)
@@ -169,38 +188,8 @@ class TripleOutcomeParams:
         _require_prob(self.delta, "delta")
 
 
-@dataclass(frozen=True)
-class TripleJointTable:
-    """Exact joint distribution over the 2^3 outcomes of a 3-hop cycle.
-
-    ``cells[i]`` is the probability of outcome ``(z12, z23, z31)`` with
-    ``i = z12*4 + z23*2 + z31``. The table is the unique solution of the
-    seven moment constraints (three marginals, three pairwise top cells,
-    one triple top cell) plus normalization.
-    """
-
-    cells: tuple[float, float, float, float, float, float, float, float]
-
-    def cell(self, z12: int, z23: int, z31: int) -> float:
-        return self.cells[z12 * 4 + z23 * 2 + z31]
-
-    def marginal(self, which: int) -> float:
-        """Marginal Pr(indicator ``which`` == 1), 0-indexed along the cycle."""
-        shift = (2, 1, 0)[which]
-        return sum(p for i, p in enumerate(self.cells) if (i >> shift) & 1)
-
-    def pairwise(self, a: int, b: int) -> float:
-        """Pr(indicator a == 1 and indicator b == 1)."""
-        sa, sb = (2, 1, 0)[a], (2, 1, 0)[b]
-        return sum(p for i, p in enumerate(self.cells) if (i >> sa) & 1 and (i >> sb) & 1)
-
-    @property
-    def triple(self) -> float:
-        return self.cells[7]
-
-
-def build_dual_joint(params: DualOutcomeParams) -> DualJointTable:
-    """Build the exact 4-cell joint table for a dual outcome model.
+def build_dual_joint(params: DualOutcomeParams) -> JointTable:
+    """Build the exact 4-cell joint table of a round trip.
 
     Cells:
         (1,1) = p12*p21r + lam          (1,0) = p12*(1-p21r) - lam
@@ -210,18 +199,12 @@ def build_dual_joint(params: DualOutcomeParams) -> DualJointTable:
     ``lam`` lies outside the tight feasible range.
     """
     p, q, lam = params.p12, params.p21r, params.lam
-    named = {
+    return _checked_table({
         (1, 1): p * q + lam,
         (1, 0): p * (1.0 - q) - lam,
         (0, 1): (1.0 - p) * q - lam,
         (0, 0): (1.0 - p) * (1.0 - q) + lam,
-    }
-    for cell, value in named.items():
-        if value < 0.0:
-            raise InfeasibleParamsError(cell, value)
-    return DualJointTable(
-        p11=named[(1, 1)], p10=named[(1, 0)], p01=named[(0, 1)], p00=named[(0, 0)]
-    )
+    })
 
 
 def lambda_feasible_range(p12: float, p21r: float) -> tuple[float, float]:
@@ -254,8 +237,8 @@ def lambda_loose_range(p12: float, p21r: float) -> tuple[float, float]:
     return -min(p * q, (1.0 - p) * (1.0 - q)), min(p, q)
 
 
-def build_triple_joint(params: TripleOutcomeParams) -> TripleJointTable:
-    """Build the exact 8-cell joint table for a triple outcome model.
+def build_triple_joint(params: TripleOutcomeParams) -> JointTable:
+    """Build the exact 8-cell joint table of a pivot cycle.
 
     Closed forms (q1=q12, q2=q23, q3=q31):
         (1,1,1) = q1*q2*q3 + lam2
@@ -269,7 +252,7 @@ def build_triple_joint(params: TripleOutcomeParams) -> TripleJointTable:
     q1, q2, q3 = params.q12, params.q23, params.q31
     l1, l2 = params.lam1, params.lam2
     r1, r2, r3 = 1.0 - q1, 1.0 - q2, 1.0 - q3
-    named = {
+    return _checked_table({
         (1, 1, 1): q1 * q2 * q3 + l2,
         (1, 1, 0): q1 * q2 * r3 + l1 - l2,
         (1, 0, 1): q1 * r2 * q3 + l1 - l2,
@@ -278,17 +261,7 @@ def build_triple_joint(params: TripleOutcomeParams) -> TripleJointTable:
         (0, 1, 0): r1 * q2 * r3 - 2.0 * l1 + l2,
         (0, 0, 1): r1 * r2 * q3 - 2.0 * l1 + l2,
         (0, 0, 0): r1 * r2 * r3 + 3.0 * l1 - l2,
-    }
-    for cell, value in named.items():
-        if value < 0.0:
-            raise InfeasibleParamsError(cell, value)
-    cells = tuple(
-        named[(z12, z23, z31)]
-        for z12 in (0, 1)
-        for z23 in (0, 1)
-        for z31 in (0, 1)
-    )
-    return TripleJointTable(cells=cells)  # type: ignore[arg-type]
+    })
 
 
 # Random feasible draws for the verify command and the test suite. Feasibility

@@ -46,16 +46,14 @@ class DualPrediction:
     """Predicted outcome of dual training for one direction.
 
     p_case11/p_case12/p_case2 partition the unit mass of the event tree.
-    ``p_d12`` is the predicted post-training accuracy, ``gamma_cap`` the
-    accuracy lost to never-reconstructed mass (gamma * p_case2), and
-    ``improvement`` the gain over the pre-training accuracy p12.
+    ``p_d12`` is the predicted post-training accuracy and ``improvement``
+    the gain over the pre-training accuracy p12.
     """
 
     p_case11: float
     p_case12: float
     p_case2: float
     p_d12: float
-    gamma_cap: float
     improvement: float
 
 
@@ -77,8 +75,8 @@ class TriplePrediction:
 
 def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
     table = build_dual_joint(params)  # validates feasibility
-    pr11 = table.p11
-    pr12 = params.delta * table.p00
+    pr11 = table.cell(1, 1)
+    pr12 = params.delta * table.cell(0, 0)
     return pr11, pr12, 1.0 - pr11 - pr12
 
 
@@ -114,7 +112,6 @@ def predict_dual(params: DualOutcomeParams, policy: RedistributionPolicy) -> Dua
         p_case12=pr12,
         p_case2=pr2,
         p_d12=p_d12,
-        gamma_cap=policy.gamma * pr2,
         improvement=p_d12 - p,
     )
 

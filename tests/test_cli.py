@@ -94,6 +94,13 @@ class TestConfigValidation:
     def test_missing_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent/config.json"]) == 2
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["theory", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {path}") and err.count("\n") == 1
+
     def test_overrides_leave_defaults_untouched(self, tmp_path):
         path = write_config(tmp_path, {"theory": {}})
         assert main(["verify", "--config", path, "--seed", "5", "--draws", "1"]) == 0
@@ -315,3 +322,67 @@ class TestReport:
 
     def test_missing_dir_rejected(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize(
+        "row, where",
+        [
+            (b"abc,1,vanilla,0,1\n", "line 3"),
+            (b"abc,x,vanilla,0,1,0.5,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0.5,1,0.5,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0,one,0.5,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0,1,high,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0,1,0.5,0.5\xff\xfe\n", "cannot read"),
+        ],
+        ids=["short-row", "seed", "src", "dst", "p_hat", "not-utf8"],
+    )
+    def test_malformed_accuracy_csv_exits_2(self, tmp_path, capsys, row, where):
+        header = ",".join(cli.ACCURACY_HEADER).encode() + b"\n"
+        path = tmp_path / "accuracy.csv"
+        path.write_bytes(header + b"abc,1,vanilla,0,1,0.5,0.5\n" + row)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and where in err
+
+
+class TestStdoutPinned:
+    """sha256 of stdout and the exit code of fixed commands, recorded before a
+    refactor of the formula and oracle layers: output must not move one byte."""
+
+    TRIPLE_SWEEP = {
+        "theory": {"kind": "triple", "delta": [0.0, 0.1, 0.35], "lambda1": 0.005, "lambda2": 0.002}
+    }
+    TRIPLE_SIMULATE = {
+        "simulate": {"kind": "triple", "n": 50000, "seed": 4, "lambda1": 0.005, "lambda2": 0.002}
+    }
+    SHORTCUT = {"verify": {"use_shortcut_case_formulas": True}}
+    ERRATA = "92a2055ffac46fea19406d9fa25d0aa060bb899f8bf223299851047941efe1a2"
+
+    @pytest.mark.parametrize(
+        "argv, cfg, code, digest",
+        [
+            (["theory"], None, 0,
+             "8cff58e122372671e4437dfd4fc6eb2ba044eb51802e29c8be25c164222e7020"),
+            (["theory"], TRIPLE_SWEEP, 0,
+             "1997b6088b508ec2d8b1bcdfb6bc77051c150259daae3dd37c266185a430f197"),
+            (["simulate"], None, 0,
+             "62ec61fb6bc5fa9a152e1506884a9ff98ed6a3231257a2918e9702a7a4ee2c45"),
+            (["simulate"], TRIPLE_SIMULATE, 0,
+             "cc9f16a1404eb14c92a89b8427f021c0207894df2b6d8b511f253551a5c89fe5"),
+            (["verify", "--draws", "200"], None, 0,
+             "50d8b43147b5b01f8319005b265a90bab3309b3cbfd968e95dc30a913514c5c2"),
+            (["verify", "--draws", "200"], SHORTCUT, 1,
+             "46833bd1b6830dc43a0176272fbf2c1bd0de7737540d3ef51808d85b08073e45"),
+        ],
+        ids=["theory", "theory-triple-sweep", "simulate-dual", "simulate-triple",
+             "verify", "verify-shortcut"],
+    )
+    def test_stdout_digest(self, tmp_path, capsys, argv, cfg, code, digest):
+        argv = argv + ["--out", str(tmp_path / "o")]
+        if cfg is not None:
+            argv += ["--config", write_config(tmp_path, cfg)]
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+        if argv[0] == "verify":
+            errata = (tmp_path / "o" / "errata.txt").read_bytes()
+            assert hashlib.sha256(errata).hexdigest() == self.ERRATA

@@ -86,28 +86,6 @@ class TestEnumerateTriple:
         )
         assert enumerate_triple(spec).accuracy == pytest.approx(1.0, abs=1e-12)
 
-    def test_blanket_rule_difference_is_quantified(self):
-        # moving the two-correct-hop cells to delta shifts mass between
-        # case 2 and the reconstructing cases by an exactly known amount
-        params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.25)
-        policy = RedistributionPolicy(0.3, 0.28, 0.42)
-        spec = GenerativeSpec(params, policy)
-        base = enumerate_triple(spec)
-        blanket = enumerate_triple(spec, blanket_delta=True)
-        from dualsim.outcome_model import build_triple_joint
-
-        t = build_triple_joint(params)
-        d, a = params.delta, policy.alpha
-        expected_gain = d * (t.cell(1, 1, 0) + t.cell(1, 0, 1)) * (1 - a) - d * t.cell(
-            0, 1, 1
-        ) * a
-        assert blanket.accuracy - base.accuracy == pytest.approx(expected_gain, abs=1e-12)
-        zero_delta = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.0)
-        spec0 = GenerativeSpec(zero_delta, policy)
-        assert enumerate_triple(spec0).accuracy == enumerate_triple(
-            spec0, blanket_delta=True
-        ).accuracy
-
 
 class TestCounterUniforms:
     def test_range_and_determinism(self):

@@ -23,13 +23,14 @@ probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 class TestBuildDualJoint:
     def test_independent_symmetric(self):
         table = build_dual_joint(DualOutcomeParams(0.5, 0.5, 0.0, 0.0))
-        for cell in table.cells.values():
+        assert table.hops == 2
+        for cell in table.cells:
             assert cell == pytest.approx(0.25, abs=1e-15)
 
     def test_product_cell(self):
         # measured marginals 0.65 / 0.73, no dependence
         table = build_dual_joint(DualOutcomeParams(0.65, 0.73, 0.0, 0.0))
-        assert table.p11 == pytest.approx(0.4745, abs=1e-12)
+        assert table.cell(1, 1) == pytest.approx(0.4745, abs=1e-12)
 
     def test_infeasible_lambda_names_cell(self):
         with pytest.raises(InfeasibleParamsError) as exc:
@@ -44,9 +45,10 @@ class TestBuildDualJoint:
         # clamp: the lerp can round just past the endpoint
         lam = min(max(low + u * (high - low), low), high)
         table = build_dual_joint(DualOutcomeParams(p12, p21r, lam, delta))
-        assert table.marginal_first == pytest.approx(p12, abs=1e-12)
-        assert table.marginal_second == pytest.approx(p21r, abs=1e-12)
-        assert sum(table.cells.values()) == pytest.approx(1.0, abs=1e-12)
+        assert table.marginal(0) == pytest.approx(p12, abs=1e-12)
+        assert table.marginal(1) == pytest.approx(p21r, abs=1e-12)
+        assert table.pairwise(0, 1) == pytest.approx(p12 * p21r + lam, abs=1e-12)
+        assert sum(table.cells) == pytest.approx(1.0, abs=1e-12)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):
@@ -140,6 +142,7 @@ def _solve_triple_system(params: TripleOutcomeParams) -> dict[tuple[int, int, in
 class TestBuildTripleJoint:
     def test_independent_uniform(self):
         table = build_triple_joint(TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
+        assert table.hops == 3
         assert all(c == pytest.approx(0.125, abs=1e-15) for c in table.cells)
 
     def test_product_top_cell(self):
@@ -169,7 +172,7 @@ class TestBuildTripleJoint:
                 (0, 2, params.q12 * params.q31),
             ]:
                 assert table.pairwise(a, b) == pytest.approx(q + params.lam1, abs=1e-12)
-            assert table.triple == pytest.approx(
+            assert table.cell(1, 1, 1) == pytest.approx(
                 params.q12 * params.q23 * params.q31 + params.lam2, abs=1e-12
             )
             solved = _solve_triple_system(params)
