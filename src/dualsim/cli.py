@@ -4,8 +4,10 @@ simulation, training experiments, and report re-summarization.
 One JSON config document drives a run; every field has a default (listed
 in DEFAULT_CONFIG) and unknown fields are rejected so a typo like
 "lamda1" cannot silently fall back to a default. Each value must have the
-type of its default, checked when the config is loaded. All randomness flows
-from declared seeds, so every command is deterministic given its config.
+type of its default, checked when the config is loaded and again once the
+command-line flags are applied; every seed is a nonnegative integer. All
+randomness flows from declared seeds, so every command is deterministic
+given its config.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 
@@ -86,14 +88,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "tolerance": 1e-12,
         "seed": 0,
         "use_shortcut_case_formulas": False,
-        "errata_params": {
-            "q12": 0.5,
-            "q23": 0.5,
-            "q31": 0.5,
-            "lambda1": 0.05,
-            "lambda2": 0.0,
-            "delta": 0.1,
-        },
     },
     "simulate": {
         "kind": "dual",
@@ -135,6 +129,9 @@ DEFAULT_CONFIG: dict[str, Any] = {
 
 ACCURACY_HEADER = ["config_hash", "seed", "phase", "src", "dst", "p_hat", "p_expected"]
 _PHASE_RANK = {ph: idx for idx, ph in enumerate(PHASE_ORDER)}
+# the one model the errata report runs at: lambda1 != 0 is where the shortcut
+# formulas part from the consistent joint table
+_ERRATA_PARAMS = TripleOutcomeParams(0.5, 0.5, 0.5, lam1=0.05, lam2=0.0, delta=0.1)
 
 
 def _is_number(v: Any) -> bool:
@@ -155,6 +152,8 @@ def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
         return (lambda v: isinstance(v, list) and all(map(item, v))), f"a list of items each {what}"
     if isinstance(default, float):
         return _is_number, "a number"
+    if path.endswith(("seed", "seeds")):  # one rule for every seed, as numpy requires
+        return (lambda v: type(v) is int and v >= 0), "a nonnegative integer"
     what = {bool: "a boolean", int: "an integer", str: "a string"}[type(default)]
     return (lambda v: type(v) is type(default)), what
 
@@ -225,21 +224,20 @@ def _emit_table(header: Sequence[str], rows: Sequence[Sequence[Any]], path: Path
         _write_csv(path, header, rows)
 
 
-def _dual_params(block: dict[str, Any]) -> DualOutcomeParams:
-    return DualOutcomeParams(
-        p12=block["p12"], p21r=block["p21r"], lam=block["lambda"], delta=block["delta"]
-    )
-
-
-def _triple_params(block: dict[str, Any]) -> TripleOutcomeParams:
-    return TripleOutcomeParams(
-        q12=block["q12"],
-        q23=block["q23"],
-        q31=block["q31"],
-        lam1=block["lambda1"],
-        lam2=block["lambda2"],
-        delta=block["delta"],
-    )
+def _outcome_params(
+    block: dict[str, Any], section: str
+) -> DualOutcomeParams | TripleOutcomeParams:
+    """The outcome model a theory or simulate block describes, by its kind."""
+    if block["kind"] == "dual":
+        return DualOutcomeParams(
+            p12=block["p12"], p21r=block["p21r"], lam=block["lambda"], delta=block["delta"]
+        )
+    if block["kind"] == "triple":
+        return TripleOutcomeParams(
+            q12=block["q12"], q23=block["q23"], q31=block["q31"],
+            lam1=block["lambda1"], lam2=block["lambda2"], delta=block["delta"],
+        )
+    raise ValidationError(f"{section}.kind must be 'dual' or 'triple', got {block['kind']!r}")
 
 
 def _policy(block: dict[str, Any] | None) -> RedistributionPolicy | None:
@@ -270,7 +268,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
             "p_case11", "p_case12", "p_case2", "p_d12", "improvement",
         ]
         for delta in deltas:
-            params = _dual_params({**block, "delta": delta})
+            params = _outcome_params({**block, "delta": delta}, "theory")
             policy = explicit or proportional_policy(params, block["gamma"])
             pred = predict_dual(params, policy)
             rows.append(
@@ -281,13 +279,13 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
                     pred.p_d12, pred.improvement,
                 ]
             )
-    elif block["kind"] == "triple":
+    else:  # _outcome_params rejects a kind that is neither
         header = [
             "delta", "m_factor", "beats_dual",
             "p_case11", "p_case12", "p_case2", "q_m12",
         ]
         for delta in deltas:
-            params = _triple_params({**block, "delta": delta})
+            params = _outcome_params({**block, "delta": delta}, "theory")
             policy = explicit or proportional_triple_policy(params, block["gamma"])
             pred = predict_multistep(params, policy)
             rows.append(
@@ -298,8 +296,6 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
                     pred.p_case11, pred.p_case12, pred.p_case2, pred.q_m12,
                 ]
             )
-    else:
-        raise ValidationError(f"theory.kind must be 'dual' or 'triple', got {block['kind']!r}")
     _emit_table(header, rows, None if out_dir is None else out_dir / "theory.csv")
     return 0
 
@@ -312,25 +308,20 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"verify.tolerance must be finite and nonnegative, got {tol!r}")
     rng = np.random.default_rng(block["seed"])
-    worst = 0.0
-    worst_desc = "none"
-
-    def track(diff: float, desc: str) -> None:
-        # a NaN difference is the worst possible one and stays the worst
-        nonlocal worst, worst_desc
-        if not math.isnan(worst) and (math.isnan(diff) or diff > worst):
-            worst, worst_desc = float(diff), desc
-
+    diffs: list[tuple[float, str]] = []  # (|difference|, what was compared)
     for _ in range(draws):
         params = random_dual_params(rng)
         policy = random_policy(rng)
         spec = GenerativeSpec(params, policy)
         pred = predict_dual(params, policy)
-        track(abs(pred.p_d12 - enumerate_dual(spec).accuracy), f"dual formula vs enumeration {params}")
+        diffs.append(
+            (abs(pred.p_d12 - enumerate_dual(spec).accuracy),
+             f"dual formula vs enumeration {params}")
+        )
         gamma = rng.uniform(0.0, 1.0)
         closed = proportional_dual_accuracy(params, gamma)
         via_policy = predict_dual(params, proportional_policy(params, gamma)).p_d12
-        track(abs(closed - via_policy), f"proportional identity {params}")
+        diffs.append((abs(closed - via_policy), f"proportional identity {params}"))
     print(f"dual checks: {draws} draws")
 
     for with_dep in (False, True):
@@ -339,14 +330,13 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
             policy = random_policy(rng)
             spec = GenerativeSpec(params, policy)
             pred = predict_multistep(params, policy)
-            track(
-                abs(pred.q_m12 - enumerate_triple(spec).accuracy),
-                f"triple formula vs enumeration {params}",
+            diffs.append(
+                (abs(pred.q_m12 - enumerate_triple(spec).accuracy),
+                 f"triple formula vs enumeration {params}")
             )
     print(f"triple checks: {2 * draws} draws")
 
-    errata_params = _triple_params(block["errata_params"])
-    records = errata_report(errata_params)
+    records = errata_report(_ERRATA_PARAMS)
     text = errata_to_text(records)
     print(text, end="")
     if out_dir is not None:
@@ -356,11 +346,13 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     if block["use_shortcut_case_formulas"]:
         # score the shortcut case formulas as if they were the implementation;
         # the errata records' consistent side is the enumeration's case mass
-        for r in records:
-            if r.name in ("case11", "case12"):
-                track(r.abs_diff, f"shortcut {r.name} vs enumeration")
+        diffs += [(r.abs_diff, f"shortcut {r.name} vs enumeration")
+                  for r in records if r.name in ("case11", "case12")]
 
-    print(f"max |difference|: {worst!r} (tolerance {tol!r})")
+    # a NaN difference is the worst possible one; otherwise the first largest counts
+    nans = [d for d in diffs if math.isnan(d[0])]
+    worst, worst_desc = nans[0] if nans else max(diffs, key=lambda d: d[0])
+    print(f"max |difference|: {float(worst)!r} (tolerance {tol!r})")
     if not worst <= tol:
         print(f"FAIL worst offender: {worst_desc}")
         return 1
@@ -371,14 +363,8 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
 def cmd_simulate(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["simulate"]
     policy = _policy(block["policy"])
-    if block["kind"] == "dual":
-        spec = GenerativeSpec(_dual_params(block), policy)
-        exact = enumerate_dual(spec)
-    elif block["kind"] == "triple":
-        spec = GenerativeSpec(_triple_params(block), policy)
-        exact = enumerate_triple(spec)
-    else:
-        raise ValidationError(f"simulate.kind must be 'dual' or 'triple', got {block['kind']!r}")
+    spec = GenerativeSpec(_outcome_params(block, "simulate"), policy)
+    exact = (enumerate_dual if spec.kind == "dual" else enumerate_triple)(spec)
     result = monte_carlo(spec, block["n"], block["seed"])
     z = (result.accuracy - exact.accuracy) / result.stderr if result.stderr > 0 else 0.0
     print(f"samples: {result.n_samples}")
@@ -493,7 +479,7 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
             )
         all_warnings += [f"seed {run_seed}: {w}" for w in record.warnings]
 
-    acc_rows.sort(key=lambda r: (r[1], _PHASE_RANK.get(r[2], 99), r[3], r[4]))
+    acc_rows.sort(key=lambda r: (r[1], _PHASE_RANK[r[2]], r[3], r[4]))
     est_rows.sort(key=lambda r: (r[1], r[2]))
     est_header = [
         "config_hash", "seed", "comparison", "alpha_hat", "beta_hat", "gamma_hat",
@@ -519,7 +505,7 @@ def _summarize(acc_rows: list[list[Any]]):
     header = ["phase", "src", "dst", "runs", "mean_p_hat"]
     rows: list[list[Any]] = []
     for (phase, i, j), vals in sorted(
-        groups.items(), key=lambda kv: (_PHASE_RANK.get(kv[0][0], 99), kv[0][1], kv[0][2])
+        groups.items(), key=lambda kv: (_PHASE_RANK[kv[0][0]], kv[0][1], kv[0][2])
     ):
         rows.append([phase, i, j, len(vals), float(np.mean(vals))])
     means01 = {
@@ -551,7 +537,12 @@ def cmd_report(out_dir: Path | None) -> int:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             chash, seed, phase, i, j, p_hat, p_exp = line.strip().split(",")
-            rows.append([chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)])
+            row = [chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)]
+            if phase not in _PHASE_RANK:
+                raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
+            if not all(0.0 <= p <= 1.0 for p in row[5:]):
+                raise ValueError(f"p_hat and p_expected must be in [0, 1], got {p_hat}, {p_exp}")
+            rows.append(row)
         except ValueError as e:
             raise ValidationError(f"{path} line {lineno}: {e}") from e
     _emit_table(*_summarize(rows), out_dir / "summary.csv")
@@ -584,6 +575,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg["verify"]["tolerance"] = args.tolerance
         if args.draws is not None:
             cfg["verify"]["draws"] = args.draws
+        # check the flags as config values; the running command's section goes
+        # first, so that a bad flag is reported under one of its own fields
+        sections = sorted(cfg.items(), key=lambda kv: kv[0] != args.command)
+        cfg = _merge_config(DEFAULT_CONFIG, dict(sections), "")
         out_dir = Path(args.out) if args.out else None
         if args.command == "theory":
             return cmd_theory(cfg, out_dir)

@@ -180,6 +180,8 @@ def proportional_triple_policy(
 ) -> RedistributionPolicy:
     """Multi-step twin of proportional_policy: alpha:beta copies the pivot
     cycle's case 1.1 : case 1.2, with alpha + beta = 1 - gamma."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
     pr11, pr12, _ = _triple_case_masses(params)
     total = pr11 + pr12
     if total <= 0.0:

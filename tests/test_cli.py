@@ -80,6 +80,11 @@ class TestConfigValidation:
         assert main(["verify", "--config", path]) == 2
         assert "verify.lamda1" in capsys.readouterr().err
 
+    def test_errata_params_is_not_a_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"verify": {"errata_params": {}}})
+        assert main(["verify", "--config", path, "--draws", "1"]) == 2
+        assert capsys.readouterr().err == "error: unknown config field: verify.errata_params\n"
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"verifyy": {}})
         assert main(["verify", "--config", path]) == 2
@@ -121,6 +126,36 @@ class TestConfigValidation:
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config field ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["theory", "simulate"])
+    def test_unknown_kind_rejected(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {command: {"kind": "x"}})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {command}.kind must be 'dual' or 'triple', got 'x'\n"
+
+    @pytest.mark.parametrize(
+        "argv, cfg, field",
+        [
+            (["verify", "--seed", "-1"], None, "verify.seed"),
+            (["simulate", "--seed", "-1"], None, "simulate.seed"),
+            (["train", "--seed", "-1"], None, "train.seeds"),
+            (["theory", "--seed", "-1"], None, "verify.seed"),
+            (["verify"], {"verify": {"seed": -1}}, "verify.seed"),
+            (["simulate"], {"simulate": {"seed": -1}}, "simulate.seed"),
+            (["train"], {"train": {"seeds": [3, -1]}}, "train.seeds"),
+            (["train"], {"train": {"world": {"seed": -1}}}, "train.world.seed"),
+        ],
+        ids=["verify-flag", "simulate-flag", "train-flag", "theory-flag",
+             "verify.seed", "simulate.seed", "train.seeds", "train.world.seed"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv, cfg, field):
+        if cfg is not None:
+            argv = argv + ["--config", write_config(tmp_path, cfg)]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field {field} must be ") and err.count("\n") == 1
+        assert "nonnegative integer" in err
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -188,6 +223,11 @@ class TestTheory:
         cfg = {"theory": {"kind": "triple", "delta": [0.1, 0.3]}}
         assert main(["theory", "--config", write_config(tmp_path, cfg)]) == 0
         assert "m_factor" in capsys.readouterr().out
+
+    def test_triple_gamma_out_of_range_names_gamma(self, tmp_path, capsys):
+        cfg = {"theory": {"kind": "triple", "gamma": 2.0}}
+        assert main(["theory", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == "error: gamma must be in [0, 1], got 2.0\n"
 
 
 class TestVerify:
@@ -332,8 +372,14 @@ class TestReport:
             (b"abc,1,vanilla,0,one,0.5,0.5\n", "line 3"),
             (b"abc,1,vanilla,0,1,high,0.5\n", "line 3"),
             (b"abc,1,vanilla,0,1,0.5,0.5\xff\xfe\n", "cannot read"),
+            (b"abc,1,vanilla,0,1,nan,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0,1,inf,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0,1,7.0,0.5\n", "line 3"),
+            (b"abc,1,vanilla,0,1,0.5,-0.1\n", "line 3"),
+            (b"abc,1,bogus,0,1,0.5,0.5\n", "line 3"),
         ],
-        ids=["short-row", "seed", "src", "dst", "p_hat", "not-utf8"],
+        ids=["short-row", "seed", "src", "dst", "p_hat", "not-utf8",
+             "p_hat-nan", "p_hat-inf", "p_hat-above-1", "p_expected-below-0", "phase"],
     )
     def test_malformed_accuracy_csv_exits_2(self, tmp_path, capsys, row, where):
         header = ",".join(cli.ACCURACY_HEADER).encode() + b"\n"

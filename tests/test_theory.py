@@ -133,6 +133,12 @@ class TestProportionalTriplePolicy:
         with pytest.raises(ValidationError):
             proportional_triple_policy(TripleOutcomeParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.0), 0.2)
 
+    @pytest.mark.parametrize("gamma", [2.0, -0.5, float("nan")])
+    def test_rejects_gamma_out_of_range(self, gamma):
+        params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.1)
+        with pytest.raises(ValidationError, match=r"^gamma must be in \[0, 1\]"):
+            proportional_triple_policy(params, gamma)
+
 
 class TestProportionalDualAccuracy:
     def test_perfect_when_gamma_and_delta_zero(self):
