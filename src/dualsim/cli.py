@@ -396,6 +396,8 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
     block = cfg["train"]
     wb, cb, tb = block["world"], block["corpus"], block["train"]
     phases_wanted = list(block["phases"])
+    if not phases_wanted:
+        raise ValidationError("train.phases must list at least one phase")
     unknown = [p for p in phases_wanted if p not in PHASE_ORDER]
     if unknown:
         raise ValidationError(f"unknown phases {unknown}; allowed: {list(PHASE_ORDER)}")
@@ -534,6 +536,7 @@ def cmd_report(out_dir: Path | None) -> int:
     if header != ACCURACY_HEADER:
         raise ValidationError(f"unexpected accuracy.csv header {header}")
     rows: list[list[Any]] = []
+    first_line: dict[tuple[int, str, int, int], int] = {}  # (seed, phase, src, dst) -> line
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             chash, seed, phase, i, j, p_hat, p_exp = line.strip().split(",")
@@ -542,9 +545,17 @@ def cmd_report(out_dir: Path | None) -> int:
                 raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
             if not all(0.0 <= p <= 1.0 for p in row[5:]):
                 raise ValueError(f"p_hat and p_expected must be in [0, 1], got {p_hat}, {p_exp}")
+            key = (row[1], phase, row[3], row[4])
+            if key in first_line:
+                raise ValueError(
+                    f"seed {seed}, phase {phase}, pair ({i}, {j}) repeats line {first_line[key]}"
+                )
+            first_line[key] = lineno
             rows.append(row)
         except ValueError as e:
             raise ValidationError(f"{path} line {lineno}: {e}") from e
+    if not rows:
+        raise ValidationError(f"{path} holds no result rows")
     _emit_table(*_summarize(rows), out_dir / "summary.csv")
     return 0
 

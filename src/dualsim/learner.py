@@ -168,6 +168,11 @@ def multistep_dual_learning(
 
     Replay feeds theta_ba the reversed (a, b) pairs and ignores
     ``corpus.parallel[(b, a)]``, which dual_learning replays as given.
+
+    No input theta is written. The result holds new translators for the
+    directions trained here, (a, b), (b, a) and, with ``update_pivots``,
+    every pair between a pivot and a or b; every other direction comes
+    back as the caller's own object, shared with the input phase.
     """
     a, b = pair
     langs = sorted({lang for key in translators for lang in key})
@@ -195,8 +200,11 @@ def multistep_dual_learning(
         raise ValidationError(f"supervised replay needs parallel data for pair {pair}")
     pairs_ba = pairs_ab[:, ::-1] if pairs_ab is not None else None
 
+    written = {(a, b), (b, a)}
+    if cfg.update_pivots:
+        written.update(key for q in pivots for key in ((a, q), (q, a), (b, q), (q, b)))
     rng = np.random.default_rng(cfg.seed)
-    thetas = {key: t.theta.copy() for key, t in translators.items()}
+    thetas = {key: t.theta.copy() if key in written else t.theta for key, t in translators.items()}
     lr = cfg.learning_rate
     for _ in range(cfg.steps):
         if _replayed(thetas[(a, b)], thetas[(b, a)], pairs_ab, pairs_ba, rng, cfg):
@@ -215,7 +223,8 @@ def multistep_dual_learning(
                     x = int(mono[src][rng.integers(mono[src].size)])
                     _recon_update((thetas[(src, dst)],), thetas[(dst, src)], x, rng, lr)
     return {
-        key: TabularTranslator(key[0], key[1], theta) for key, theta in thetas.items()
+        key: TabularTranslator(key[0], key[1], thetas[key]) if key in written else t
+        for key, t in translators.items()
     }
 
 
@@ -243,12 +252,17 @@ def evaluate(
 
     Estimators compare consecutive phases (in vanilla/dual/multistep
     order) on the primary pair (0, 1), decoding greedily over every
-    sentence of the pair's source language.
+    sentence of the pair's source language. A translator object that
+    several phases share is scored once, and every (phase, direction)
+    holding it gets that one report.
     """
+    scored: dict[int, AccuracyReport] = {}  # by id(); phases keep every object alive
     accuracies: dict[tuple[str, tuple[int, int]], AccuracyReport] = {}
     for phase, ts in phases.items():
         for direction, t in ts.items():
-            accuracies[(phase, direction)] = accuracy(t, world)
+            if id(t) not in scored:
+                scored[id(t)] = accuracy(t, world)
+            accuracies[(phase, direction)] = scored[id(t)]
 
     ordered = [ph for ph in PHASE_ORDER if ph in phases]
     reports: dict[str, EstimatorReport] = {}

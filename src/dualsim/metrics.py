@@ -85,10 +85,10 @@ def accuracy(t: TabularTranslator, world: World) -> AccuracyReport:
     greedy_cluster = dst_clusters[t.greedy_all()]
     p_hat = float(mu @ (greedy_cluster == src_clusters))
 
+    # mass each row places on its correct target cluster, masked in place
     probs = t.prob_matrix()
-    # mass each row places on its correct target cluster
-    correct_mask = dst_clusters[None, :] == src_clusters[:, None]
-    p_expected = float(mu @ (probs * correct_mask).sum(axis=1))
+    probs *= dst_clusters[None, :] == src_clusters[:, None]
+    p_expected = float(mu @ probs.sum(axis=1))
     return AccuracyReport(p_hat=p_hat, p_expected=p_expected)
 
 

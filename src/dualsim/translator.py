@@ -23,10 +23,12 @@ __all__ = ["TabularTranslator", "TrainConfig", "row_probs", "sample_row", "log_p
 
 
 def row_probs(theta: np.ndarray) -> np.ndarray:
-    """Stable softmax of a score row, or of each row of a score matrix."""
-    z = theta - theta.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Stable softmax of a score row, or of each row of a score matrix,
+    computed in one new buffer the shape of ``theta``."""
+    e = theta - theta.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def sample_row(theta_row: np.ndarray, rng: np.random.Generator) -> int:
@@ -47,8 +49,10 @@ class TabularTranslator:
     """Categorical translation model between two languages.
 
     ``theta`` is (n_src, n_dst) float64 and must stay finite; the induced
-    row distributions are normalized by construction. Training functions
-    never mutate a translator in place; they return a new one.
+    row distributions are normalized by construction. Trainers never write
+    to an input theta: they return new translators for the directions they
+    train and the caller's own objects for the directions they leave
+    untouched, so the phases of one run share those objects.
     """
 
     src_lang: int

@@ -317,6 +317,15 @@ class TestTrain:
         seeds = {ln.split(",")[1] for ln in lines[1:]}
         assert seeds == {"9"}
 
+    def test_empty_phase_list_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        cfg["train"]["phases"] = []
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: train.phases must list at least one phase\n"
+        assert not out.exists()
+
 
 class TestLearnerBitsPinned:
     """Final thetas of a tiny run that exercises every trainer branch
@@ -389,6 +398,33 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and where in err
+
+    def test_header_only_accuracy_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "accuracy.csv"
+        path.write_text(",".join(cli.ACCURACY_HEADER) + "\n", encoding="utf-8")
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err and "no result rows" in captured.err
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize("other_hash", ["abc", "def"])
+    def test_duplicate_row_names_both_lines(self, tmp_path, capsys, other_hash):
+        path = tmp_path / "accuracy.csv"
+        path.write_text(
+            ",".join(cli.ACCURACY_HEADER) + "\n"
+            + "abc,1,vanilla,0,1,0.5,0.5\n"
+            + "abc,2,vanilla,0,1,0.6,0.6\n"
+            + f"{other_hash},1,vanilla,0,1,0.9,0.9\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(path) in captured.err
+        assert "line 4" in captured.err and "line 2" in captured.err
 
 
 class TestStdoutPinned:

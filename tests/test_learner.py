@@ -1,5 +1,7 @@
 """Training updates, gradients, round-trip dynamics, and loop bounds."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dualsim.learner import (
     multistep_dual_learning,
     train_supervised,
 )
+from dualsim import learner
 from dualsim.learner import _supervised_update
 from dualsim.metrics import accuracy
 from dualsim.synth_lang import Corpus, build_corpus, generate_world
@@ -51,6 +54,13 @@ class TestTabularTranslator:
     def test_row_probs_of_a_matrix_is_row_by_row(self):
         theta = 3.0 * np.random.default_rng(2).normal(size=(7, 5))
         assert np.array_equal(row_probs(theta), np.stack([row_probs(r) for r in theta]))
+
+    def test_row_probs_equals_the_three_temporary_softmax(self):
+        rng = np.random.default_rng(31)
+        for theta in (rng.normal(size=17), 30.0 * rng.normal(size=(9, 13))):
+            z = theta - theta.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            assert row_probs(theta).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
     def test_greedy_tie_breaks_to_lowest_id(self):
         theta = np.zeros((2, 5))
@@ -341,6 +351,32 @@ class TestMultistepDualLearning:
         for key in a:
             assert np.array_equal(a[key].theta, b[key].theta)
 
+    @pytest.mark.parametrize("update_pivots", [False, True])
+    def test_untouched_directions_are_the_callers_objects(self, update_pivots):
+        # four languages, so that the pivot pair (2, 3) is never written
+        world = generate_world(4, 3, 2, 0.5, 21)
+        corpus = build_corpus(world, 20, 100, 22)
+        n = world.n_sentences
+        rng = np.random.default_rng(23)
+        ts = {
+            (i, j): TabularTranslator(i, j, rng.normal(size=(n, n)))
+            for i in range(4) for j in range(4) if i != j
+        }
+        before = {key: t.theta.tobytes() for key, t in ts.items()}
+        cfg = TrainConfig(steps=40, supervised_mix=0.25, update_pivots=update_pivots, seed=5)
+        out = multistep_dual_learning(ts, corpus, cfg)
+        written = {(0, 1), (1, 0)}
+        if update_pivots:
+            written |= {key for i in (0, 1) for q in (2, 3) for key in ((i, q), (q, i))}
+        assert set(out) == set(ts)
+        for key, t in ts.items():
+            if key in written:
+                assert out[key] is not t and not np.shares_memory(out[key].theta, t.theta)
+                assert out[key].theta.tobytes() != before[key]
+            else:
+                assert out[key] is t
+            assert t.theta.tobytes() == before[key]
+
 
 class TestEvaluate:
     def test_record_structure_and_estimators(self):
@@ -364,6 +400,23 @@ class TestEvaluate:
         record = evaluate({"vanilla": good, "dual": broken}, world)
         assert record.warnings
         assert "eta_hat" in record.warnings[0]
+
+    def test_shared_translators_are_scored_once_and_like_copies(self, monkeypatch):
+        world, corpus, ts = small_setup(seed=18)
+        multi = multistep_dual_learning(ts, corpus, TrainConfig(steps=30, seed=4))
+        assert multi[(0, 2)] is ts[(0, 2)]
+        phases = {"vanilla": dict(ts), "dual": dict(ts), "multistep": multi}
+        copies = {phase: copy.deepcopy(phase_ts) for phase, phase_ts in phases.items()}
+        assert copies["vanilla"][(0, 2)] is not copies["dual"][(0, 2)]
+        calls = []
+        monkeypatch.setattr(
+            learner, "accuracy", lambda t, w: calls.append(t) or accuracy(t, w)
+        )
+        shared = evaluate(phases, world)
+        distinct = {id(t) for phase_ts in phases.values() for t in phase_ts.values()}
+        assert len(calls) == len(distinct) == 8
+        assert shared == evaluate(copies, world)
+        assert len(shared.accuracies) == 18
 
     def test_full_pipeline_record_is_reproducible(self):
         world, corpus, ts = small_setup(seed=17)

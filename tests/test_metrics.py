@@ -1,5 +1,7 @@
 """Exact accuracy sums against sampling / brute-force oracles; estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,33 @@ class TestAccuracy:
         world = generate_world(2, 2, 2, 0.0, 0)
         with pytest.raises(ValidationError):
             accuracy(TabularTranslator.uniform(0, 1, 3, 4), world)
+
+    def test_p_expected_is_the_masked_softmax_bit_for_bit(self):
+        world = generate_world(3, 7, 5, 1.0, 4)  # skew 1: mu far from uniform
+        rng = np.random.default_rng(9)
+        n = world.n_sentences
+        mask = world.cluster_of[2][None, :] == world.cluster_of[0][:, None]
+        for scale in (0.1, 3.0, 40.0):
+            theta = scale * rng.normal(size=(n, n))
+            t = TabularTranslator(0, 2, theta.copy())
+            rep = accuracy(t, world)
+            z = theta - theta.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            probs = e / e.sum(axis=1, keepdims=True)
+            assert rep.p_expected == float(world.mu[0] @ (probs * mask).sum(axis=1))
+            assert t.theta.tobytes() == theta.tobytes()
+
+    def test_peak_memory_is_one_score_matrix(self):
+        world = generate_world(2, 150, 4, 1.0, 0)
+        t = TabularTranslator(0, 1, np.random.default_rng(1).normal(size=(600, 600)))
+        accuracy(t, world)
+        tracemalloc.start()
+        try:
+            accuracy(t, world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * t.theta.nbytes
 
 
 class TestReconstructionAccuracy:
