@@ -366,10 +366,14 @@ def cmd_simulate(cfg: dict[str, Any], out_dir: Path | None) -> int:
     spec = GenerativeSpec(_outcome_params(block, "simulate"), policy)
     exact = (enumerate_dual if spec.kind == "dual" else enumerate_triple)(spec)
     result = monte_carlo(spec, block["n"], block["seed"])
-    z = (result.accuracy - exact.accuracy) / result.stderr if result.stderr > 0 else 0.0
+    diff = result.accuracy - exact.accuracy
+    if result.stderr > 0:
+        z = diff / result.stderr
+    else:  # a zero-variance estimate: any miss is infinitely many standard errors
+        z = math.copysign(math.inf, diff) if diff else 0.0
     print(f"samples: {result.n_samples}")
     print(f"estimate: {result.accuracy!r} stderr: {result.stderr!r}")
-    print(f"exact:    {exact.accuracy!r} |diff|: {abs(result.accuracy - exact.accuracy)!r} z: {z:.3f}")
+    print(f"exact:    {exact.accuracy!r} |diff|: {abs(diff)!r} z: {z:.3f}")
     assert result.counts is not None
     est = estimators_from_counts(result.counts)
     print(
@@ -429,9 +433,13 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
 
     phases: dict[str, dict[tuple[int, int], TabularTranslator]] = {}
     vanilla: dict[tuple[int, int], TabularTranslator] = {}
+    # every direction starts from the same uniform scores; trainers copy
+    # their input theta, so one read-only zero matrix serves them all
+    start = np.zeros((n, n))
+    start.flags.writeable = False
     seeds = _sub_seeds(phase_seeds[0], len(directions))
     for seed, (i, j) in zip(seeds, directions):
-        t = TabularTranslator.uniform(i, j, n, n)
+        t = TabularTranslator(i, j, start)
         cfg_ij = dataclasses.replace(base, steps=tb["supervised_steps"], seed=seed)
         vanilla[(i, j)] = train_supervised(t, corpus.parallel[(i, j)], cfg_ij)
     phases["vanilla"] = vanilla

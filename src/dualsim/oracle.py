@@ -7,7 +7,9 @@ Two independent computation paths over the same generative event tree:
     redistribution policy, and sum exact probability mass;
   - seeded Monte Carlo: draw the same tree per-sample with a counter-based
     generator, so results are bit-identical for a given (spec, n, seed)
-    regardless of how samples are chunked or parallelized.
+    regardless of how samples are chunked or parallelized. Samples are
+    drawn one chunk of ``_CHUNK`` at a time, so the working set is one
+    chunk's temporaries, a few MB whatever n is.
 
 Neither path calls anything in :mod:`dualsim.theory`; matching those
 formulas to 1e-12 is the package's core acceptance property.
@@ -176,7 +178,11 @@ def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-_CHUNK = 1 << 19
+# Samples per Monte Carlo chunk. A chunk's uint64, float64 and bool
+# temporaries peak at about 1.2 MB at 2^14 (tracemalloc), so they fit in
+# L2. In a sweep of 2^13..2^17 on the simulate benchmark (2-vCPU Xeon,
+# 2 MB L2) 2^14 was fastest; below it the per-chunk Python overhead costs.
+_CHUNK = 1 << 14
 
 
 def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
@@ -185,7 +191,9 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     Each sample consumes three uniforms (cell, reconstruction flag,
     redistribution outcome) derived from its own index, and results are
     reduced with integer counts, so identical (spec, n, seed) inputs
-    yield bit-identical output under any chunking.
+    yield bit-identical output under any chunking. Samples are drawn one
+    chunk of ``_CHUNK`` at a time, so the working set is that one chunk's
+    temporaries, a few MB whatever n is.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
@@ -196,10 +204,10 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     n_correct = 0
     n11 = n12 = n2a = n2b = n2g = 0
     for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64)
-        u_cell = counter_uniforms(seed, idx * np.uint64(3))
-        u_recon = counter_uniforms(seed, idx * np.uint64(3) + np.uint64(1))
-        u_redis = counter_uniforms(seed, idx * np.uint64(3) + np.uint64(2))
+        idx3 = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64) * np.uint64(3)
+        u_cell = counter_uniforms(seed, idx3)
+        u_recon = counter_uniforms(seed, idx3 + np.uint64(1))
+        u_redis = counter_uniforms(seed, idx3 + np.uint64(2))
 
         which = np.searchsorted(cum, u_cell, side="right")
         np.clip(which, 0, len(cum) - 1, out=which)

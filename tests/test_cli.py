@@ -282,6 +282,19 @@ class TestSimulate:
         cfg = {"simulate": {"kind": "triple", "n": 20000, "seed": 3}}
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
 
+    @pytest.mark.parametrize(
+        "p12, z",
+        [(0.999, "z: inf"), (1.0, "z: 0.000")],
+        ids=["miss", "exact"],
+    )
+    def test_zero_stderr_z(self, tmp_path, capsys, p12, z):
+        cfg = {"simulate": {"n": 10, "p12": p12, "p21r": 1.0, "delta": 0.0,
+                            "policy": {"alpha": 0, "beta": 0, "gamma": 1}}}
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "estimate: 1.0 stderr: 0.0" in out
+        assert out.splitlines()[2].endswith(z)
+
 
 class TestTrain:
     def test_reruns_are_byte_identical(self, tmp_path):

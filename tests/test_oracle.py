@@ -1,5 +1,7 @@
 """Enumeration and Monte Carlo oracles, counter RNG, errata report."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,41 @@ class TestMonteCarlo:
         chunked = monte_carlo(spec, 50_000, seed=3)
         assert base.accuracy == chunked.accuracy
         assert base.counts == chunked.counts
+
+    @pytest.mark.parametrize(
+        "params",
+        [DualOutcomeParams(0.6, 0.7, 0.05, 0.1), TripleOutcomeParams(0.6, 0.7, 0.8, 0.02, 0.01, 0.1)],
+        ids=["dual", "triple"],
+    )
+    def test_chunk_boundaries_match_one_chunk(self, monkeypatch, params):
+        spec = GenerativeSpec(params, RedistributionPolicy(0.3, 0.28, 0.42))
+        c = oracle._CHUNK
+        for n in (c - 1, c, c + 1, 3 * c + 7):
+            chunked = monte_carlo(spec, n, seed=11)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_CHUNK", n)
+                whole = monte_carlo(spec, n, seed=11)
+            assert chunked.counts == whole.counts, n
+            assert chunked.accuracy == whole.accuracy, n
+
+    def test_working_set_does_not_grow_with_n(self):
+        spec = GenerativeSpec(
+            TripleOutcomeParams(0.6, 0.7, 0.8, 0.02, 0.01, 0.1),
+            RedistributionPolicy(0.3, 0.28, 0.42),
+        )
+        monte_carlo(spec, 1000, seed=1)  # first-call allocations are not working set
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                monte_carlo(spec, n, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(2_000_000)
+        assert large < 8 * 2**20
+        assert large <= 1.1 * small
 
     def test_degenerate_spec_exact(self):
         spec = GenerativeSpec(
