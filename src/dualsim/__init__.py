@@ -44,8 +44,6 @@ from .synth_lang import (
     World,
     build_corpus,
     generate_world,
-    sample_monolingual,
-    sample_parallel,
 )
 from .translator import TabularTranslator, TrainConfig
 from .metrics import (

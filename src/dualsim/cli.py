@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DualSimError, ValidationError
 from .learner import (
     PHASE_ORDER,
+    PRIMARY_PAIR,
     dual_learning,
     evaluate,
     multistep_dual_learning,
@@ -207,12 +208,19 @@ def _fmt(v: Any) -> str:
     return str(v)
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file, creating its directory; an unwritable path is
+    invalid input (exit 2), not a failed verification."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}") from e
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _emit_table(header: Sequence[str], rows: Sequence[Sequence[Any]], path: Path | None) -> None:
@@ -340,8 +348,7 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     text = errata_to_text(records)
     print(text, end="")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "errata.txt").write_text(text, encoding="utf-8")
+        _write_text(out_dir / "errata.txt", text)
 
     if block["use_shortcut_case_formulas"]:
         # score the shortcut case formulas as if they were the implementation;
@@ -445,9 +452,11 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
     phases["vanilla"] = vanilla
 
     if "dual" in phases_wanted or "multistep" in phases_wanted:
-        dual_pairs = [(0, 1)]
+        dual_pairs = [PRIMARY_PAIR]
         if "multistep" in phases_wanted:
-            dual_pairs += [(i, p) for p in range(2, k) for i in (0, 1)]
+            dual_pairs += [
+                (i, p) for p in range(k) if p not in PRIMARY_PAIR for i in PRIMARY_PAIR
+            ]
         dual: dict[tuple[int, int], TabularTranslator] = dict(vanilla)
         seeds = _sub_seeds(phase_seeds[1], len(dual_pairs))
         for seed, (i, j) in zip(seeds, dual_pairs):
@@ -460,7 +469,7 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
 
     if "multistep" in phases_wanted:
         multi_cfg = dataclasses.replace(base, steps=tb["multistep_steps"], seed=phase_seeds[2])
-        phases["multistep"] = multistep_dual_learning(dual, corpus, multi_cfg, pair=(0, 1))
+        phases["multistep"] = multistep_dual_learning(dual, corpus, multi_cfg)
 
     return phases, world, corpus
 
@@ -470,6 +479,9 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
     seeds = block["seeds"]
     if not seeds:
         raise ValidationError("train.seeds must list at least one seed")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValidationError(f"train.seeds must not repeat a seed, got {repeated} twice or more")
     chash = _config_hash(cfg["train"])
     acc_rows: list[list[Any]] = []
     est_rows: list[list[Any]] = []
@@ -518,14 +530,15 @@ def _summarize(acc_rows: list[list[Any]]):
         groups.items(), key=lambda kv: (_PHASE_RANK[kv[0][0]], kv[0][1], kv[0][2])
     ):
         rows.append([phase, i, j, len(vals), float(np.mean(vals))])
-    means01 = {
-        phase: float(np.mean(vals)) for (phase, i, j), vals in groups.items() if (i, j) == (0, 1)
+    a, b = PRIMARY_PAIR
+    means = {
+        phase: float(np.mean(vals)) for (phase, i, j), vals in groups.items() if (i, j) == (a, b)
     }
     for base, second in zip(PHASE_ORDER, PHASE_ORDER[1:]):
-        if base in means01 and second in means01:
+        if base in means and second in means:
             rows.append(
-                [f"{second}-minus-{base}", 0, 1, len(groups[(second, 0, 1)]),
-                 means01[second] - means01[base]]
+                [f"{second}-minus-{base}", a, b, len(groups[(second, a, b)]),
+                 means[second] - means[base]]
             )
     return header, rows
 

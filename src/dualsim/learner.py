@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 PHASE_ORDER = ("vanilla", "dual", "multistep")
+# the pair that dual and multi-step learning train and the estimators compare
+PRIMARY_PAIR = (0, 1)
 
 
 def _supervised_update(
@@ -148,12 +150,12 @@ def multistep_dual_learning(
     translators: Mapping[tuple[int, int], TabularTranslator],
     corpus: Corpus,
     cfg: TrainConfig,
-    pair: tuple[int, int] = (0, 1),
 ) -> dict[tuple[int, int], TabularTranslator]:
-    """Refine one pair with feedback routed through pivot languages.
+    """Refine the primary pair (a, b) = ``PRIMARY_PAIR`` with feedback
+    routed through pivot languages.
 
     Languages are inferred from the translator keys; every language other
-    than the target pair acts as a pivot. Each non-replay step samples a
+    than a and b acts as a pivot. Each non-replay step samples a
     pivot, draws one monolingual sentence on each side of the pair,
     generates a pseudo-partner for it through the pivot chain, and
     applies the last-hop gradient update to the pair translators:
@@ -174,7 +176,7 @@ def multistep_dual_learning(
     every pair between a pivot and a or b; every other direction comes
     back as the caller's own object, shared with the input phase.
     """
-    a, b = pair
+    a, b = PRIMARY_PAIR
     langs = sorted({lang for key in translators for lang in key})
     pivots = [p for p in langs if p not in (a, b)]
     if not pivots:
@@ -197,7 +199,7 @@ def multistep_dual_learning(
                 raise ValidationError(f"update_pivots needs monolingual data for {q}")
     pairs_ab = corpus.parallel.get((a, b))
     if cfg.supervised_mix > 0.0 and (pairs_ab is None or pairs_ab.size == 0):
-        raise ValidationError(f"supervised replay needs parallel data for pair {pair}")
+        raise ValidationError(f"supervised replay needs parallel data for pair {PRIMARY_PAIR}")
     pairs_ba = pairs_ab[:, ::-1] if pairs_ab is not None else None
 
     written = {(a, b), (b, a)}
@@ -251,8 +253,8 @@ def evaluate(
     """Exact per-phase, per-direction accuracies plus redistribution estimators.
 
     Estimators compare consecutive phases (in vanilla/dual/multistep
-    order) on the primary pair (0, 1), decoding greedily over every
-    sentence of the pair's source language. A translator object that
+    order) on the primary pair, decoding greedily over every sentence of
+    the pair's source language. A translator object that
     several phases share is scored once, and every (phase, direction)
     holding it gets that one report.
     """
@@ -267,7 +269,7 @@ def evaluate(
     ordered = [ph for ph in PHASE_ORDER if ph in phases]
     reports: dict[str, EstimatorReport] = {}
     warnings: list[str] = []
-    fwd, bwd = (0, 1), (1, 0)
+    fwd, bwd = PRIMARY_PAIR, PRIMARY_PAIR[::-1]
     for base, second in zip(ordered, ordered[1:]):
         if not all(d in phases[base] and d in phases[second] for d in (fwd, bwd)):
             continue
@@ -275,7 +277,6 @@ def evaluate(
         rep = estimators(
             (phases[base][fwd], phases[base][bwd]),
             (phases[second][fwd], phases[second][bwd]),
-            np.arange(world.n_sentences),
             world,
         )
         reports[name] = rep

@@ -47,7 +47,7 @@ class AccuracyReport:
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Empirical redistribution estimates over an evaluation set.
+    """Empirical redistribution estimates over a set of source sentences.
 
     alpha_hat / beta_hat / gamma_hat partition the baseline-failure set
     (None when that set is empty). eta_hat is the fraction of
@@ -113,15 +113,16 @@ def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, 
     return float(pushforward @ bwd_ok)
 
 
-def _chain(world: World, pair: tuple[TabularTranslator, TabularTranslator], xs: np.ndarray):
-    """Greedy round trip: returns (hop1 correct, reconstructed) boolean arrays."""
+def _chain(world: World, pair: tuple[TabularTranslator, TabularTranslator]):
+    """Greedy round trip of every source sentence: returns (hop1 correct,
+    reconstructed) boolean arrays."""
     fwd, bwd = pair
     src_clusters = world.cluster_of[fwd.src_lang]
     dst_clusters = world.cluster_of[fwd.dst_lang]
-    ys = fwd.greedy_all()[xs]
+    ys = fwd.greedy_all()
     back = bwd.greedy_all()[ys]
-    hop1 = dst_clusters[ys] == src_clusters[xs]
-    recon = src_clusters[back] == src_clusters[xs]
+    hop1 = dst_clusters[ys] == src_clusters
+    recon = src_clusters[back] == src_clusters
     return hop1, recon
 
 
@@ -141,30 +142,26 @@ def _report(counts: dict[str, int]) -> EstimatorReport:
 def estimators(
     vanilla: tuple[TabularTranslator, TabularTranslator],
     dual: tuple[TabularTranslator, TabularTranslator],
-    eval_sentences: np.ndarray,
     world: World,
 ) -> EstimatorReport:
     """Empirical redistribution estimates comparing two translator pairs.
 
-    Over the evaluation sentences, partition the set the vanilla chain
-    fails to reconstruct by what the dual chain does with it (corrected /
-    aligned-but-wrong / still unreconstructed); estimate the
-    kept-reconstruction rate eta over the complementary set. Undefined
-    ratios (empty denominators) are reported as None, never as zero.
+    Over every sentence of the pair's source language, partition the set
+    the vanilla chain fails to reconstruct by what the dual chain does
+    with it (corrected / aligned-but-wrong / still unreconstructed);
+    estimate the kept-reconstruction rate eta over the complementary set.
+    Undefined ratios (empty denominators) are reported as None, never as
+    zero.
     """
-    xs = np.asarray(eval_sentences, dtype=np.int64)
-    if xs.size == 0:
-        raise ValidationError("evaluation set must be nonempty")
     for t in (*vanilla, *dual):
         _check_defined_on(t, world)
 
-    _, v_recon = _chain(world, vanilla, xs)
-    d_hop1, d_recon = _chain(world, dual, xs)
+    _, v_recon = _chain(world, vanilla)
+    d_hop1, d_recon = _chain(world, dual)
 
     fail = ~v_recon
     return _report(
         {
-            "n_eval": int(xs.size),
             "n_vanilla_fail": int(fail.sum()),
             "n_vanilla_recon": int(v_recon.sum()),
             "n_corrected": int((fail & d_hop1 & d_recon).sum()),
@@ -187,7 +184,6 @@ def estimators_from_counts(counts: OutcomeCounts) -> EstimatorReport:
     n_ok = counts.case11 + counts.case12
     return _report(
         {
-            "n_eval": n_fail + n_ok,
             "n_vanilla_fail": n_fail,
             "n_vanilla_recon": n_ok,
             "n_corrected": counts.case2_corrected,

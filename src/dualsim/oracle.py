@@ -201,8 +201,7 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     cum = np.cumsum(masses)
     alpha, beta = spec.policy.alpha, spec.policy.beta
 
-    n_correct = 0
-    n11 = n12 = n2a = n2b = n2g = 0
+    n11 = n12 = n2a = n2b = 0
     for start in range(0, n, _CHUNK):
         idx3 = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64) * np.uint64(3)
         u_cell = counter_uniforms(seed, idx3)
@@ -221,11 +220,11 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
         n12 += int(np.count_nonzero(reconstructed & ~hop1))
         n2a += int(np.count_nonzero(corrected))
         n2b += int(np.count_nonzero(aligned))
-        n2g += int(np.count_nonzero(~reconstructed & ~corrected & ~aligned))
-        n_correct += int(np.count_nonzero((reconstructed & hop1) | corrected))
 
-    p_hat = n_correct / n
-    counts = OutcomeCounts(n11, n12, n2a, n2b, n2g)
+    # the five outcomes are disjoint and cover every sample, and a sample is
+    # correct exactly when it is case 1.1 or case 2 corrected
+    p_hat = (n11 + n2a) / n
+    counts = OutcomeCounts(n11, n12, n2a, n2b, n - n11 - n12 - n2a - n2b)
     return OracleResult(
         accuracy=p_hat,
         case_masses=(n11 / n, n12 / n, counts.n_case2 / n),

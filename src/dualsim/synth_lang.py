@@ -9,7 +9,9 @@ closes). Sentences are opaque integer ids; there is no text anywhere.
 
 Per-language sentence distributions are controlled by ``skew``: 0 gives
 an exactly uniform distribution, larger values an increasingly lopsided
-one (log-normal weights, normalized).
+one (log-normal weights, normalized). ``build_corpus`` is the one
+sampler of training data: cluster-correct parallel pairs for every
+ordered language pair and monolingual ids for every language.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "World",
     "Corpus",
     "generate_world",
-    "sample_parallel",
-    "sample_monolingual",
     "build_corpus",
 ]
 
@@ -121,55 +121,6 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu, cluster_of=cluster_of)
 
 
-def sample_parallel(
-    world: World,
-    i: int,
-    j: int,
-    n: int,
-    seed,
-    within_cluster: str = "mu",
-) -> np.ndarray:
-    """Draw n cluster-correct parallel pairs from language i to language j.
-
-    Sources follow mu_i; each target is drawn inside the correct cluster,
-    either from mu_j restricted and renormalized to that cluster
-    (``within_cluster="mu"``, the default) or uniformly over the cluster
-    (``within_cluster="uniform"``).
-    """
-    world.check_language(i)
-    world.check_language(j)
-    if i == j:
-        raise ValidationError("parallel data needs two distinct languages")
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    if within_cluster not in ("mu", "uniform"):
-        raise ValidationError(f"unknown within_cluster mode {within_cluster!r}")
-    rng = np.random.default_rng(seed)
-    s = world.cluster_size
-    xs = rng.choice(world.n_sentences, size=n, p=world.mu[i])
-    clusters = world.cluster_of[i, xs]
-    if within_cluster == "mu":
-        block = world.mu[j].reshape(world.n_clusters, s)
-    else:
-        block = np.ones((world.n_clusters, s))
-    block = block / block.sum(axis=1, keepdims=True)
-    cum = np.cumsum(block, axis=1)
-    u = rng.random(n)
-    offsets = (u[:, None] > cum[clusters]).sum(axis=1)
-    np.clip(offsets, 0, s - 1, out=offsets)
-    ys = clusters * s + offsets
-    return np.column_stack([xs, ys]).astype(np.int64)
-
-
-def sample_monolingual(world: World, i: int, n: int, seed) -> np.ndarray:
-    """Draw n i.i.d. sentence ids from language i's distribution."""
-    world.check_language(i)
-    if n < 0:
-        raise ValidationError(f"n must be nonnegative, got {n}")
-    rng = np.random.default_rng(seed)
-    return rng.choice(world.n_sentences, size=n, p=world.mu[i]).astype(np.int64)
-
-
 def build_corpus(
     world: World,
     parallel_per_pair: int,
@@ -180,16 +131,46 @@ def build_corpus(
     """Sample an independent parallel dataset per ordered language pair
     plus monolingual data per language.
 
-    Sub-seeds are spawned from ``seed`` in a fixed order so the whole
-    corpus is reproducible from (world, arguments, seed).
+    Parallel sources from language i follow mu_i; each target is drawn
+    inside the source's cluster, either from mu_j restricted and
+    renormalized to that cluster (``within_cluster="mu"``, the default)
+    or uniformly over the cluster (``within_cluster="uniform"``), so every
+    pair is cluster-correct. Monolingual ids from language i are i.i.d.
+    draws from mu_i.
+
+    Each ordered pair, then each language, draws from its own generator,
+    spawned from ``seed`` in that order, so the whole corpus is
+    reproducible from (world, arguments, seed).
     """
-    ss = np.random.SeedSequence(seed)
-    pairs = [(i, j) for i in range(world.n_langs) for j in range(world.n_langs) if i != j]
-    children = ss.spawn(len(pairs) + world.n_langs)
+    if parallel_per_pair < 0 or monolingual_per_language < 0:
+        raise ValidationError(
+            "corpus sizes must be nonnegative, got "
+            f"{parallel_per_pair} parallel and {monolingual_per_language} monolingual"
+        )
+    if within_cluster not in ("mu", "uniform"):
+        raise ValidationError(f"unknown within_cluster mode {within_cluster!r}")
+    k, s = world.n_langs, world.cluster_size
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    children = np.random.SeedSequence(seed).spawn(len(pairs) + k)
     parallel: dict[tuple[int, int], np.ndarray] = {}
     for child, (i, j) in zip(children[: len(pairs)], pairs):
-        parallel[(i, j)] = sample_parallel(world, i, j, parallel_per_pair, child, within_cluster)
+        rng = np.random.default_rng(child)
+        xs = rng.choice(world.n_sentences, size=parallel_per_pair, p=world.mu[i])
+        clusters = world.cluster_of[i, xs]
+        if within_cluster == "mu":
+            block = world.mu[j].reshape(world.n_clusters, s)
+        else:
+            block = np.ones((world.n_clusters, s))
+        block = block / block.sum(axis=1, keepdims=True)
+        cum = np.cumsum(block, axis=1)
+        u = rng.random(parallel_per_pair)
+        offsets = (u[:, None] > cum[clusters]).sum(axis=1)
+        np.clip(offsets, 0, s - 1, out=offsets)
+        ys = clusters * s + offsets
+        parallel[(i, j)] = np.column_stack([xs, ys]).astype(np.int64)
     monolingual: dict[int, np.ndarray] = {}
-    for child, lang in zip(children[len(pairs) :], range(world.n_langs)):
-        monolingual[lang] = sample_monolingual(world, lang, monolingual_per_language, child)
+    for child, lang in zip(children[len(pairs) :], range(k)):
+        rng = np.random.default_rng(child)
+        xs = rng.choice(world.n_sentences, size=monolingual_per_language, p=world.mu[lang])
+        monolingual[lang] = xs.astype(np.int64)
     return Corpus(parallel=parallel, monolingual=monolingual)

@@ -70,9 +70,6 @@ class TabularTranslator:
     def uniform(cls, src_lang: int, dst_lang: int, n_src: int, n_dst: int) -> TabularTranslator:
         return cls(src_lang, dst_lang, np.zeros((n_src, n_dst)))
 
-    def probs(self, x: int) -> np.ndarray:
-        return row_probs(self.theta[x])
-
     def prob_matrix(self) -> np.ndarray:
         return row_probs(self.theta)
 
@@ -81,11 +78,8 @@ class TabularTranslator:
         m = row.max()
         return float(row[y] - m - np.log(np.exp(row - m).sum()))
 
-    def greedy(self, x: int) -> int:
-        # np.argmax takes the first maximum: ties break to the lowest id.
-        return int(np.argmax(self.theta[x]))
-
     def greedy_all(self) -> np.ndarray:
+        # np.argmax takes the first maximum: ties break to the lowest id.
         return np.argmax(self.theta, axis=1)
 
 

@@ -339,6 +339,62 @@ class TestTrain:
         assert capsys.readouterr().err == "error: train.phases must list at least one phase\n"
         assert not out.exists()
 
+    def test_repeated_seed_rejected(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        cfg["train"]["phases"] = ["vanilla"]
+        cfg["train"]["seeds"] = [1, 2, 1]
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: train.seeds must not repeat a seed, got [1] twice or more\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corpus, what",
+        [
+            ({"parallel_per_pair": -1}, "nonnegative"),
+            ({"monolingual_per_language": -1}, "nonnegative"),
+            ({"within_cluster": "nope"}, "within_cluster"),
+        ],
+        ids=["parallel_per_pair", "monolingual_per_language", "within_cluster"],
+    )
+    def test_bad_corpus_setting_exits_2(self, tmp_path, capsys, corpus, what):
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        cfg["train"]["corpus"].update(corpus)
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and what in err
+        assert not out.exists()
+
+
+class TestUnwritableOut:
+    """An --out that names an existing file is invalid input, reported on
+    one line, not a traceback."""
+
+    VANILLA = {"train": {**TINY_TRAIN["train"], "phases": ["vanilla"]}}
+
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [
+            (["theory"], None),
+            (["verify", "--draws", "2"], None),
+            (["simulate"], {"simulate": {"n": 1000}}),
+            (["train"], VANILLA),
+        ],
+        ids=["theory", "verify", "simulate", "train"],
+    )
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, argv, cfg):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        argv = argv + ["--out", str(taken)]
+        if cfg is not None:
+            argv += ["--config", write_config(tmp_path, cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {taken}/") and err.count("\n") == 1
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
 
 class TestLearnerBitsPinned:
     """Final thetas of a tiny run that exercises every trainer branch
