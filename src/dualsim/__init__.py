@@ -20,7 +20,6 @@ from .outcome_model import (
 from .theory import (
     DualPrediction,
     TriplePrediction,
-    alignment_probability,
     dual_improvement,
     m_factor,
     multistep_condition,

@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -58,7 +59,6 @@ from .outcome_model import (
 )
 from .synth_lang import build_corpus, generate_world
 from .theory import (
-    alignment_probability,
     m_factor,
     multistep_condition,
     predict_dual,
@@ -281,7 +281,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
             pred = predict_dual(params, policy)
             rows.append(
                 [
-                    delta, alignment_probability(params),
+                    delta, pred.p_case12,
                     policy.alpha, policy.beta, policy.gamma,
                     pred.p_case11, pred.p_case12, pred.p_case2,
                     pred.p_d12, pred.improvement,
@@ -482,6 +482,14 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ValidationError(f"train.seeds must not repeat a seed, got {repeated} twice or more")
+    if out_dir is None:
+        out_dir = Path("out")
+    # check --out before training without creating it: an invalid train block leaves no directory
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not (found.is_dir() and os.access(found, os.W_OK | os.X_OK)):
+        raise ValidationError(
+            f"cannot write {out_dir / 'accuracy.csv'}: {found} is not a writable directory"
+        )
     chash = _config_hash(cfg["train"])
     acc_rows: list[list[Any]] = []
     est_rows: list[list[Any]] = []
@@ -507,9 +515,6 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
         "config_hash", "seed", "comparison", "alpha_hat", "beta_hat", "gamma_hat",
         "eta_hat", "eta_raw", "n_vanilla_fail", "n_vanilla_recon",
     ]
-
-    if out_dir is None:
-        out_dir = Path("out")
     _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, acc_rows)
     _write_csv(out_dir / "estimators.csv", est_header, est_rows)
     _emit_table(*_summarize(acc_rows), out_dir / "summary.csv")

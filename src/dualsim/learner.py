@@ -114,7 +114,8 @@ def dual_learning(
     probability ``supervised_mix``) or performs reconstruction updates:
     the forward model generates translations of monolingual sources and
     the backward model is pushed to undo them, symmetrically in both
-    directions. Returns updated copies of both translators.
+    directions, each replaying its own corpus pairs. Returns updated
+    copies of both translators.
     """
     i, j = t12.src_lang, t12.dst_lang
     if (t21.src_lang, t21.dst_lang) != (j, i):
@@ -124,11 +125,10 @@ def dual_learning(
     if mono_i is None or mono_j is None or mono_i.size == 0 or mono_j.size == 0:
         raise ValidationError(f"dual learning needs monolingual data for languages {i} and {j}")
     pairs_ij = corpus.parallel.get((i, j))
-    if cfg.supervised_mix > 0.0 and (pairs_ij is None or pairs_ij.size == 0):
-        raise ValidationError(f"supervised replay needs parallel data for pair ({i}, {j})")
     pairs_ji = corpus.parallel.get((j, i))
-    if pairs_ji is None and pairs_ij is not None:
-        pairs_ji = pairs_ij[:, ::-1]
+    for key, pairs in (((i, j), pairs_ij), ((j, i), pairs_ji)):
+        if cfg.supervised_mix > 0.0 and (pairs is None or pairs.size == 0):
+            raise ValidationError(f"supervised replay needs parallel data for pair {key}")
 
     rng = np.random.default_rng(cfg.seed)
     th12 = t12.theta.copy()

@@ -1,7 +1,7 @@
 """Exact accuracy quantities and empirical redistribution estimators.
 
 Correctness is exact cluster membership: a translation of x is correct
-when it lands in the ground-truth target cluster of x's cluster. Because
+when it lands in x's cluster, whatever the two languages. Because
 translators are tabular and worlds are finite, every accuracy here is an
 exact sum over the world: no sampling, no decoding heuristics beyond the
 documented greedy tie-break (argmax, lowest id wins).
@@ -78,18 +78,17 @@ def _check_defined_on(t: TabularTranslator, world: World) -> None:
 def accuracy(t: TabularTranslator, world: World) -> AccuracyReport:
     """Exact greedy and expected accuracy of a translator on a world."""
     _check_defined_on(t, world)
-    src_clusters = world.cluster_of[t.src_lang]
-    dst_clusters = world.cluster_of[t.dst_lang]
+    clusters = world.cluster_of
     mu = world.mu[t.src_lang]
 
-    greedy_cluster = dst_clusters[t.greedy_all()]
-    p_hat = float(mu @ (greedy_cluster == src_clusters))
+    p_hat = float(mu @ (clusters[t.greedy_all()] == clusters))
 
     # mass each row places on its correct target cluster, masked in place
     probs = t.prob_matrix()
-    probs *= dst_clusters[None, :] == src_clusters[:, None]
+    probs *= clusters[None, :] == clusters[:, None]
     p_expected = float(mu @ probs.sum(axis=1))
-    return AccuracyReport(p_hat=p_hat, p_expected=p_expected)
+    # an all-correct translator on a skewed world can sum one ulp above 1
+    return AccuracyReport(p_hat=min(p_hat, 1.0), p_expected=min(p_expected, 1.0))
 
 
 def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, world: World) -> float:
@@ -106,9 +105,8 @@ def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, 
             f"translators do not compose: {t_fwd.src_lang}->{t_fwd.dst_lang} "
             f"then {t_bwd.src_lang}->{t_bwd.dst_lang}"
         )
-    mid_clusters = world.cluster_of[t_fwd.dst_lang]
-    back_clusters = world.cluster_of[t_bwd.dst_lang]
-    bwd_ok = (back_clusters[t_bwd.greedy_all()] == mid_clusters).astype(float)
+    clusters = world.cluster_of
+    bwd_ok = (clusters[t_bwd.greedy_all()] == clusters).astype(float)
     pushforward = world.mu[t_fwd.src_lang] @ t_fwd.prob_matrix()
     return float(pushforward @ bwd_ok)
 
@@ -117,12 +115,10 @@ def _chain(world: World, pair: tuple[TabularTranslator, TabularTranslator]):
     """Greedy round trip of every source sentence: returns (hop1 correct,
     reconstructed) boolean arrays."""
     fwd, bwd = pair
-    src_clusters = world.cluster_of[fwd.src_lang]
-    dst_clusters = world.cluster_of[fwd.dst_lang]
+    clusters = world.cluster_of
     ys = fwd.greedy_all()
-    back = bwd.greedy_all()[ys]
-    hop1 = dst_clusters[ys] == src_clusters
-    recon = src_clusters[back] == src_clusters
+    hop1 = clusters[ys] == clusters
+    recon = clusters[bwd.greedy_all()[ys]] == clusters
     return hop1, recon
 
 

@@ -1,11 +1,12 @@
 """Synthetic clustered language worlds and corpus sampling.
 
 A world is ``k`` finite languages, each holding ``m * s`` sentences split
-into ``m`` semantic clusters of ``s`` sentences. Cluster ids are shared
-across languages and every ground-truth translator is the identity on
-cluster ids, which makes all compositions trivially consistent (the
-forward map of a backward map is the identity, and any pivot triangle
-closes). Sentences are opaque integer ids; there is no text anywhere.
+into ``m`` semantic clusters of ``s`` sentences: ids [c*s, (c+1)*s) form
+cluster c in every language. Every ground-truth translator is the
+identity on cluster ids, which makes all compositions trivially
+consistent (the forward map of a backward map is the identity, and any
+pivot triangle closes). Sentences are opaque integer ids; there is no
+text anywhere.
 
 Per-language sentence distributions are controlled by ``skew``: 0 gives
 an exactly uniform distribution, larger values an increasingly lopsided
@@ -40,33 +41,30 @@ class World:
     """Immutable synthetic multi-language world.
 
     mu          (k, m*s) rows: per-language sentence distributions
-    cluster_of  (k, m*s) int rows: sentence id -> cluster id
+    cluster_of  read-only (m*s,) sentence id -> cluster id, x // s in every language
     """
 
     n_langs: int
     n_clusters: int
     cluster_size: int
     mu: np.ndarray
-    cluster_of: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.n_clusters * self.cluster_size
-        if self.mu.shape != (self.n_langs, n) or self.cluster_of.shape != (self.n_langs, n):
-            raise ValidationError("mu / cluster_of shapes do not match world dimensions")
+        if self.mu.shape != (self.n_langs, self.n_sentences):
+            raise ValidationError("mu shape does not match world dimensions")
         if not np.all(np.abs(self.mu.sum(axis=1) - 1.0) <= 1e-12):
             raise ValidationError("every per-language distribution must sum to 1 within 1e-12")
         if np.any(self.mu < 0.0):
             raise ValidationError("sentence probabilities must be nonnegative")
-        for lang in range(self.n_langs):
-            counts = np.bincount(self.cluster_of[lang], minlength=self.n_clusters)
-            if len(counts) != self.n_clusters or np.any(counts == 0):
-                raise ValidationError(f"language {lang} has an empty cluster")
         _frozen(self.mu)
-        _frozen(self.cluster_of)
 
     @property
     def n_sentences(self) -> int:
         return self.n_clusters * self.cluster_size
+
+    @property
+    def cluster_of(self) -> np.ndarray:
+        return _frozen(np.arange(self.n_sentences) // self.cluster_size)
 
     def check_language(self, lang: int) -> int:
         if not 0 <= lang < self.n_langs:
@@ -99,10 +97,9 @@ class Corpus:
 def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     """Build a k-language world with m clusters of s sentences each.
 
-    Cluster layout is contiguous: sentence ids [c*s, (c+1)*s) form cluster
-    c in every language. skew = 0 gives exactly uniform mu; skew > 0 draws
-    weights exp(skew * N(0,1)) per sentence and normalizes. Deterministic
-    in (arguments, seed).
+    skew = 0 gives exactly uniform mu; skew > 0 draws weights
+    exp(skew * N(0,1)) per sentence and normalizes. Deterministic in
+    (arguments, seed).
     """
     if k < 2:
         raise ValidationError(f"need at least 2 languages, got {k}")
@@ -117,8 +114,7 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     else:
         weights = np.exp(skew * rng.standard_normal((k, n)))
         mu = weights / weights.sum(axis=1, keepdims=True)
-    cluster_of = np.tile(np.arange(n) // s, (k, 1))
-    return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu, cluster_of=cluster_of)
+    return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu)
 
 
 def build_corpus(
@@ -156,7 +152,7 @@ def build_corpus(
     for child, (i, j) in zip(children[: len(pairs)], pairs):
         rng = np.random.default_rng(child)
         xs = rng.choice(world.n_sentences, size=parallel_per_pair, p=world.mu[i])
-        clusters = world.cluster_of[i, xs]
+        clusters = world.cluster_of[xs]
         if within_cluster == "mu":
             block = world.mu[j].reshape(world.n_clusters, s)
         else:

@@ -28,7 +28,6 @@ from .outcome_model import (
 __all__ = [
     "DualPrediction",
     "TriplePrediction",
-    "alignment_probability",
     "predict_dual",
     "proportional_policy",
     "proportional_triple_policy",
@@ -45,7 +44,9 @@ __all__ = [
 class DualPrediction:
     """Predicted outcome of dual training for one direction.
 
-    p_case11/p_case12/p_case2 partition the unit mass of the event tree.
+    p_case11/p_case12/p_case2 partition the unit mass of the event tree;
+    p_case12 is the alignment mass delta * Pr(both hops wrong), that is
+    ``delta * ((1-p12)*(1-p21r) + lam)``.
     ``p_d12`` is the predicted post-training accuracy and ``improvement``
     the gain over the pre-training accuracy p12.
     """
@@ -78,14 +79,6 @@ def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
     pr11 = table.cell(1, 1)
     pr12 = params.delta * table.cell(0, 0)
     return pr11, pr12, 1.0 - pr11 - pr12
-
-
-def alignment_probability(params: DualOutcomeParams) -> float:
-    """Mass of accidental round-trip closures: delta * Pr(both hops wrong).
-
-    Equals ``delta * ((1-p12)*(1-p21r) + lam)``; rejects an infeasible ``lam``.
-    """
-    return _dual_case_masses(params)[1]
 
 
 def predict_dual(params: DualOutcomeParams, policy: RedistributionPolicy) -> DualPrediction:

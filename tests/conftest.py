@@ -22,7 +22,7 @@ def perfect_translator(world, i: int, j: int, scale: float = 60.0):
     n, s = world.n_sentences, world.cluster_size
     theta = np.zeros((n, n))
     for x in range(n):
-        theta[x, world.cluster_of[i, x] * s] = scale
+        theta[x, world.cluster_of[x] * s] = scale
     return TabularTranslator(i, j, theta)
 
 
@@ -33,6 +33,6 @@ def shifted_translator(world, i: int, j: int, scale: float = 60.0):
     n, s, m = world.n_sentences, world.cluster_size, world.n_clusters
     theta = np.zeros((n, n))
     for x in range(n):
-        wrong = (world.cluster_of[i, x] + 1) % m
+        wrong = (world.cluster_of[x] + 1) % m
         theta[x, wrong * s] = scale
     return TabularTranslator(i, j, theta)

@@ -11,8 +11,8 @@ PUBLIC_NAMES = {
     "JointTable", "OracleResult", "OutcomeCounts", "RedistributionPolicy",
     "TabularTranslator", "TrainConfig", "TripleOutcomeParams", "TriplePrediction",
     "ValidationError", "World",
-    "accuracy", "alignment_probability", "build_corpus", "build_dual_joint",
-    "build_triple_joint", "dual_improvement", "dual_learning", "enumerate_dual",
+    "accuracy", "build_corpus", "build_dual_joint", "build_triple_joint",
+    "dual_improvement", "dual_learning", "enumerate_dual",
     "enumerate_triple", "errata_report", "estimators", "estimators_from_counts", "evaluate",
     "generate_world", "lambda_feasible_range", "lambda_loose_range", "loop_log_prob",
     "loop_log_prob_bound", "m_factor", "monte_carlo", "multistep_condition",
@@ -27,5 +27,5 @@ def test_public_names_are_pinned():
         name for name, value in vars(dualsim).items()
         if not name.startswith("_") and type(value).__name__ != "module"
     }
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert public == PUBLIC_NAMES

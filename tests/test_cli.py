@@ -374,6 +374,10 @@ class TestUnwritableOut:
 
     VANILLA = {"train": {**TINY_TRAIN["train"], "phases": ["vanilla"]}}
 
+    @staticmethod
+    def no_training(*args):
+        pytest.fail("a seed trained before --out was checked")
+
     @pytest.mark.parametrize(
         "argv, cfg",
         [
@@ -384,7 +388,8 @@ class TestUnwritableOut:
         ],
         ids=["theory", "verify", "simulate", "train"],
     )
-    def test_out_is_a_file_exits_2(self, tmp_path, capsys, argv, cfg):
+    def test_out_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch, argv, cfg):
+        monkeypatch.setattr(cli, "run_training_experiment", self.no_training)
         taken = tmp_path / "taken"
         taken.write_text("not a directory\n", encoding="utf-8")
         argv = argv + ["--out", str(taken)]
@@ -394,6 +399,16 @@ class TestUnwritableOut:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {taken}/") and err.count("\n") == 1
         assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_train_out_under_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_training_experiment", self.no_training)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        out = taken / "sub"
+        path = write_config(tmp_path, self.VANILLA)
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}/") and err.count("\n") == 1
 
 
 class TestLearnerBitsPinned:
@@ -437,6 +452,23 @@ class TestReport:
         assert main(["report", "--out", str(out)]) == 0
         assert "mean_p_hat" in capsys.readouterr().out
         assert (out / "summary.csv").read_bytes() == first
+
+    def test_reports_what_train_wrote_on_a_skewed_world(self, tmp_path, capsys):
+        # some translators here are correct on every source, where the mu-weighted
+        # sum can round one ulp above 1; report's [0, 1] check must accept train's rows
+        cfg = {
+            "train": {
+                "world": {"k": 3, "m": 4, "s": 2, "skew": 0.5, "seed": 0},
+                "corpus": {"parallel_per_pair": 20, "monolingual_per_language": 30},
+                "train": {"supervised_steps": 20, "dual_steps": 20, "multistep_steps": 20},
+                "seeds": [1, 2],
+            }
+        }
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert ",1.0," in (out / "accuracy.csv").read_text(encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_dir_rejected(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nope")]) == 2

@@ -260,6 +260,19 @@ class TestDualLearning:
         with pytest.raises(ValidationError):
             dual_learning(ts[(0, 1)], ts[(0, 2)], corpus, TrainConfig(steps=1))
 
+    @pytest.mark.parametrize("reverse", [None, np.empty((0, 2), dtype=np.int64)],
+                             ids=["missing", "empty"])
+    def test_replay_needs_the_reverse_directions_own_pairs(self, reverse):
+        # t21 replays corpus.parallel[(1, 0)], never the mirrored (0, 1) pairs
+        _, corpus, ts = small_setup()
+        parallel = {key: v for key, v in corpus.parallel.items() if key != (1, 0)}
+        if reverse is not None:
+            parallel[(1, 0)] = reverse
+        no_reverse = Corpus(parallel=parallel, monolingual=corpus.monolingual)
+        cfg = TrainConfig(steps=5, supervised_mix=1.0)
+        with pytest.raises(ValidationError, match=r"parallel data for pair \(1, 0\)"):
+            dual_learning(ts[(0, 1)], ts[(1, 0)], no_reverse, cfg)
+
 
 class TestMultistepDualLearning:
     def test_two_languages_rejected(self):
@@ -326,7 +339,7 @@ class TestMultistepDualLearning:
         for _ in range(200):
             x = int(rng.integers(world.n_sentences))
             end = sample_row(t_p1.theta[sample_row(t_0p.theta[x], rng)], rng)
-            assert world.cluster_of[1, end] == world.cluster_of[0, x]
+            assert world.cluster_of[end] == world.cluster_of[x]
 
     def test_perfect_pivots_give_cluster_correct_updates(self):
         world, corpus, ts = small_setup(seed=10)
@@ -340,7 +353,7 @@ class TestMultistepDualLearning:
         delta = out[(0, 1)].theta - ts[(0, 1)].theta
         for row in np.nonzero(np.any(delta > 0.0, axis=1))[0]:
             target = int(np.argmax(delta[row]))
-            assert world.cluster_of[1, target] == world.cluster_of[0, row]
+            assert world.cluster_of[target] == world.cluster_of[row]
 
     def test_deterministic(self):
         _, corpus, ts = small_setup(seed=12)

@@ -25,6 +25,12 @@ class TestAccuracy:
         assert rep.p_hat == 1.0
         assert rep.p_expected == pytest.approx(1.0, abs=1e-9)
 
+    def test_all_correct_is_exactly_one_on_a_skewed_world(self):
+        # mu @ mask rounds one ulp above 1 here; report accepts only [0, 1]
+        world = generate_world(3, 4, 2, 0.5, 0)
+        rep = accuracy(perfect_translator(world, 0, 1), world)
+        assert rep.p_hat == 1.0 and rep.p_expected == 1.0
+
     def test_uniform_rows(self):
         m = 8
         world = generate_world(2, m, 4, 0.0, 0)
@@ -41,7 +47,7 @@ class TestAccuracy:
 
         n = 1_000_000
         xs = rng.choice(4, size=n, p=world.mu[0])
-        greedy_ok = world.cluster_of[1, t.greedy_all()[xs]] == world.cluster_of[0, xs]
+        greedy_ok = world.cluster_of[t.greedy_all()[xs]] == world.cluster_of[xs]
         p_hat_mc = greedy_ok.mean()
         se = np.sqrt(max(p_hat_mc * (1 - p_hat_mc), 1e-12) / n)
         assert abs(rep.p_hat - p_hat_mc) <= 4 * se
@@ -50,7 +56,7 @@ class TestAccuracy:
         cum = probs.cumsum(axis=1)
         u = rng.random(n)
         ys = (u[:, None] > cum[xs]).sum(axis=1).clip(0, 3)
-        exp_ok = world.cluster_of[1, ys] == world.cluster_of[0, xs]
+        exp_ok = world.cluster_of[ys] == world.cluster_of[xs]
         p_exp_mc = exp_ok.mean()
         se = np.sqrt(max(p_exp_mc * (1 - p_exp_mc), 1e-12) / n)
         assert abs(rep.p_expected - p_exp_mc) <= 4 * se
@@ -64,7 +70,7 @@ class TestAccuracy:
         expected = sum(
             world.mu[0, x]
             for x in range(12)
-            if world.cluster_of[1, np.argmax(t.theta[x])] == world.cluster_of[0, x]
+            if world.cluster_of[np.argmax(t.theta[x])] == world.cluster_of[x]
         )
         assert accuracy(t, world).p_hat == pytest.approx(expected, abs=1e-15)
 
@@ -77,7 +83,7 @@ class TestAccuracy:
         world = generate_world(3, 7, 5, 1.0, 4)  # skew 1: mu far from uniform
         rng = np.random.default_rng(9)
         n = world.n_sentences
-        mask = world.cluster_of[2][None, :] == world.cluster_of[0][:, None]
+        mask = np.equal.outer(world.cluster_of, world.cluster_of)
         for scale in (0.1, 3.0, 40.0):
             theta = scale * rng.normal(size=(n, n))
             t = TabularTranslator(0, 2, theta.copy())
@@ -125,7 +131,7 @@ class TestReconstructionAccuracy:
         for x in range(4):
             for y in range(4):
                 back = np.argmax(bwd.theta[y])
-                ok = world.cluster_of[0, back] == world.cluster_of[1, y]
+                ok = world.cluster_of[back] == world.cluster_of[y]
                 expected += world.mu[0, x] * np.exp(fwd.log_prob(x, y)) * ok
         assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(expected, abs=1e-12)
 

@@ -30,6 +30,12 @@ class TestGenerateWorld:
         assert np.ptp(world.mu[0]) > 0
         assert np.allclose(world.mu.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_cluster_layout_is_contiguous_and_read_only(self):
+        world = generate_world(3, 4, 5, 0.9, 2)
+        assert np.array_equal(world.cluster_of, np.arange(20) // 5)
+        with pytest.raises(ValueError):
+            world.cluster_of[0] = 1
+
     def test_mu_is_immutable(self):
         world = generate_world(2, 2, 2, 0.0, 0)
         with pytest.raises(ValueError):
@@ -59,24 +65,22 @@ class TestSampleParallel:
     def test_pairs_always_cluster_correct(self):
         world = generate_world(3, 8, 3, 0.9, 5)
         for seed in range(3):
-            for (i, j), pairs in build_corpus(world, 500, 0, seed).parallel.items():
-                assert np.all(
-                    world.cluster_of[i, pairs[:, 0]] == world.cluster_of[j, pairs[:, 1]]
-                )
+            for pairs in build_corpus(world, 500, 0, seed).parallel.values():
+                assert np.all(world.cluster_of[pairs[:, 0]] == world.cluster_of[pairs[:, 1]])
 
     def test_cluster_frequencies_near_uniform(self):
         m = 10
         world = generate_world(2, m, 2, 0.0, 0)
         n = 100_000
         pairs = build_corpus(world, n, 0, 7).parallel[(0, 1)]
-        freqs = np.bincount(world.cluster_of[0, pairs[:, 0]], minlength=m) / n
+        freqs = np.bincount(world.cluster_of[pairs[:, 0]], minlength=m) / n
         assert np.all(np.abs(freqs - 1.0 / m) <= 4.0 / np.sqrt(n))
 
     def test_uniform_within_cluster_mode(self):
         world = generate_world(2, 4, 3, 1.2, 9)
         corpus = build_corpus(world, 300, 0, 2, within_cluster="uniform")
-        for (i, j), pairs in corpus.parallel.items():
-            assert np.all(world.cluster_of[i, pairs[:, 0]] == world.cluster_of[j, pairs[:, 1]])
+        for pairs in corpus.parallel.values():
+            assert np.all(world.cluster_of[pairs[:, 0]] == world.cluster_of[pairs[:, 1]])
         with pytest.raises(ValidationError):
             build_corpus(world, 5, 0, 2, within_cluster="nope")
 

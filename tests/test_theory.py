@@ -13,7 +13,6 @@ from dualsim.outcome_model import (
     lambda_feasible_range,
 )
 from dualsim.theory import (
-    alignment_probability,
     dual_improvement,
     m_factor,
     multistep_condition,
@@ -27,21 +26,27 @@ from dualsim.theory import (
 
 
 class TestAlignmentProbability:
+    """The alignment mass delta * Pr(both hops wrong), as predict_dual's p_case12."""
+
+    @staticmethod
+    def alignment(params):
+        return predict_dual(params, RedistributionPolicy(0.0, 0.0, 1.0)).p_case12
+
     def test_zero_delta(self):
-        assert alignment_probability(DualOutcomeParams(0.3, 0.9, 0.0, 0.0)) == 0.0
+        assert self.alignment(DualOutcomeParams(0.3, 0.9, 0.0, 0.0)) == 0.0
 
     def test_all_mass_in_double_failure(self):
-        assert alignment_probability(DualOutcomeParams(0.0, 0.0, 0.0, 1.0)) == 1.0
+        assert self.alignment(DualOutcomeParams(0.0, 0.0, 0.0, 1.0)) == 1.0
 
     def test_direct_value(self):
         p = DualOutcomeParams(0.6, 0.7, 0.05, 0.1)
-        assert alignment_probability(p) == pytest.approx(0.017, abs=1e-12)
+        assert self.alignment(p) == pytest.approx(0.017, abs=1e-12)
 
     def test_infeasible_lambda_rejected(self):
         low, high = lambda_feasible_range(0.6, 0.7)
         for lam in (low - 0.01, high + 0.01):
             with pytest.raises(InfeasibleParamsError):
-                alignment_probability(DualOutcomeParams(0.6, 0.7, lam, 0.1))
+                self.alignment(DualOutcomeParams(0.6, 0.7, lam, 0.1))
 
 
 class TestPredictDual:
