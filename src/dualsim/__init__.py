@@ -27,7 +27,6 @@ from .theory import (
     predict_multistep,
     proportional_dual_accuracy,
     proportional_policy,
-    simplified_multistep_accuracy,
 )
 from .oracle import (
     GenerativeSpec,
@@ -51,14 +50,11 @@ from .metrics import (
     accuracy,
     estimators,
     estimators_from_counts,
-    reconstruction_accuracy,
 )
 from .learner import (
     ExperimentRecord,
     dual_learning,
     evaluate,
-    loop_log_prob,
-    loop_log_prob_bound,
     multistep_dual_learning,
     train_supervised,
 )

@@ -571,6 +571,8 @@ def cmd_report(out_dir: Path | None) -> int:
                 raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
             if not all(0.0 <= p <= 1.0 for p in row[5:]):
                 raise ValueError(f"p_hat and p_expected must be in [0, 1], got {p_hat}, {p_exp}")
+            if rows and chash != rows[0][0]:  # runs of two configs do not average
+                raise ValueError(f"config_hash {chash} differs from {rows[0][0]} on line 2")
             key = (row[1], phase, row[3], row[4])
             if key in first_line:
                 raise ValueError(

@@ -37,8 +37,6 @@ __all__ = [
     "dual_learning",
     "multistep_dual_learning",
     "evaluate",
-    "loop_log_prob",
-    "loop_log_prob_bound",
 ]
 
 PHASE_ORDER = ("vanilla", "dual", "multistep")
@@ -287,43 +285,3 @@ def evaluate(
     return ExperimentRecord(
         accuracies=accuracies, estimator_reports=reports, warnings=tuple(warnings)
     )
-
-
-def _check_cycle(
-    t1: TabularTranslator, t2: TabularTranslator, t3: TabularTranslator
-) -> None:
-    if t1.dst_lang != t2.src_lang or t2.dst_lang != t3.src_lang or t3.dst_lang != t1.src_lang:
-        raise ValidationError("translators do not form a closed 3-hop cycle")
-
-
-def loop_log_prob(
-    t1: TabularTranslator, t2: TabularTranslator, t3: TabularTranslator, x: int
-) -> float:
-    """Exact log-probability that the 3-hop cycle maps x back to itself.
-
-    ln sum_{y,z} Pr(y|x; t1) Pr(z|y; t2) Pr(x|z; t3), summed over all
-    intermediate sentences (exact on these finite worlds).
-    """
-    _check_cycle(t1, t2, t3)
-    p1 = row_probs(t1.theta[x])
-    p2 = t2.prob_matrix()
-    p3_col = t3.prob_matrix()[:, x]
-    return float(np.log(p1 @ p2 @ p3_col))
-
-
-def loop_log_prob_bound(
-    t1: TabularTranslator, t2: TabularTranslator, t3: TabularTranslator, x: int
-) -> float:
-    """Lower bound on loop_log_prob: expected last-hop log-likelihood.
-
-    sum_{y,z} Pr(y|x; t1) Pr(z|y; t2) ln Pr(x|z; t3). Concavity of ln
-    makes this a true lower bound; its sampled gradient with respect to
-    the last hop is exactly the reconstruction update the trainers apply.
-    """
-    _check_cycle(t1, t2, t3)
-    p1 = row_probs(t1.theta[x])
-    p2 = t2.prob_matrix()
-    th3 = t3.theta
-    z = th3 - th3.max(axis=1, keepdims=True)
-    log_p3 = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return float(p1 @ p2 @ log_p3[:, x])

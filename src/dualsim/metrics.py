@@ -108,7 +108,8 @@ def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, 
     clusters = world.cluster_of
     bwd_ok = (clusters[t_bwd.greedy_all()] == clusters).astype(float)
     pushforward = world.mu[t_fwd.src_lang] @ t_fwd.prob_matrix()
-    return float(pushforward @ bwd_ok)
+    # capped like accuracy: an all-correct pair can sum one ulp above 1
+    return min(float(pushforward @ bwd_ok), 1.0)
 
 
 def _chain(world: World, pair: tuple[TabularTranslator, TabularTranslator]):

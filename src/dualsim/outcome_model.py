@@ -104,25 +104,12 @@ class JointTable:
     def hops(self) -> int:
         return len(self.cells).bit_length() - 1
 
-    def _shift(self, hop: int) -> int:
-        return self.hops - 1 - hop
-
     def cell(self, *bits: int) -> float:
         """Pr(hop i correct == bits[i] for every hop); give one bit per hop."""
         index = 0
         for b in bits:
             index = 2 * index + b
         return self.cells[index]
-
-    def marginal(self, which: int) -> float:
-        """Marginal Pr(hop ``which`` correct), 0-indexed along the chain."""
-        s = self._shift(which)
-        return sum(p for i, p in enumerate(self.cells) if (i >> s) & 1)
-
-    def pairwise(self, a: int, b: int) -> float:
-        """Pr(hop a correct and hop b correct)."""
-        sa, sb = self._shift(a), self._shift(b)
-        return sum(p for i, p in enumerate(self.cells) if (i >> sa) & 1 and (i >> sb) & 1)
 
 
 def _checked_table(named: dict[tuple[int, ...], float]) -> JointTable:

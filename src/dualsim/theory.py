@@ -63,15 +63,13 @@ class TriplePrediction:
     """Predicted outcome of multi-step training through one pivot.
 
     ``q_m12`` is the predicted post-training accuracy of the first hop
-    and ``gamma_cap_prime`` the loss term gamma' * p_case2 (the pivot
-    multiplier M is :func:`m_factor`).
+    (the pivot multiplier M is :func:`m_factor`).
     """
 
     p_case11: float
     p_case12: float
     p_case2: float
     q_m12: float
-    gamma_cap_prime: float
 
 
 def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
@@ -205,7 +203,6 @@ def predict_multistep(
         p_case12=pr12,
         p_case2=pr2,
         q_m12=pr11 + policy.alpha * pr2,
-        gamma_cap_prime=policy.gamma * pr2,
     )
 
 
@@ -224,16 +221,17 @@ def m_factor(q23: float, q31: float, delta: float) -> float:
     return delta * (1.0 - q23 * q31) / denom
 
 
-def simplified_multistep_accuracy(q12: float, m: float, gamma_cap_prime: float) -> float:
+def simplified_multistep_accuracy(q12: float, m: float, loss: float) -> float:
     """Multi-step accuracy in reduced form: (1 - Gamma') / (1 + M*(1-q12)/q12).
 
-    With Gamma' = 0 and M = 1 this collapses to q12 (no gain over plain
-    dual training); it is strictly decreasing in M for q12 in (0, 1).
-    Rejects q12 <= 0.
+    ``loss`` is Gamma' = gamma' * p_case2, the case-2 mass the policy
+    leaves unreconstructed. With Gamma' = 0 and M = 1 this collapses to q12
+    (no gain over plain dual training); it is strictly decreasing in M for
+    q12 in (0, 1). Rejects q12 <= 0.
     """
     if q12 <= 0.0:
         raise ValidationError(f"q12 must be positive, got {q12!r}")
-    return (1.0 - gamma_cap_prime) / (1.0 + m * (1.0 - q12) / q12)
+    return (1.0 - loss) / (1.0 + m * (1.0 - q12) / q12)
 
 
 def multistep_condition(q23: float, q31: float, delta: float) -> bool:

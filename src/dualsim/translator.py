@@ -66,17 +66,8 @@ class TabularTranslator:
         if not np.all(np.isfinite(self.theta)):
             raise ValidationError("theta must contain only finite scores")
 
-    @classmethod
-    def uniform(cls, src_lang: int, dst_lang: int, n_src: int, n_dst: int) -> TabularTranslator:
-        return cls(src_lang, dst_lang, np.zeros((n_src, n_dst)))
-
     def prob_matrix(self) -> np.ndarray:
         return row_probs(self.theta)
-
-    def log_prob(self, x: int, y: int) -> float:
-        row = self.theta[x]
-        m = row.max()
-        return float(row[y] - m - np.log(np.exp(row - m).sum()))
 
     def greedy_all(self) -> np.ndarray:
         # np.argmax takes the first maximum: ties break to the lowest id.

@@ -8,14 +8,16 @@ import time
 
 import numpy as np
 
-from conftest import random_dual_params, random_policy, random_triple_params
-from dualsim.cli import DEFAULT_CONFIG, run_training_experiment
-from dualsim.learner import (
-    _supervised_update,
-    evaluate,
+from conftest import (
+    log_prob,
     loop_log_prob,
     loop_log_prob_bound,
+    random_dual_params,
+    random_policy,
+    random_triple_params,
 )
+from dualsim.cli import DEFAULT_CONFIG, run_training_experiment
+from dualsim.learner import _supervised_update, evaluate
 from dualsim.metrics import estimators_from_counts
 from dualsim.oracle import (
     GenerativeSpec,
@@ -177,7 +179,7 @@ def test_criterion_6_gradients_match_finite_differences():
         theta = rng.normal(size=(n, n))
         x, y = int(rng.integers(n)), int(rng.integers(n))
         analytic = log_prob_grad_row(theta[x], y)
-        fd = fd_row(lambda th: TabularTranslator(0, 1, th).log_prob(x, y), theta, x)
+        fd = fd_row(lambda th: log_prob(TabularTranslator(0, 1, th), x, y), theta, x)
         ok &= bool(np.allclose(analytic, fd, rtol=1e-6, atol=1e-9))
         checked += 1
 

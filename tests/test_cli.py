@@ -487,9 +487,12 @@ class TestReport:
             (b"abc,1,vanilla,0,1,7.0,0.5\n", "line 3"),
             (b"abc,1,vanilla,0,1,0.5,-0.1\n", "line 3"),
             (b"abc,1,bogus,0,1,0.5,0.5\n", "line 3"),
+            # runs of two configs must not be averaged into one summary
+            (b"def,2,vanilla,0,1,0.9,0.9\n", "line 3: config_hash def differs from abc on line 2"),
         ],
         ids=["short-row", "seed", "src", "dst", "p_hat", "not-utf8",
-             "p_hat-nan", "p_hat-inf", "p_hat-above-1", "p_expected-below-0", "phase"],
+             "p_hat-nan", "p_hat-inf", "p_hat-above-1", "p_expected-below-0", "phase",
+             "config-hash"],
     )
     def test_malformed_accuracy_csv_exits_2(self, tmp_path, capsys, row, where):
         header = ",".join(cli.ACCURACY_HEADER).encode() + b"\n"

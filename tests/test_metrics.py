@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import perfect_translator, shifted_translator
+from conftest import log_prob, perfect_translator, shifted_translator
 from dualsim.errors import ValidationError
 from dualsim.metrics import (
     accuracy,
@@ -34,7 +34,7 @@ class TestAccuracy:
     def test_uniform_rows(self):
         m = 8
         world = generate_world(2, m, 4, 0.0, 0)
-        rep = accuracy(TabularTranslator.uniform(0, 1, 32, 32), world)
+        rep = accuracy(TabularTranslator(0, 1, np.zeros((32, 32))), world)
         assert rep.p_expected == pytest.approx(1.0 / m, abs=1e-12)
         # argmax of a constant row is sentence 0, correct only for cluster 0
         assert rep.p_hat == pytest.approx(1.0 / m, abs=1e-12)
@@ -77,7 +77,7 @@ class TestAccuracy:
     def test_shape_mismatch_rejected(self):
         world = generate_world(2, 2, 2, 0.0, 0)
         with pytest.raises(ValidationError):
-            accuracy(TabularTranslator.uniform(0, 1, 3, 4), world)
+            accuracy(TabularTranslator(0, 1, np.zeros((3, 4))), world)
 
     def test_p_expected_is_the_masked_softmax_bit_for_bit(self):
         world = generate_world(3, 7, 5, 1.0, 4)  # skew 1: mu far from uniform
@@ -114,11 +114,18 @@ class TestReconstructionAccuracy:
         bwd = perfect_translator(world, 1, 0)
         assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(1.0, abs=1e-9)
 
+    def test_perfect_pair_is_exactly_one_on_a_skewed_world(self):
+        # the pushforward sums one ulp above 1 here without the cap
+        world = generate_world(3, 4, 2, 0.5, 24)
+        for i, j in ((0, 1), (1, 0)):
+            fwd, bwd = perfect_translator(world, i, j), perfect_translator(world, j, i)
+            assert reconstruction_accuracy(fwd, bwd, world) == 1.0
+
     def test_uniform_pair_symmetry(self):
         m = 5
         world = generate_world(2, m, 3, 0.0, 0)
-        fwd = TabularTranslator.uniform(0, 1, 15, 15)
-        bwd = TabularTranslator.uniform(1, 0, 15, 15)
+        fwd = TabularTranslator(0, 1, np.zeros((15, 15)))
+        bwd = TabularTranslator(1, 0, np.zeros((15, 15)))
         assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(1.0 / m, abs=1e-12)
 
     def test_matches_nested_loop_enumeration(self):
@@ -132,15 +139,15 @@ class TestReconstructionAccuracy:
             for y in range(4):
                 back = np.argmax(bwd.theta[y])
                 ok = world.cluster_of[back] == world.cluster_of[y]
-                expected += world.mu[0, x] * np.exp(fwd.log_prob(x, y)) * ok
+                expected += world.mu[0, x] * np.exp(log_prob(fwd, x, y)) * ok
         assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(expected, abs=1e-12)
 
     def test_non_composing_rejected(self):
         world = generate_world(3, 2, 2, 0.0, 0)
         with pytest.raises(ValidationError):
             reconstruction_accuracy(
-                TabularTranslator.uniform(0, 1, 4, 4),
-                TabularTranslator.uniform(2, 0, 4, 4),
+                TabularTranslator(0, 1, np.zeros((4, 4))),
+                TabularTranslator(2, 0, np.zeros((4, 4))),
                 world,
             )
 

@@ -290,7 +290,7 @@ class TestSimplifiedMultistepAccuracy:
             full = predict_multistep(params, policy)
             m = m_factor(params.q23, params.q31, params.delta)
             assert simplified_multistep_accuracy(
-                params.q12, m, full.gamma_cap_prime
+                params.q12, m, policy.gamma * full.p_case2
             ) == pytest.approx(full.q_m12, abs=1e-12)
 
     def test_strictly_decreasing_in_m(self):
