@@ -440,15 +440,10 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
 
     phases: dict[str, dict[tuple[int, int], TabularTranslator]] = {}
     vanilla: dict[tuple[int, int], TabularTranslator] = {}
-    # every direction starts from the same uniform scores; trainers copy
-    # their input theta, so one read-only zero matrix serves them all
-    start = np.zeros((n, n))
-    start.flags.writeable = False
     seeds = _sub_seeds(phase_seeds[0], len(directions))
     for seed, (i, j) in zip(seeds, directions):
-        t = TabularTranslator(i, j, start)
         cfg_ij = dataclasses.replace(base, steps=tb["supervised_steps"], seed=seed)
-        vanilla[(i, j)] = train_supervised(t, corpus.parallel[(i, j)], cfg_ij)
+        vanilla[(i, j)] = train_supervised(i, j, n, corpus.parallel[(i, j)], cfg_ij)
     phases["vanilla"] = vanilla
 
     if "dual" in phases_wanted or "multistep" in phases_wanted:
@@ -584,6 +579,18 @@ def cmd_report(out_dir: Path | None) -> int:
             raise ValidationError(f"{path} line {lineno}: {e}") from e
     if not rows:
         raise ValidationError(f"{path} holds no result rows")
+    # means over different seed sets do not subtract: every seed holds every row
+    held: dict[int, set[tuple[str, int, int]]] = {}
+    for seed, phase, i, j in first_line:
+        held.setdefault(seed, set()).add((phase, i, j))
+    every = set().union(*held.values())
+    for seed in sorted(held):
+        if held[seed] != every:
+            phase, i, j = min(every - held[seed], key=lambda r: (_PHASE_RANK[r[0]], r[1], r[2]))
+            raise ValidationError(
+                f"{path}: seed {seed} has no row for phase {phase}, pair ({i}, {j}), "
+                "which another seed holds"
+            )
     _emit_table(*_summarize(rows), out_dir / "summary.csv")
     return 0
 

@@ -53,21 +53,31 @@ def _supervised_update(
     ys = pairs[idx, 1]
     upd = -row_probs(theta[xs])
     upd[np.arange(batch), ys] += 1.0
-    np.add.at(theta, xs, (lr / batch) * upd)
+    # batch rows land one at a time, in batch order, repeated rows included:
+    # the additions np.add.at makes, without its per-call overhead
+    for x, row in zip(xs.tolist(), (lr / batch) * upd):
+        theta[x] += row
 
 
 def train_supervised(
-    t: TabularTranslator, pairs: np.ndarray, cfg: TrainConfig
+    src_lang: int, dst_lang: int, n: int, pairs: np.ndarray, cfg: TrainConfig
 ) -> TabularTranslator:
-    """Pretrain a translator on parallel pairs; returns the updated copy."""
+    """Pretrain an n x n translator from uniform scores on parallel pairs.
+
+    The zero start is allocated here with ``np.zeros``, whose fresh pages
+    are backed by memory only once written: the rows of sources that no
+    pair holds are never written, and cost no resident memory until a
+    later phase writes them. A caller-supplied start would have to be
+    copied, which writes every page.
+    """
     pairs = np.asarray(pairs)
     if pairs.size == 0:
         raise ValidationError("train_supervised needs a nonempty pair list")
     rng = np.random.default_rng(cfg.seed)
-    theta = t.theta.copy()
+    theta = np.zeros((n, n))
     for _ in range(cfg.steps):
         _supervised_update(theta, pairs, rng, cfg.supervised_batch, cfg.learning_rate)
-    return TabularTranslator(t.src_lang, t.dst_lang, theta)
+    return TabularTranslator(src_lang, dst_lang, theta)
 
 
 def _recon_update(

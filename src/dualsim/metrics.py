@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .oracle import OutcomeCounts
 from .synth_lang import World
-from .translator import TabularTranslator
+from .translator import TabularTranslator, row_probs, shifted_exp
 
 __all__ = [
     "AccuracyReport",
@@ -29,6 +29,10 @@ __all__ = [
     "estimators",
     "estimators_from_counts",
 ]
+
+# rows of a score matrix that ``accuracy`` exponentiates at once: 64 rows of
+# a 600-sentence world are 300 KB, where the whole matrix would be 2.9 MB
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -76,17 +80,37 @@ def _check_defined_on(t: TabularTranslator, world: World) -> None:
 
 
 def accuracy(t: TabularTranslator, world: World) -> AccuracyReport:
-    """Exact greedy and expected accuracy of a translator on a world."""
+    """Exact greedy and expected accuracy of a translator on a world.
+
+    Rows are scored ``_BLOCK_ROWS`` at a time, so no temporary the size
+    of ``theta`` exists. The bits are those of the whole-matrix masked
+    softmax ``mu @ (row_probs(theta) * mask).sum(axis=1)``: each kept
+    cell gets the same exp, row total and division, every other cell is
+    +0.0 as the mask makes it, and each row is summed over the same
+    contiguous row of n cells. The row max is read from the argmax cell,
+    which holds that very value.
+    """
     _check_defined_on(t, world)
     clusters = world.cluster_of
     mu = world.mu[t.src_lang]
+    n, s = world.n_sentences, world.cluster_size
+    greedy = np.empty(n, dtype=np.intp)
+    on_cluster = np.empty(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = t.theta[lo : lo + _BLOCK_ROWS]
+        b = len(block)
+        here = slice(lo, lo + b)
+        rows, home = np.arange(b), clusters[here]
+        greedy[here] = np.argmax(block, axis=1)  # first maximum, as greedy_all
+        e, total = shifted_exp(block, block[rows, greedy[here]][:, None])
+        cells = e.reshape(b, -1, s)  # a (row, cluster, offset) view of e
+        kept = cells[rows, home] / total
+        e.fill(0.0)
+        cells[rows, home] = kept
+        on_cluster[here] = e.sum(axis=1)
 
-    p_hat = float(mu @ (clusters[t.greedy_all()] == clusters))
-
-    # mass each row places on its correct target cluster, masked in place
-    probs = t.prob_matrix()
-    probs *= clusters[None, :] == clusters[:, None]
-    p_expected = float(mu @ probs.sum(axis=1))
+    p_hat = float(mu @ (clusters[greedy] == clusters))
+    p_expected = float(mu @ on_cluster)
     # an all-correct translator on a skewed world can sum one ulp above 1
     return AccuracyReport(p_hat=min(p_hat, 1.0), p_expected=min(p_expected, 1.0))
 
@@ -107,7 +131,7 @@ def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, 
         )
     clusters = world.cluster_of
     bwd_ok = (clusters[t_bwd.greedy_all()] == clusters).astype(float)
-    pushforward = world.mu[t_fwd.src_lang] @ t_fwd.prob_matrix()
+    pushforward = world.mu[t_fwd.src_lang] @ row_probs(t_fwd.theta)
     # capped like accuracy: an all-correct pair can sum one ulp above 1
     return min(float(pushforward @ bwd_ok), 1.0)
 

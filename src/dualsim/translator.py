@@ -19,22 +19,35 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["TabularTranslator", "TrainConfig", "row_probs", "sample_row", "log_prob_grad_row"]
+__all__ = [
+    "TabularTranslator", "TrainConfig",
+    "row_probs", "shifted_exp", "sample_row", "log_prob_grad_row",
+]
+
+
+def shifted_exp(theta: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax numerator ``exp(theta - top)``, in one new buffer the
+    shape of ``theta``, and its row totals (kept as a trailing axis).
+    ``top`` is the row maximum with a trailing axis of length one."""
+    e = theta - top
+    np.exp(e, out=e)
+    return e, e.sum(axis=-1, keepdims=True)
 
 
 def row_probs(theta: np.ndarray) -> np.ndarray:
     """Stable softmax of a score row, or of each row of a score matrix,
     computed in one new buffer the shape of ``theta``."""
-    e = theta - theta.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e, total = shifted_exp(theta, theta.max(axis=-1, keepdims=True))
+    e /= total
     return e
 
 
 def sample_row(theta_row: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one target id from softmax(theta_row), consuming one rng.random()."""
     cum = np.cumsum(row_probs(theta_row))
-    return int(np.searchsorted(cum, rng.random(), side="right").clip(0, len(cum) - 1))
+    # searchsorted never returns a negative; only a draw above a total
+    # rounded below 1 runs past the last id
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
 
 
 def log_prob_grad_row(theta_row: np.ndarray, y: int) -> np.ndarray:
@@ -53,6 +66,11 @@ class TabularTranslator:
     to an input theta: they return new translators for the directions they
     train and the caller's own objects for the directions they leave
     untouched, so the phases of one run share those objects.
+
+    A theta fresh from ``np.zeros`` is backed by memory only where it has
+    been written: the rows that supervised pretraining never updates stay
+    uniform and read as the kernel's shared zero page, so they cost no
+    resident memory until a later phase writes them.
     """
 
     src_lang: int
@@ -65,9 +83,6 @@ class TabularTranslator:
             raise ValidationError("theta must be a 2-d score matrix")
         if not np.all(np.isfinite(self.theta)):
             raise ValidationError("theta must contain only finite scores")
-
-    def prob_matrix(self) -> np.ndarray:
-        return row_probs(self.theta)
 
     def greedy_all(self) -> np.ndarray:
         # np.argmax takes the first maximum: ties break to the lowest id.

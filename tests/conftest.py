@@ -47,8 +47,8 @@ def loop_log_prob(
     """
     _check_cycle(t1, t2, t3)
     p1 = row_probs(t1.theta[x])
-    p2 = t2.prob_matrix()
-    p3_col = t3.prob_matrix()[:, x]
+    p2 = row_probs(t2.theta)
+    p3_col = row_probs(t3.theta)[:, x]
     return float(np.log(p1 @ p2 @ p3_col))
 
 
@@ -63,7 +63,7 @@ def loop_log_prob_bound(
     """
     _check_cycle(t1, t2, t3)
     p1 = row_probs(t1.theta[x])
-    p2 = t2.prob_matrix()
+    p2 = row_probs(t2.theta)
     th3 = t3.theta
     z = th3 - th3.max(axis=1, keepdims=True)
     log_p3 = z - np.log(np.exp(z).sum(axis=1, keepdims=True))

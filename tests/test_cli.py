@@ -489,10 +489,12 @@ class TestReport:
             (b"abc,1,bogus,0,1,0.5,0.5\n", "line 3"),
             # runs of two configs must not be averaged into one summary
             (b"def,2,vanilla,0,1,0.9,0.9\n", "line 3: config_hash def differs from abc on line 2"),
+            # a seed without a row other seeds hold would average over other seeds
+            (b"abc,2,vanilla,1,0,0.9,0.9\n", "seed 1 has no row for phase vanilla, pair (1, 0)"),
         ],
         ids=["short-row", "seed", "src", "dst", "p_hat", "not-utf8",
              "p_hat-nan", "p_hat-inf", "p_hat-above-1", "p_expected-below-0", "phase",
-             "config-hash"],
+             "config-hash", "seed-lacks-row"],
     )
     def test_malformed_accuracy_csv_exits_2(self, tmp_path, capsys, row, where):
         header = ",".join(cli.ACCURACY_HEADER).encode() + b"\n"
@@ -502,6 +504,26 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err and where in err
+
+    def test_gain_over_different_seed_sets_exits_2(self, tmp_path, capsys):
+        # seed 2 has no dual row: a dual-minus-vanilla mean over seeds {1}
+        # minus one over {1, 2} is no paired gain
+        path = tmp_path / "accuracy.csv"
+        path.write_text(
+            ",".join(cli.ACCURACY_HEADER) + "\n"
+            + "abc,1,vanilla,0,1,0.5,0.5\n"
+            + "abc,1,dual,0,1,0.9,0.9\n"
+            + "abc,2,vanilla,0,1,0.1,0.1\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: seed 2 has no row for phase dual, pair (0, 1), "
+            "which another seed holds\n"
+        )
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_header_only_accuracy_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "accuracy.csv"

@@ -1,6 +1,11 @@
 """Training updates, gradients, round-trip dynamics, and loop bounds."""
 
 import copy
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +52,7 @@ class TestTabularTranslator:
     def test_rows_normalized(self):
         rng = np.random.default_rng(0)
         t = TabularTranslator(0, 1, 3.0 * rng.normal(size=(6, 6)))
-        assert np.allclose(t.prob_matrix().sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(row_probs(t.theta).sum(axis=1), 1.0, atol=1e-9)
 
     def test_row_probs_of_a_matrix_is_row_by_row(self):
         theta = 3.0 * np.random.default_rng(2).normal(size=(7, 5))
@@ -93,28 +98,59 @@ class TestTrainSupervised:
         world = generate_world(2, 2, 1, 0.0, 0)
         pairs = np.array([[0, 0], [1, 1]])
         cfg = TrainConfig(learning_rate=0.5, steps=400, supervised_batch=4, seed=1)
-        t = train_supervised(TabularTranslator(0, 1, np.zeros((2, 2))), pairs, cfg)
+        t = train_supervised(0, 1, 2, pairs, cfg)
         assert accuracy(t, world).p_hat == 1.0
 
-    def test_zero_steps_leaves_theta_unchanged(self):
-        t = TabularTranslator(0, 1, np.zeros((4, 4)))
-        out = train_supervised(t, np.array([[0, 1]]), TrainConfig(steps=0))
-        assert np.array_equal(out.theta, t.theta)
-        assert out.theta is not t.theta
+    def test_zero_steps_returns_zeros(self):
+        out = train_supervised(2, 3, 4, np.array([[0, 1]]), TrainConfig(steps=0))
+        assert (out.src_lang, out.dst_lang) == (2, 3)
+        assert out.theta.shape == (4, 4) and not out.theta.any()
 
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValidationError):
-            train_supervised(
-                TabularTranslator(0, 1, np.zeros((4, 4))), np.empty((0, 2)), TrainConfig()
-            )
+            train_supervised(0, 1, 4, np.empty((0, 2)), TrainConfig())
 
     def test_deterministic(self):
         pairs = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
         cfg = TrainConfig(steps=50, seed=9)
-        t0 = TabularTranslator(0, 1, np.zeros((4, 4)))
         assert np.array_equal(
-            train_supervised(t0, pairs, cfg).theta, train_supervised(t0, pairs, cfg).theta
+            train_supervised(0, 1, 4, pairs, cfg).theta, train_supervised(0, 1, 4, pairs, cfg).theta
         )
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_unwritten_rows_cost_no_resident_memory(self):
+        # n = 700 is 3.9 MB, below the 4 MiB from which numpy asks for huge
+        # pages; 10 pairs write at most 10 of the 700 rows. The peak is
+        # VmHWM, the new process's own: ru_maxrss keeps the peak of the
+        # forking test process across exec
+        thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+        if thp.exists() and "[always]" in thp.read_text():
+            pytest.skip("transparent huge pages back whole 2 MiB ranges on first write")
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from dualsim.learner import train_supervised
+            from dualsim.translator import TrainConfig
+
+            def peak_kib():
+                with open("/proc/self/status") as fh:
+                    return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+
+            pairs = np.stack([np.arange(0, 700, 70), np.arange(10)], axis=1)
+            cfg = TrainConfig(steps=50, seed=1)
+            train_supervised(0, 1, 20, pairs % 20, cfg)  # warm every code path
+            before = peak_kib()
+            t = train_supervised(0, 1, 700, pairs, cfg)
+            print(peak_kib() - before, t.theta.nbytes)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        grown_kib, nbytes = map(int, done.stdout.split())
+        assert grown_kib * 1024 < nbytes / 4
 
 
 class TestGradients:
@@ -156,6 +192,24 @@ class TestGradients:
                     lambda th: batch_log_lik(th, xs, ys), theta0, row
                 )
             assert np.allclose(delta, lr * expected, rtol=1e-6, atol=1e-9)
+
+    def test_supervised_update_adds_repeated_rows_like_add_at(self):
+        # every batch row is the same source: the row takes batch additions
+        # in batch order, each bit as np.add.at makes it
+        rng = np.random.default_rng(41)
+        theta0 = rng.normal(size=(5, 7))
+        pairs = np.array([[3, y] for y in range(7)])
+        lr, batch, seed = 0.7, 9, 12
+        theta = theta0.copy()
+        _supervised_update(theta, pairs, np.random.default_rng(seed), batch, lr)
+        idx = np.random.default_rng(seed).integers(0, len(pairs), size=batch)
+        xs, ys = pairs[idx, 0], pairs[idx, 1]
+        upd = -row_probs(theta0[xs])
+        upd[np.arange(batch), ys] += 1.0
+        expected = theta0.copy()
+        np.add.at(expected, xs, (lr / batch) * upd)
+        assert theta.tobytes() == expected.tobytes()
+        assert np.array_equal(theta[[0, 1, 2, 4]], theta0[[0, 1, 2, 4]])
 
 
 def small_setup(seed=0, m=6, s=2, pairs=25, mono=200):
@@ -200,9 +254,8 @@ class TestDualLearning:
         corpus = build_corpus(world, 40, 400, 4)
         n = world.n_sentences
         sup = TrainConfig(learning_rate=0.5, steps=800, supervised_batch=8, seed=5)
-        start = np.zeros((n, n))
-        t12 = train_supervised(TabularTranslator(0, 1, start), corpus.parallel[(0, 1)], sup)
-        t21 = train_supervised(TabularTranslator(1, 0, start), corpus.parallel[(1, 0)], sup)
+        t12 = train_supervised(0, 1, n, corpus.parallel[(0, 1)], sup)
+        t21 = train_supervised(1, 0, n, corpus.parallel[(1, 0)], sup)
         vanilla = accuracy(t12, world).p_hat
         cfg = TrainConfig(learning_rate=0.5, steps=2000, supervised_batch=8, seed=6)
         d12, _ = dual_learning(t12, t21, corpus, cfg)
@@ -244,7 +297,7 @@ class TestDualLearning:
         cfg = TrainConfig(steps=300, seed=23)
         d12, d21 = dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, cfg)
         for t in (d12, d21):
-            assert np.allclose(t.prob_matrix().sum(axis=1), 1.0, atol=1e-9)
+            assert np.allclose(row_probs(t.theta).sum(axis=1), 1.0, atol=1e-9)
 
     def test_missing_monolingual_rejected(self):
         world = generate_world(2, 3, 2, 0.0, 0)

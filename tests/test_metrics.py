@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import log_prob, perfect_translator, shifted_translator
+from dualsim import metrics
 from dualsim.errors import ValidationError
 from dualsim.metrics import (
     accuracy,
@@ -15,7 +16,7 @@ from dualsim.metrics import (
 )
 from dualsim.oracle import OutcomeCounts
 from dualsim.synth_lang import generate_world
-from dualsim.translator import TabularTranslator
+from dualsim.translator import TabularTranslator, row_probs
 
 
 class TestAccuracy:
@@ -52,7 +53,7 @@ class TestAccuracy:
         se = np.sqrt(max(p_hat_mc * (1 - p_hat_mc), 1e-12) / n)
         assert abs(rep.p_hat - p_hat_mc) <= 4 * se
 
-        probs = t.prob_matrix()
+        probs = row_probs(t.theta)
         cum = probs.cumsum(axis=1)
         u = rng.random(n)
         ys = (u[:, None] > cum[xs]).sum(axis=1).clip(0, 3)
@@ -80,21 +81,38 @@ class TestAccuracy:
             accuracy(TabularTranslator(0, 1, np.zeros((3, 4))), world)
 
     def test_p_expected_is_the_masked_softmax_bit_for_bit(self):
-        world = generate_world(3, 7, 5, 1.0, 4)  # skew 1: mu far from uniform
+        # accuracy scores rows in blocks; the reference is the whole-matrix
+        # masked softmax and argmax. Worlds: skew 1 (mu far from uniform),
+        # n = 145 (two full blocks and a partial one), s = 1 and m = 1
+        worlds = [
+            generate_world(3, 7, 5, 1.0, 4),
+            generate_world(3, 29, 5, 1.0, 5),
+            generate_world(2, 70, 1, 0.5, 6),
+            generate_world(2, 1, 67, 0.5, 7),
+        ]
+        assert metrics._BLOCK_ROWS == 64
         rng = np.random.default_rng(9)
-        n = world.n_sentences
-        mask = np.equal.outer(world.cluster_of, world.cluster_of)
-        for scale in (0.1, 3.0, 40.0):
-            theta = scale * rng.normal(size=(n, n))
-            t = TabularTranslator(0, 2, theta.copy())
-            rep = accuracy(t, world)
-            z = theta - theta.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            probs = e / e.sum(axis=1, keepdims=True)
-            assert rep.p_expected == float(world.mu[0] @ (probs * mask).sum(axis=1))
-            assert t.theta.tobytes() == theta.tobytes()
+        for world in worlds:
+            n = world.n_sentences
+            clusters = world.cluster_of
+            mask = np.equal.outer(clusters, clusters)
+            for scale in (0.1, 3.0, 40.0):
+                theta = scale * rng.normal(size=(n, n))
+                t = TabularTranslator(0, 1, theta.copy())
+                rep = accuracy(t, world)
+                z = theta - theta.max(axis=1, keepdims=True)
+                e = np.exp(z)
+                probs = e / e.sum(axis=1, keepdims=True)
+                expected = min(float(world.mu[0] @ (probs * mask).sum(axis=1)), 1.0)
+                assert rep.p_expected == expected
+                greedy_ok = clusters[np.argmax(theta, axis=1)] == clusters
+                assert rep.p_hat == min(float(world.mu[0] @ greedy_ok), 1.0)
+                assert t.theta.tobytes() == theta.tobytes()
 
     def test_peak_memory_is_one_score_matrix(self):
+        # theta is the one score matrix: scoring adds two 64-row blocks at
+        # most (0.24 of theta here), so an n x n temporary, or even an n x n
+        # bool mask (1/8 of theta), breaks the bound
         world = generate_world(2, 150, 4, 1.0, 0)
         t = TabularTranslator(0, 1, np.random.default_rng(1).normal(size=(600, 600)))
         accuracy(t, world)
@@ -104,7 +122,7 @@ class TestAccuracy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * t.theta.nbytes
+        assert peak < 0.3 * t.theta.nbytes
 
 
 class TestReconstructionAccuracy:
