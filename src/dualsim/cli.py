@@ -136,7 +136,9 @@ _ERRATA_PARAMS = TripleOutcomeParams(0.5, 0.5, 0.5, lam1=0.05, lam2=0.0, delta=0
 
 
 def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A JSON number that is a finite float: json reads NaN and Infinity,
+    and an int past the float range cannot become one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
@@ -144,7 +146,7 @@ def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
     if path == "theory.delta":
         return (
             lambda v: _is_number(v) or (isinstance(v, list) and v and all(map(_is_number, v))),
-            "a number or a nonempty list of numbers",
+            "a finite number or a nonempty list of finite numbers",
         )
     if default is None:
         return (lambda v: v is None or isinstance(v, dict)), "null or an object"
@@ -152,7 +154,7 @@ def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
         item, what = _leaf_type(default[0], path)
         return (lambda v: isinstance(v, list) and all(map(item, v))), f"a list of items each {what}"
     if isinstance(default, float):
-        return _is_number, "a number"
+        return _is_number, "a finite number"
     if path.endswith(("seed", "seeds")):  # one rule for every seed, as numpy requires
         return (lambda v: type(v) is int and v >= 0), "a nonnegative integer"
     what = {bool: "a boolean", int: "an integer", str: "a string"}[type(default)]
@@ -313,8 +315,8 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     draws, tol = block["draws"], float(block["tolerance"])
     if draws < 1:
         raise ValidationError(f"verify.draws must be at least 1, got {draws!r}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"verify.tolerance must be finite and nonnegative, got {tol!r}")
+    if tol < 0.0:  # _merge_config has rejected a non-finite one
+        raise ValidationError(f"verify.tolerance must be nonnegative, got {tol!r}")
     rng = np.random.default_rng(block["seed"])
     diffs: list[tuple[float, str]] = []  # (|difference|, what was compared)
     for _ in range(draws):

@@ -31,14 +31,6 @@ from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
 from .synth_lang import Corpus, World
 from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs, sample_row
 
-__all__ = [
-    "ExperimentRecord",
-    "train_supervised",
-    "dual_learning",
-    "multistep_dual_learning",
-    "evaluate",
-]
-
 PHASE_ORDER = ("vanilla", "dual", "multistep")
 # the pair that dual and multi-step learning train and the estimators compare
 PRIMARY_PAIR = (0, 1)

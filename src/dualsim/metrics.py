@@ -21,15 +21,6 @@ from .oracle import OutcomeCounts
 from .synth_lang import World
 from .translator import TabularTranslator, row_probs, shifted_exp
 
-__all__ = [
-    "AccuracyReport",
-    "EstimatorReport",
-    "accuracy",
-    "reconstruction_accuracy",
-    "estimators",
-    "estimators_from_counts",
-]
-
 # rows of a score matrix that ``accuracy`` exponentiates at once: 64 rows of
 # a 600-sentence world are 300 KB, where the whole matrix would be 2.9 MB
 _BLOCK_ROWS = 64

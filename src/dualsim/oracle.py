@@ -39,18 +39,6 @@ from .outcome_model import (
     build_triple_joint,
 )
 
-__all__ = [
-    "GenerativeSpec",
-    "OracleResult",
-    "OutcomeCounts",
-    "ErrataRecord",
-    "enumerate_dual",
-    "enumerate_triple",
-    "monte_carlo",
-    "errata_report",
-    "errata_to_text",
-]
-
 
 @dataclass(frozen=True)
 class GenerativeSpec:

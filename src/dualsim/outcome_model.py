@@ -28,20 +28,6 @@ import numpy as np
 
 from .errors import InfeasibleParamsError, ValidationError
 
-__all__ = [
-    "DualOutcomeParams",
-    "JointTable",
-    "RedistributionPolicy",
-    "TripleOutcomeParams",
-    "build_dual_joint",
-    "build_triple_joint",
-    "lambda_feasible_range",
-    "lambda_loose_range",
-    "random_dual_params",
-    "random_policy",
-    "random_triple_params",
-]
-
 _SUM_TOL = 1e-12
 
 

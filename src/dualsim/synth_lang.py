@@ -23,13 +23,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "World",
-    "Corpus",
-    "generate_world",
-    "build_corpus",
-]
-
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -112,8 +105,12 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     if skew == 0.0:
         mu = np.full((k, n), 1.0 / n)
     else:
-        weights = np.exp(skew * rng.standard_normal((k, n)))
-        mu = weights / weights.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            weights = np.exp(skew * rng.standard_normal((k, n)))
+            totals = weights.sum(axis=1, keepdims=True)
+        if not np.all((totals > 0.0) & (totals < np.inf)):
+            raise ValidationError(f"skew {skew!r} is too large: the sentence weights overflow")
+        mu = weights / totals
     return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu)
 
 

@@ -25,20 +25,6 @@ from .outcome_model import (
     build_triple_joint,
 )
 
-__all__ = [
-    "DualPrediction",
-    "TriplePrediction",
-    "predict_dual",
-    "proportional_policy",
-    "proportional_triple_policy",
-    "proportional_dual_accuracy",
-    "dual_improvement",
-    "predict_multistep",
-    "m_factor",
-    "simplified_multistep_accuracy",
-    "multistep_condition",
-]
-
 
 @dataclass(frozen=True)
 class DualPrediction:

@@ -19,11 +19,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "TabularTranslator", "TrainConfig",
-    "row_probs", "shifted_exp", "sample_row", "log_prob_grad_row",
-]
-
 
 def shifted_exp(theta: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The softmax numerator ``exp(theta - top)``, in one new buffer the
@@ -81,7 +76,9 @@ class TabularTranslator:
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 2:
             raise ValidationError("theta must be a 2-d score matrix")
-        if not np.all(np.isfinite(self.theta)):
+        # the two reductions see every NaN and inf without an n x n temporary
+        theta = self.theta
+        if theta.size and not (np.isfinite(theta.max()) and np.isfinite(theta.min())):
             raise ValidationError("theta must contain only finite scores")
 
     def greedy_all(self) -> np.ndarray:
@@ -116,8 +113,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0.0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate!r}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if self.steps < 0:
             raise ValidationError(f"steps must be nonnegative, got {self.steps!r}")
         if self.supervised_batch < 1 or self.reconstruction_batch < 1:

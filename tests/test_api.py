@@ -37,6 +37,18 @@ def test_public_names_are_pinned():
     assert public == PUBLIC_NAMES
 
 
+def test_no_module_keeps_a_second_list_of_names():
+    """The package namespace pinned above is the one statement of the
+    public surface; a module-level ``__all__`` would be a second one."""
+    src = Path(dualsim.__file__).resolve().parent
+    listed = sorted(
+        path.name for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    )
+    assert not listed, f"modules that assign __all__: {listed}"
+
+
 # Kept in src/ for ROADMAP item 2, whose theory check will be their first
 # caller outside the tests. Every other def must be entered by a command.
 AWAITING_A_CALLER = {"reconstruction_accuracy", "dual_improvement", "simplified_multistep_accuracy"}

@@ -42,6 +42,11 @@ def _leaves(tree, path=()):
 
 
 CONFIG_LEAVES = sorted(_leaves(DEFAULT_CONFIG))
+# every leaf that holds numbers, with theory.delta once more as a sweep list
+NUMBER_LEAVES = [
+    (path, default) for path, default in CONFIG_LEAVES
+    if type(default) in (int, float) or (type(default) is list and type(default[0]) is int)
+] + [(("theory", "delta"), [0.1])]
 
 _TEXT = st.text(max_size=4)
 _INTS = st.integers(-5, 5)
@@ -156,6 +161,26 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field {field} must be ") and err.count("\n") == 1
         assert "nonnegative integer" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "path, default", NUMBER_LEAVES,
+        ids=[".".join(p) + ("[list]" if isinstance(d, list) else "") for p, d in NUMBER_LEAVES],
+    )
+    def test_non_finite_number_exits_2_naming_the_leaf(self, tmp_path, capsys, path, default, bad):
+        # json reads NaN and Infinity; no command may start on one
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        block = cfg
+        for key in path[:-1]:
+            block = block.setdefault(key, {})
+        block[path[-1]] = [default[0], bad] if isinstance(default, list) else bad
+        argv = [path[0], "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: config field {'.'.join(path)} must be ")
+        assert err.count("\n") == 1 and out == ""
+        if isinstance(default, float):
+            assert "finite number" in err
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -329,6 +354,15 @@ class TestTrain:
         lines = (out / "accuracy.csv").read_text().splitlines()
         seeds = {ln.split(",")[1] for ln in lines[1:]}
         assert seeds == {"9"}
+
+    def test_overflowing_skew_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        cfg["train"]["world"]["skew"] = 800.0
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: skew 800.0 is too large: the sentence weights overflow\n"
+        )
 
     def test_empty_phase_list_rejected(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_TRAIN))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,25 @@ class TestTabularTranslator:
         with pytest.raises(ValidationError):
             TabularTranslator(0, 1, np.array([[0.0, np.inf]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_each_non_finite_score(self, bad):
+        theta = np.zeros((3, 4))
+        theta[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite scores"):
+            TabularTranslator(0, 1, theta)
+
+    def test_finite_check_builds_no_temporary(self):
+        # a 600 x 600 theta is 2.9 MB; checking it must not allocate an
+        # n x n mask (360 KB as bools)
+        theta = np.zeros((600, 600))
+        tracemalloc.start()
+        try:
+            TabularTranslator(0, 1, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * theta.nbytes
+
     def test_sampling_follows_rows(self):
         rng = np.random.default_rng(1)
         row = np.array([2.0, 0.0, -1.0])
@@ -83,8 +103,9 @@ class TestTabularTranslator:
         assert np.all(np.abs(freqs - row_probs(row)) < 0.02)
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(learning_rate=0.0)
+        for rate in (0.0, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValidationError):
             TrainConfig(steps=-1)
         with pytest.raises(ValidationError):

@@ -49,6 +49,11 @@ class TestGenerateWorld:
         with pytest.raises(ValidationError):
             generate_world(2, 5, 2, -1.0, 0)
 
+    @pytest.mark.parametrize("skew", [800.0, np.inf, np.nan])
+    def test_overflowing_skew_names_the_skew(self, skew):
+        with pytest.raises(ValidationError, match=f"skew {skew!r}"):
+            generate_world(3, 5, 2, skew, 0)
+
 
 class TestSampleParallel:
     """The parallel pairs ``build_corpus`` draws for every ordered pair."""
