@@ -5,9 +5,9 @@ One JSON config document drives a run; every field has a default (listed
 in DEFAULT_CONFIG) and unknown fields are rejected so a typo like
 "lamda1" cannot silently fall back to a default. Each value must have the
 type of its default, checked when the config is loaded and again once the
-command-line flags are applied; every seed is a nonnegative integer. All
-randomness flows from declared seeds, so every command is deterministic
-given its config.
+command-line flags are applied; every seed is a nonnegative integer below
+2**64 (Monte Carlo hashes a 64-bit seed). All randomness flows from
+declared seeds, so every command is deterministic given its config.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 
@@ -156,7 +156,7 @@ def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
     if isinstance(default, float):
         return _is_number, "a finite number"
     if path.endswith(("seed", "seeds")):  # one rule for every seed, as numpy requires
-        return (lambda v: type(v) is int and v >= 0), "a nonnegative integer"
+        return (lambda v: type(v) is int and 0 <= v < 2**64), "a nonnegative integer below 2**64"
     what = {bool: "a boolean", int: "an integer", str: "a string"}[type(default)]
     return (lambda v: type(v) is type(default)), what
 
@@ -318,7 +318,9 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     if tol < 0.0:  # _merge_config has rejected a non-finite one
         raise ValidationError(f"verify.tolerance must be nonnegative, got {tol!r}")
     rng = np.random.default_rng(block["seed"])
-    diffs: list[tuple[float, str]] = []  # (|difference|, what was compared)
+    # (|difference|, what was compared, the params it was compared at); only
+    # the printed offender's params are formatted
+    diffs: list[tuple[float, str, Any]] = []
     for _ in range(draws):
         params = random_dual_params(rng)
         policy = random_policy(rng)
@@ -326,12 +328,12 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
         pred = predict_dual(params, policy)
         diffs.append(
             (abs(pred.p_d12 - enumerate_dual(spec).accuracy),
-             f"dual formula vs enumeration {params}")
+             "dual formula vs enumeration", params)
         )
         gamma = rng.uniform(0.0, 1.0)
         closed = proportional_dual_accuracy(params, gamma)
         via_policy = predict_dual(params, proportional_policy(params, gamma)).p_d12
-        diffs.append((abs(closed - via_policy), f"proportional identity {params}"))
+        diffs.append((abs(closed - via_policy), "proportional identity", params))
     print(f"dual checks: {draws} draws")
 
     for with_dep in (False, True):
@@ -342,7 +344,7 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
             pred = predict_multistep(params, policy)
             diffs.append(
                 (abs(pred.q_m12 - enumerate_triple(spec).accuracy),
-                 f"triple formula vs enumeration {params}")
+                 "triple formula vs enumeration", params)
             )
     print(f"triple checks: {2 * draws} draws")
 
@@ -355,15 +357,15 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     if block["use_shortcut_case_formulas"]:
         # score the shortcut case formulas as if they were the implementation;
         # the errata records' consistent side is the enumeration's case mass
-        diffs += [(r.abs_diff, f"shortcut {r.name} vs enumeration")
+        diffs += [(r.abs_diff, f"shortcut {r.name} vs enumeration", None)
                   for r in records if r.name in ("case11", "case12")]
 
     # a NaN difference is the worst possible one; otherwise the first largest counts
     nans = [d for d in diffs if math.isnan(d[0])]
-    worst, worst_desc = nans[0] if nans else max(diffs, key=lambda d: d[0])
+    worst, what, params = nans[0] if nans else max(diffs, key=lambda d: d[0])
     print(f"max |difference|: {float(worst)!r} (tolerance {tol!r})")
     if not worst <= tol:
-        print(f"FAIL worst offender: {worst_desc}")
+        print(f"FAIL worst offender: {what}" + ("" if params is None else f" {params}"))
         return 1
     print("PASS")
     return 0

@@ -8,8 +8,9 @@ Two independent computation paths over the same generative event tree:
   - seeded Monte Carlo: draw the same tree per-sample with a counter-based
     generator, so results are bit-identical for a given (spec, n, seed)
     regardless of how samples are chunked or parallelized. Samples are
-    drawn one chunk of ``_CHUNK`` at a time, so the working set is one
-    chunk's temporaries, a few MB whatever n is.
+    drawn one chunk of ``_CHUNK`` at a time, one uniform stream after
+    another, and the hash runs in place, so the working set is one chunk's
+    few arrays: a 0.53 MiB tracemalloc peak per call whatever n is.
 
 Neither path calls anything in :mod:`dualsim.theory`; matching those
 formulas to 1e-12 is the package's core acceptance property.
@@ -24,7 +25,6 @@ cycle (3 hops), by the number of wrong hops in a joint-table cell:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +40,7 @@ from .outcome_model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerativeSpec:
     """A complete generative model: outcome params plus redistribution policy."""
 
@@ -52,7 +52,7 @@ class GenerativeSpec:
         return "dual" if isinstance(self.params, DualOutcomeParams) else "triple"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutcomeCounts:
     """Per-outcome tallies from a Monte Carlo run.
 
@@ -71,7 +71,7 @@ class OutcomeCounts:
         return self.case2_corrected + self.case2_aligned + self.case2_unreconstructed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     """Accuracy plus case masses from one oracle evaluation.
 
@@ -86,21 +86,26 @@ class OracleResult:
     counts: OutcomeCounts | None = None
 
 
-def _event_table(spec: GenerativeSpec) -> list[tuple[float, float, int]]:
-    """(mass, reconstruction probability, first-hop bit) per joint cell.
+# (cell index, wrong hops, first-hop bit) per joint cell, by table size.
+# Cells come all-correct first, that is by falling index: (1,1), (1,0),
+# (0,1), (0,0) for a round trip and (1,1,1), (1,1,0), ..., (0,0,0) for a
+# pivot cycle. The enumeration's sums and the Monte Carlo cell draw depend
+# on this order.
+_EVENTS = {
+    1 << hops: tuple(
+        (i, hops - i.bit_count(), i >> (hops - 1)) for i in reversed(range(1 << hops))
+    )
+    for hops in (2, 3)
+}
 
-    Cells come all-correct first, in ``itertools.product((1, 0), repeat=hops)``
-    order: (1,1), (1,0), (0,1), (0,0) for a round trip and (1,1,1), (1,1,0),
-    ..., (0,0,0) for a pivot cycle. The Monte Carlo cell draw depends on it.
-    """
-    table = (build_dual_joint if spec.kind == "dual" else build_triple_joint)(spec.params)
-    d, hops = spec.params.delta, table.hops
-    rows = []
-    for bits in itertools.product((1, 0), repeat=hops):
-        wrong = hops - sum(bits)
-        r = 1.0 if wrong == 0 else 0.0 if wrong == 1 else d
-        rows.append((table.cell(*bits), r, bits[0]))
-    return rows
+
+def _event_table(spec: GenerativeSpec) -> list[tuple[float, float, int]]:
+    """(mass, reconstruction probability, first-hop bit) per joint cell, in
+    ``_EVENTS`` order."""
+    cells = (build_dual_joint if spec.kind == "dual" else build_triple_joint)(spec.params).cells
+    d = float(spec.params.delta)
+    recon = (1.0, 0.0, d, d)  # by wrong hops
+    return [(cells[i], recon[wrong], hop1) for i, wrong, hop1 in _EVENTS[len(cells)]]
 
 
 def _walk(spec: GenerativeSpec) -> OracleResult:
@@ -111,7 +116,7 @@ def _walk(spec: GenerativeSpec) -> OracleResult:
     unreconstructed mass is case 2, of which the policy's alpha share
     becomes correct and the rest stays incorrect.
     """
-    alpha = spec.policy.alpha
+    alpha = float(spec.policy.alpha)
     acc = 0.0
     case11 = case12 = case2 = 0.0
     for mass, r, hop1 in _event_table(spec):
@@ -156,20 +161,32 @@ def counter_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
 
     Implements the splitmix64 output function on state seed + (c+1)*golden;
     statistically solid for simulation purposes and trivially parallel.
+    The hash runs in place on one uint64 copy of ``counters`` (which are
+    left as they were) plus one scratch array.
     """
-    c = counters.astype(np.uint64, copy=False)
+    z = counters.astype(np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (c + np.uint64(1)) * _GOLD)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z += np.uint64(1)
+        z *= _GOLD
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            z *= mix
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    del t
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 # Samples per Monte Carlo chunk. A chunk's uint64, float64 and bool
-# temporaries peak at about 1.2 MB at 2^14 (tracemalloc), so they fit in
-# L2. In a sweep of 2^13..2^17 on the simulate benchmark (2-vCPU Xeon,
-# 2 MB L2) 2^14 was fastest; below it the per-chunk Python overhead costs.
+# arrays peak at 0.53 MiB at 2^14 (tracemalloc), so they fit in L2.
+# In a sweep of 2^13..2^17 on the simulate benchmark (2-vCPU Xeon, 2 MB
+# L2) 2^14 was fastest; below it the per-chunk Python overhead costs.
 _CHUNK = 1 << 14
 
 
@@ -180,34 +197,49 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     redistribution outcome) derived from its own index, and results are
     reduced with integer counts, so identical (spec, n, seed) inputs
     yield bit-identical output under any chunking. Samples are drawn one
-    chunk of ``_CHUNK`` at a time, so the working set is that one chunk's
-    temporaries, a few MB whatever n is.
+    chunk of ``_CHUNK`` at a time and one stream at a time, each reduced
+    and freed before the next is drawn, so the working set is a few arrays
+    of one chunk whatever n is.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
+    # the rule cli applies to every seed leaf: the hash keeps a seed's low 64
+    # bits, so -1 would alias 2**64 - 1 and 2**64 would alias 0
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be a nonnegative integer below 2**64, got {seed!r}")
     masses, recon, first_hop = (np.array(col) for col in zip(*_event_table(spec)))
     cum = np.cumsum(masses)
+    hop1_of = first_hop == 1
     alpha, beta = spec.policy.alpha, spec.policy.beta
 
     n11 = n12 = n2a = n2b = 0
     for start in range(0, n, _CHUNK):
-        idx3 = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64) * np.uint64(3)
-        u_cell = counter_uniforms(seed, idx3)
-        u_recon = counter_uniforms(seed, idx3 + np.uint64(1))
-        u_redis = counter_uniforms(seed, idx3 + np.uint64(2))
+        # sample i draws its cell, reconstruction and redistribution uniforms
+        # at counters 3i, 3i + 1 and 3i + 2: one buffer, bumped in place
+        ctr = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64)
+        ctr *= np.uint64(3)
+        which = np.searchsorted(cum, counter_uniforms(seed, ctr), side="right")
+        np.minimum(which, len(cum) - 1, out=which)
+        hop1, r = hop1_of[which], recon[which]
+        del which
 
-        which = np.searchsorted(cum, u_cell, side="right")
-        np.clip(which, 0, len(cum) - 1, out=which)
-        reconstructed = u_recon < recon[which]
-        hop1 = first_hop[which] == 1
+        ctr += np.uint64(1)
+        reconstructed = counter_uniforms(seed, ctr) < r
+        del r
+        n_rec = int(np.count_nonzero(reconstructed))
+        hop1 &= reconstructed
+        n_rec11 = int(np.count_nonzero(hop1))
+        n11 += n_rec11
+        n12 += n_rec - n_rec11
 
-        corrected = ~reconstructed & (u_redis < alpha)
-        aligned = ~reconstructed & ~corrected & (u_redis < alpha + beta)
-
-        n11 += int(np.count_nonzero(reconstructed & hop1))
-        n12 += int(np.count_nonzero(reconstructed & ~hop1))
-        n2a += int(np.count_nonzero(corrected))
-        n2b += int(np.count_nonzero(aligned))
+        ctr += np.uint64(1)
+        u = counter_uniforms(seed, ctr)
+        u[reconstructed] = np.inf  # only unreconstructed mass is redistributed
+        # alpha + beta >= alpha, so the aligned samples are the difference
+        n_corrected = int(np.count_nonzero(u < alpha))
+        n2a += n_corrected
+        n2b += int(np.count_nonzero(u < alpha + beta)) - n_corrected
+        del u  # before the next chunk draws its streams
 
     # the five outcomes are disjoint and cover every sample, and a sample is
     # correct exactly when it is case 1.1 or case 2 corrected
@@ -222,7 +254,7 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrataRecord:
     """One formula comparison: shortcut value vs moment-consistent value."""
 

@@ -14,13 +14,19 @@ Conventions:
     not when a parameter object is constructed, so that infeasible
     parameter combinations can be constructed and then rejected with the
     offending cell named
-  - all types are immutable; all functions are pure, except the random_*
-    draws, which advance the generator they are given
+  - a builder computes its cells straight into a bit-ordered tuple and
+    tests them all with one ``min(cells) < 0.0``; only a table that fails
+    is scanned again, in the order the builder's docstring lists its cells,
+    to name the first negative one
+  - parameter objects test each field once with ``_require_real`` or
+    ``_require_prob``; a float within range passes on their first line, any
+    other value is converted or rejected with the field named
+  - all types are immutable and slotted; all functions are pure, except
+    the random_* draws, which advance the generator they are given
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +38,8 @@ _SUM_TOL = 1e-12
 
 
 def _require_real(x: float, name: str) -> float:
+    if isinstance(x, float) and math.isfinite(x):
+        return float(x)
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ValidationError(f"{name} must be a real number, got {x!r}")
     v = float(x)
@@ -41,13 +49,15 @@ def _require_real(x: float, name: str) -> float:
 
 
 def _require_prob(x: float, name: str) -> float:
+    if isinstance(x, float) and 0.0 <= x <= 1.0:
+        return float(x)
     v = _require_real(x, name)
     if v < 0.0 or v > 1.0:
         raise ValidationError(f"{name} must be in [0, 1], got {v!r}")
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualOutcomeParams:
     """Parameters of the two-indicator outcome model.
 
@@ -72,7 +82,7 @@ class DualOutcomeParams:
         _require_prob(self.delta, "delta")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointTable:
     """Exact joint distribution of the hop-correctness bits of a closed chain.
 
@@ -86,10 +96,6 @@ class JointTable:
 
     cells: tuple[float, ...]
 
-    @property
-    def hops(self) -> int:
-        return len(self.cells).bit_length() - 1
-
     def cell(self, *bits: int) -> float:
         """Pr(hop i correct == bits[i] for every hop); give one bit per hop."""
         index = 0
@@ -98,17 +104,20 @@ class JointTable:
         return self.cells[index]
 
 
-def _checked_table(named: dict[tuple[int, ...], float]) -> JointTable:
-    """Raise InfeasibleParamsError on the first negative cell, in ``named``'s
-    order; otherwise return the cells as a JointTable in bit order."""
-    for cell, value in named.items():
-        if value < 0.0:
-            raise InfeasibleParamsError(cell, value)
-    hops = len(next(iter(named)))
-    return JointTable(tuple(named[bits] for bits in itertools.product((0, 1), repeat=hops)))
+def _checked_table(cells: tuple[float, ...]) -> JointTable:
+    """Return bit-ordered ``cells`` as a JointTable, or raise
+    InfeasibleParamsError on the first negative cell in the builders'
+    documented order: more correct hops first, then the larger index."""
+    if min(cells) < 0.0:
+        hops = len(cells).bit_length() - 1
+        for index in sorted(range(len(cells)), key=lambda i: (-i.bit_count(), -i)):
+            if cells[index] < 0.0:
+                bits = tuple(index >> (hops - 1 - h) & 1 for h in range(hops))
+                raise InfeasibleParamsError(bits, cells[index])
+    return JointTable(cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RedistributionPolicy:
     """How training reallocates the not-reconstructed probability mass.
 
@@ -134,7 +143,7 @@ class RedistributionPolicy:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleOutcomeParams:
     """Parameters of the three-indicator outcome model for a 3-hop cycle.
 
@@ -168,16 +177,16 @@ def build_dual_joint(params: DualOutcomeParams) -> JointTable:
         (1,1) = p12*p21r + lam          (1,0) = p12*(1-p21r) - lam
         (0,1) = (1-p12)*p21r - lam      (0,0) = (1-p12)*(1-p21r) + lam
 
-    Raises InfeasibleParamsError naming the first negative cell when
-    ``lam`` lies outside the tight feasible range.
+    Raises InfeasibleParamsError naming the first negative cell, in the
+    order above, when ``lam`` lies outside the tight feasible range.
     """
-    p, q, lam = params.p12, params.p21r, params.lam
-    return _checked_table({
-        (1, 1): p * q + lam,
-        (1, 0): p * (1.0 - q) - lam,
-        (0, 1): (1.0 - p) * q - lam,
-        (0, 0): (1.0 - p) * (1.0 - q) + lam,
-    })
+    p, q, lam = float(params.p12), float(params.p21r), float(params.lam)
+    return _checked_table((
+        (1.0 - p) * (1.0 - q) + lam,  # (0,0)
+        (1.0 - p) * q - lam,  # (0,1)
+        p * (1.0 - q) - lam,  # (1,0)
+        p * q + lam,  # (1,1)
+    ))
 
 
 def lambda_feasible_range(p12: float, p21r: float) -> tuple[float, float]:
@@ -219,22 +228,24 @@ def build_triple_joint(params: TripleOutcomeParams) -> JointTable:
         (1,0,0) = q1*(1-q2)*(1-q3) - 2*lam1 + lam2   (and the two rotations)
         (0,0,0) = (1-q1)*(1-q2)*(1-q3) + 3*lam1 - lam2
 
-    This is the unique solution of the seven moment constraints; any
-    negative cell raises InfeasibleParamsError naming it.
+    This is the unique solution of the seven moment constraints; a
+    negative cell raises InfeasibleParamsError naming the first one, in the
+    order (1,1,1), (1,1,0), (1,0,1), (0,1,1), (1,0,0), (0,1,0), (0,0,1),
+    (0,0,0).
     """
-    q1, q2, q3 = params.q12, params.q23, params.q31
-    l1, l2 = params.lam1, params.lam2
+    q1, q2, q3 = float(params.q12), float(params.q23), float(params.q31)
+    l1, l2 = float(params.lam1), float(params.lam2)
     r1, r2, r3 = 1.0 - q1, 1.0 - q2, 1.0 - q3
-    return _checked_table({
-        (1, 1, 1): q1 * q2 * q3 + l2,
-        (1, 1, 0): q1 * q2 * r3 + l1 - l2,
-        (1, 0, 1): q1 * r2 * q3 + l1 - l2,
-        (0, 1, 1): r1 * q2 * q3 + l1 - l2,
-        (1, 0, 0): q1 * r2 * r3 - 2.0 * l1 + l2,
-        (0, 1, 0): r1 * q2 * r3 - 2.0 * l1 + l2,
-        (0, 0, 1): r1 * r2 * q3 - 2.0 * l1 + l2,
-        (0, 0, 0): r1 * r2 * r3 + 3.0 * l1 - l2,
-    })
+    return _checked_table((
+        r1 * r2 * r3 + 3.0 * l1 - l2,  # (0,0,0)
+        r1 * r2 * q3 - 2.0 * l1 + l2,  # (0,0,1)
+        r1 * q2 * r3 - 2.0 * l1 + l2,  # (0,1,0)
+        r1 * q2 * q3 + l1 - l2,  # (0,1,1)
+        q1 * r2 * r3 - 2.0 * l1 + l2,  # (1,0,0)
+        q1 * r2 * q3 + l1 - l2,  # (1,0,1)
+        q1 * q2 * r3 + l1 - l2,  # (1,1,0)
+        q1 * q2 * q3 + l2,  # (1,1,1)
+    ))
 
 
 # Random feasible draws for the verify command and the test suite. Feasibility

@@ -26,7 +26,7 @@ from .outcome_model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualPrediction:
     """Predicted outcome of dual training for one direction.
 
@@ -44,7 +44,7 @@ class DualPrediction:
     improvement: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriplePrediction:
     """Predicted outcome of multi-step training through one pivot.
 
@@ -59,9 +59,9 @@ class TriplePrediction:
 
 
 def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
-    table = build_dual_joint(params)  # validates feasibility
-    pr11 = table.cell(1, 1)
-    pr12 = params.delta * table.cell(0, 0)
+    cells = build_dual_joint(params).cells  # validates feasibility; indexed by hop bits
+    pr11 = cells[0b11]
+    pr12 = params.delta * cells[0b00]
     return pr11, pr12, 1.0 - pr11 - pr12
 
 
@@ -145,10 +145,10 @@ def dual_improvement(params: DualOutcomeParams, gamma: float) -> float:
 
 
 def _triple_case_masses(params: TripleOutcomeParams) -> tuple[float, float, float]:
-    table = build_triple_joint(params)  # validates feasibility
+    cells = build_triple_joint(params).cells  # validates feasibility; indexed by hop bits
     d = params.delta
-    pr11 = table.cell(1, 1, 1) + d * table.cell(1, 0, 0)
-    pr12 = d * (table.cell(0, 0, 0) + table.cell(0, 0, 1) + table.cell(0, 1, 0))
+    pr11 = cells[0b111] + d * cells[0b100]
+    pr12 = d * (cells[0b000] + cells[0b001] + cells[0b010])
     return pr11, pr12, 1.0 - pr11 - pr12
 
 

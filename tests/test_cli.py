@@ -150,9 +150,14 @@ class TestConfigValidation:
             (["simulate"], {"simulate": {"seed": -1}}, "simulate.seed"),
             (["train"], {"train": {"seeds": [3, -1]}}, "train.seeds"),
             (["train"], {"train": {"world": {"seed": -1}}}, "train.world.seed"),
+            # Monte Carlo keeps a seed's low 64 bits: 2**64 would draw seed 0's stream
+            (["simulate", "--seed", str(2**64)], None, "simulate.seed"),
+            (["simulate"], {"simulate": {"seed": 2**64}}, "simulate.seed"),
+            (["train"], {"train": {"seeds": [3, 2**64]}}, "train.seeds"),
         ],
         ids=["verify-flag", "simulate-flag", "train-flag", "theory-flag",
-             "verify.seed", "simulate.seed", "train.seeds", "train.world.seed"],
+             "verify.seed", "simulate.seed", "train.seeds", "train.world.seed",
+             "simulate-flag-2**64", "simulate.seed-2**64", "train.seeds-2**64"],
     )
     def test_negative_seed_exits_2(self, tmp_path, capsys, argv, cfg, field):
         if cfg is not None:
@@ -160,7 +165,7 @@ class TestConfigValidation:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field {field} must be ") and err.count("\n") == 1
-        assert "nonnegative integer" in err
+        assert "nonnegative integer below 2**64" in err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
@@ -615,9 +620,12 @@ class TestStdoutPinned:
              "50d8b43147b5b01f8319005b265a90bab3309b3cbfd968e95dc30a913514c5c2"),
             (["verify", "--draws", "200"], SHORTCUT, 1,
              "46833bd1b6830dc43a0176272fbf2c1bd0de7737540d3ef51808d85b08073e45"),
+            # the FAIL line names a TripleOutcomeParams with np.float64 fields
+            (["verify", "--draws", "200", "--tolerance", "0"], None, 1,
+             "935e6c7210f2ed782d95fea7dfad229729eaad482a92e59c7ac29b07283d22c1"),
         ],
         ids=["theory", "theory-triple-sweep", "simulate-dual", "simulate-triple",
-             "verify", "verify-shortcut"],
+             "verify", "verify-shortcut", "verify-zero-tolerance"],
     )
     def test_stdout_digest(self, tmp_path, capsys, argv, cfg, code, digest):
         argv = argv + ["--out", str(tmp_path / "o")]

@@ -4,8 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_dual_params, random_policy, random_triple_params
+from conftest import (
+    expr_counter_uniforms,
+    random_dual_params,
+    random_policy,
+    random_triple_params,
+)
 from dualsim import oracle
 from dualsim.errors import ValidationError
 from dualsim.oracle import (
@@ -106,6 +113,27 @@ class TestCounterUniforms:
         parts = np.concatenate([counter_uniforms(9, idx[:300]), counter_uniforms(9, idx[300:])])
         assert np.array_equal(full, parts)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        counters=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**64 - 1),
+                st.integers(min_value=2**64 - 2**20, max_value=2**64 - 1),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_expression_reference(self, seed, counters):
+        """Bit for bit the one-expression-at-a-time hash in conftest, with the
+        counters array left as it was, including counters that wrap."""
+        c = np.array(counters, dtype=np.uint64)
+        before = c.copy()
+        u = counter_uniforms(seed, c)
+        assert np.array_equal(c, before)
+        assert u.dtype == np.float64
+        assert u.tobytes() == expr_counter_uniforms(seed, before).tobytes()
+
     def test_uniformity_chi_square(self):
         # 100 bins over 1e6 draws: chi-square df=99, mean 99, sd ~14;
         # a mixing bug would blow way past the 99.99th percentile bound
@@ -174,7 +202,7 @@ class TestMonteCarlo:
                 tracemalloc.stop()
 
         small, large = peak(200_000), peak(2_000_000)
-        assert large < 8 * 2**20
+        assert large < 1 * 2**20
         assert large <= 1.1 * small
 
     def test_degenerate_spec_exact(self):
@@ -223,6 +251,43 @@ class TestMonteCarlo:
         )
         with pytest.raises(ValidationError):
             monte_carlo(spec, 0, seed=1)
+
+    # -1 would alias seed 2**64 - 1 and 2**64 seed 0, True would run as seed
+    # 1, and a float or str would end in a bare TypeError inside the hash
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, True, 1.5, "1"], ids=["negative", "2**64", "bool", "float", "str"]
+    )
+    def test_rejects_a_seed_that_is_not_a_nonnegative_int(self, seed):
+        spec = GenerativeSpec(
+            DualOutcomeParams(0.5, 0.5, 0.0, 0.0), RedistributionPolicy(1.0, 0.0, 0.0)
+        )
+        with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+            monte_carlo(spec, 10, seed)
+
+
+class TestValueTypes:
+    def test_spec_pool_memory(self):
+        """A pool of 2048 triple specs, the verify benchmark's pool size, with
+        numpy scalar fields as a Generator draws them; the value types carry
+        no per-instance __dict__."""
+        rng = np.random.default_rng(0)
+        values = [tuple(rng.uniform(0.0, 0.01, size=6)) for _ in range(2048)]
+        tracemalloc.start()
+        try:
+            pool = [
+                GenerativeSpec(
+                    TripleOutcomeParams(0.5 + a, 0.5 + b, 0.5 + c, d, e, f),
+                    RedistributionPolicy(0.25, 0.25, 0.5),
+                )
+                for a, b, c, d, e, f in values
+            ]
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pool) == 2048
+        # 2048 specs hold 530 KiB with slotted value types (Python 3.11,
+        # numpy 2.4) and 786 KiB with a __dict__ per instance
+        assert used < 600 * 2**10, used
 
 
 class TestErrataReport:

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_triple_params
+from conftest import checked_cells, named_dual_cells, named_triple_cells, random_triple_params
 from dualsim.errors import InfeasibleParamsError, ValidationError
 from dualsim.outcome_model import (
     DualOutcomeParams,
@@ -18,20 +18,48 @@ from dualsim.outcome_model import (
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+# dependence terms wide enough that about half the draws are infeasible
+deps = st.floats(min_value=-0.4, max_value=0.4, allow_nan=False)
+
+
+def built(build, params):
+    """Cells as float.hex strings, or the (cell, value bits, message) of the
+    InfeasibleParamsError raised instead."""
+    try:
+        return [float(c).hex() for c in build(params)]
+    except InfeasibleParamsError as e:
+        return e.cell, float(e.value).hex(), str(e)
+
+
+def package_dual(params):
+    return build_dual_joint(params).cells
+
+
+def package_triple(params):
+    return build_triple_joint(params).cells
+
+
+def reference_dual(params):
+    return checked_cells(named_dual_cells(params))
+
+
+def reference_triple(params):
+    return checked_cells(named_triple_cells(params))
 
 
 def correct_mass(table, *hops):
     """Pr(every hop in ``hops`` correct), summed from the cells reshaped to
     one axis per hop (the first hop is the most significant bit)."""
-    joint = np.reshape(table.cells, (2,) * table.hops)
-    rest = tuple(h for h in range(table.hops) if h not in hops)
+    n_hops = len(table.cells).bit_length() - 1
+    joint = np.reshape(table.cells, (2,) * n_hops)
+    rest = tuple(h for h in range(n_hops) if h not in hops)
     return joint.sum(axis=rest)[(1,) * len(hops)]
 
 
 class TestBuildDualJoint:
     def test_independent_symmetric(self):
         table = build_dual_joint(DualOutcomeParams(0.5, 0.5, 0.0, 0.0))
-        assert table.hops == 2
+        assert len(table.cells) == 4
         for cell in table.cells:
             assert cell == pytest.approx(0.25, abs=1e-15)
 
@@ -67,6 +95,67 @@ class TestBuildDualJoint:
             DualOutcomeParams(0.5, 0.5, 0.0, -0.1)
         with pytest.raises(ValidationError, match="p12 must be finite"):
             DualOutcomeParams(float("nan"), 0.5, 0.0, 0.0)
+
+
+class TestBitIdentity:
+    """The joint-table builders against the named-cell references in conftest:
+    the same cells bit for bit, or the same first negative cell and message."""
+
+    @given(p12=probs, p21r=probs, lam=deps, delta=probs)
+    @settings(max_examples=400, deadline=None)
+    @example(p12=0.5, p21r=0.5, lam=0.3, delta=0.0)  # (1, 0) and (0, 1) negative
+    @example(p12=0.5, p21r=0.5, lam=-0.3, delta=0.0)  # (1, 1) and (0, 0) negative
+    def test_dual_matches_named_reference(self, p12, p21r, lam, delta):
+        params = DualOutcomeParams(p12, p21r, lam, delta)
+        assert built(package_dual, params) == built(reference_dual, params)
+
+    @given(q=st.tuples(probs, probs, probs), lam1=deps, lam2=deps, delta=probs)
+    @settings(max_examples=400, deadline=None)
+    @example(q=(0.5, 0.6, 0.7), lam1=0.1, lam2=0.0, delta=0.0)
+    @example(q=(0.5, 0.5, 0.5), lam1=-0.3, lam2=0.3, delta=0.0)
+    def test_triple_matches_named_reference(self, q, lam1, lam2, delta):
+        params = TripleOutcomeParams(*q, lam1, lam2, delta)
+        assert built(package_triple, params) == built(reference_triple, params)
+
+    @pytest.mark.parametrize(
+        "named, params",
+        [
+            (named_dual_cells, DualOutcomeParams(0.5, 0.5, 0.3, 0.0)),
+            (named_dual_cells, DualOutcomeParams(0.5, 0.5, -0.3, 0.0)),
+            (named_triple_cells, TripleOutcomeParams(0.5, 0.6, 0.7, 0.1, 0.0, 0.0)),
+            (named_triple_cells, TripleOutcomeParams(0.5, 0.5, 0.5, -0.3, 0.3, 0.0)),
+        ],
+    )
+    def test_examples_have_two_negative_cells(self, named, params):
+        """The explicit examples above exercise the first-of-several rule."""
+        assert sum(v < 0.0 for v in named(params).values()) >= 2
+
+    @given(p12=probs, p21r=probs, lam=deps, delta=probs, q3=probs, lam2=deps)
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_scalar_inputs_give_the_same_bits(self, p12, p21r, lam, delta, q3, lam2):
+        """Draws from a numpy Generator arrive as np.float64: the cells and
+        the first negative cell keep their bits."""
+        f = np.float64
+        for package, reference, args in (
+            (package_dual, reference_dual, (p12, p21r, lam, delta)),
+            (package_triple, reference_triple, (p12, p21r, q3, lam, lam2, delta)),
+        ):
+            cls = DualOutcomeParams if len(args) == 4 else TripleOutcomeParams
+            got = built(package, cls(*map(f, args)))
+            want = built(reference, cls(*map(f, args)))
+            if isinstance(want, tuple):  # the message shows the value's own type
+                got, want = got[:2], want[:2]
+            assert got == want
+
+    def test_int_inputs_give_float_cells(self):
+        """Each input is read once as a float, so an all-int model gets float
+        cells: the theory command prints its p_case11 as 1.0, where the named
+        form printed the int 1, and the error shows -1.0, not -1."""
+        table = build_dual_joint(DualOutcomeParams(1, 1, 0, 0))
+        assert table.cells == (0.0, 0.0, 0.0, 1.0)
+        assert all(type(c) is float for c in table.cells)
+        with pytest.raises(InfeasibleParamsError, match=r"\(1, 1\) would be negative: -1\.0$"):
+            build_dual_joint(DualOutcomeParams(0, 0, -1, 0))
 
 
 class TestLambdaRange:
@@ -150,7 +239,7 @@ def _solve_triple_system(params: TripleOutcomeParams) -> dict[tuple[int, int, in
 class TestBuildTripleJoint:
     def test_independent_uniform(self):
         table = build_triple_joint(TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
-        assert table.hops == 3
+        assert len(table.cells) == 8
         assert all(c == pytest.approx(0.125, abs=1e-15) for c in table.cells)
 
     def test_product_top_cell(self):
