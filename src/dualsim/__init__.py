@@ -9,7 +9,6 @@ translators on synthetic clustered language worlds.
 from .errors import DualSimError, InfeasibleParamsError, ValidationError
 from .outcome_model import (
     DualOutcomeParams,
-    JointTable,
     RedistributionPolicy,
     TripleOutcomeParams,
     build_dual_joint,

@@ -33,6 +33,7 @@ from .errors import DualSimError, ValidationError
 from .learner import (
     PHASE_ORDER,
     PRIMARY_PAIR,
+    consecutive_phases,
     dual_learning,
     evaluate,
     multistep_dual_learning,
@@ -88,7 +89,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "draws": 1000,
         "tolerance": 1e-12,
         "seed": 0,
-        "use_shortcut_case_formulas": False,
     },
     "simulate": {
         "kind": "dual",
@@ -348,24 +348,17 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
             )
     print(f"triple checks: {2 * draws} draws")
 
-    records = errata_report(_ERRATA_PARAMS)
-    text = errata_to_text(records)
+    text = errata_to_text(errata_report(_ERRATA_PARAMS))
     print(text, end="")
     if out_dir is not None:
         _write_text(out_dir / "errata.txt", text)
-
-    if block["use_shortcut_case_formulas"]:
-        # score the shortcut case formulas as if they were the implementation;
-        # the errata records' consistent side is the enumeration's case mass
-        diffs += [(r.abs_diff, f"shortcut {r.name} vs enumeration", None)
-                  for r in records if r.name in ("case11", "case12")]
 
     # a NaN difference is the worst possible one; otherwise the first largest counts
     nans = [d for d in diffs if math.isnan(d[0])]
     worst, what, params = nans[0] if nans else max(diffs, key=lambda d: d[0])
     print(f"max |difference|: {float(worst)!r} (tolerance {tol!r})")
     if not worst <= tol:
-        print(f"FAIL worst offender: {what}" + ("" if params is None else f" {params}"))
+        print(f"FAIL worst offender: {what} {params}")
         return 1
     print("PASS")
     return 0
@@ -524,7 +517,7 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
 
 
 def _summarize(acc_rows: list[list[Any]]):
-    """Mean greedy accuracy per (phase, direction) plus phase-over-phase gains."""
+    """Mean greedy accuracy per (phase, direction) plus the gains of consecutive_phases."""
     groups: dict[tuple[str, int, int], list[float]] = {}
     for _, _seed, phase, i, j, p_hat, _pe in acc_rows:
         groups.setdefault((phase, i, j), []).append(p_hat)
@@ -538,12 +531,8 @@ def _summarize(acc_rows: list[list[Any]]):
     means = {
         phase: float(np.mean(vals)) for (phase, i, j), vals in groups.items() if (i, j) == (a, b)
     }
-    for base, second in zip(PHASE_ORDER, PHASE_ORDER[1:]):
-        if base in means and second in means:
-            rows.append(
-                [f"{second}-minus-{base}", a, b, len(groups[(second, a, b)]),
-                 means[second] - means[base]]
-            )
+    rows += [[f"{second}-minus-{base}", a, b, len(groups[(second, a, b)]),
+              means[second] - means[base]] for base, second in consecutive_phases(means)]
     return header, rows
 
 

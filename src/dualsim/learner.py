@@ -22,7 +22,7 @@ phase is deterministic given its config seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -34,6 +34,12 @@ from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_p
 PHASE_ORDER = ("vanilla", "dual", "multistep")
 # the pair that dual and multi-step learning train and the estimators compare
 PRIMARY_PAIR = (0, 1)
+
+
+def consecutive_phases(present: Collection[str]) -> list[tuple[str, str]]:
+    """(earlier, later) for each two neighbouring ``present`` phases in PHASE_ORDER."""
+    ordered = [ph for ph in PHASE_ORDER if ph in present]
+    return list(zip(ordered, ordered[1:]))
 
 
 def _supervised_update(
@@ -252,10 +258,10 @@ def evaluate(
 ) -> ExperimentRecord:
     """Exact per-phase, per-direction accuracies plus redistribution estimators.
 
-    Estimators compare consecutive phases (in vanilla/dual/multistep
-    order) on the primary pair, decoding greedily over every sentence of
-    the pair's source language. A translator object that
-    several phases share is scored once, and every (phase, direction)
+    Estimators compare each two consecutive phases present
+    (:func:`consecutive_phases`) on the primary pair, decoding greedily
+    over every sentence of the pair's source language. A translator object
+    that several phases share is scored once, and every (phase, direction)
     holding it gets that one report.
     """
     scored: dict[int, AccuracyReport] = {}  # by id(); phases keep every object alive
@@ -266,11 +272,10 @@ def evaluate(
                 scored[id(t)] = accuracy(t, world)
             accuracies[(phase, direction)] = scored[id(t)]
 
-    ordered = [ph for ph in PHASE_ORDER if ph in phases]
     reports: dict[str, EstimatorReport] = {}
     warnings: list[str] = []
     fwd, bwd = PRIMARY_PAIR, PRIMARY_PAIR[::-1]
-    for base, second in zip(ordered, ordered[1:]):
+    for base, second in consecutive_phases(phases):
         if not all(d in phases[base] and d in phases[second] for d in (fwd, bwd)):
             continue
         name = f"{base}->{second}"

@@ -2,9 +2,10 @@
 
 Two independent computation paths over the same generative event tree:
 
-  - exact enumeration: walk every joint-table cell, apply the cell's
-    reconstruction probability, split the unreconstructed mass by the
-    redistribution policy, and sum exact probability mass;
+  - exact enumeration: walk every cell of the joint table (the builders'
+    tuple, indexed by hop bits), apply the cell's reconstruction
+    probability, split the unreconstructed mass by the redistribution
+    policy, and sum exact probability mass;
   - seeded Monte Carlo: draw the same tree per-sample with a counter-based
     generator, so results are bit-identical for a given (spec, n, seed)
     regardless of how samples are chunked or parallelized. Samples are
@@ -102,7 +103,7 @@ _EVENTS = {
 def _event_table(spec: GenerativeSpec) -> list[tuple[float, float, int]]:
     """(mass, reconstruction probability, first-hop bit) per joint cell, in
     ``_EVENTS`` order."""
-    cells = (build_dual_joint if spec.kind == "dual" else build_triple_joint)(spec.params).cells
+    cells = (build_dual_joint if spec.kind == "dual" else build_triple_joint)(spec.params)
     d = float(spec.params.delta)
     recon = (1.0, 0.0, d, d)  # by wrong hops
     return [(cells[i], recon[wrong], hop1) for i, wrong, hop1 in _EVENTS[len(cells)]]
@@ -283,14 +284,14 @@ def errata_report(params: TripleOutcomeParams) -> list[ErrataRecord]:
     """
     q1, q2, q3 = params.q12, params.q23, params.q31
     l1, l2, d = params.lam1, params.lam2, params.delta
-    table = build_triple_joint(params)
+    cells = build_triple_joint(params)
     neutral = GenerativeSpec(params, RedistributionPolicy(1.0, 0.0, 0.0))
     case11, case12, _ = enumerate_triple(neutral).case_masses
 
     shortcut_100 = q1 * (1.0 - q2) * (1.0 - q3) + l2
     return [
-        ErrataRecord("cell(1,0,0)", shortcut_100, table.cell(1, 0, 0)),
-        ErrataRecord("case11", table.cell(1, 1, 1) + d * shortcut_100, case11),
+        ErrataRecord("cell(1,0,0)", shortcut_100, cells[0b100]),
+        ErrataRecord("case11", cells[0b111] + d * shortcut_100, case11),
         ErrataRecord("case12", d * (1.0 - q1) * (1.0 - q2 * q3 - l1 + l2), case12),
     ]
 

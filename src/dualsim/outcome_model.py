@@ -2,11 +2,11 @@
 
 A round trip through two translators yields two binary correctness
 indicators (first hop, return hop); a three-hop cycle yields three. This
-module holds the parametric joint distributions of those indicators, both
-as one JointTable type: marginal accuracies plus additive dependence
-corrections (``lam`` for a pair, ``lam1``/``lam2`` for a triple), and the
-alignment likelihood ``delta``, the chance that a chain with two or more
-wrong hops still lands back in the source sentence's meaning cluster.
+module holds the parametric joint distributions of those indicators:
+marginal accuracies plus additive dependence corrections (``lam`` for a
+pair, ``lam1``/``lam2`` for a triple), and the alignment likelihood
+``delta``, the chance that a chain with two or more wrong hops still lands
+back in the source sentence's meaning cluster.
 
 Conventions:
   - probabilities are float64; equality checks elsewhere use abs tol 1e-12
@@ -82,39 +82,25 @@ class DualOutcomeParams:
         _require_prob(self.delta, "delta")
 
 
-@dataclass(frozen=True, slots=True)
-class JointTable:
-    """Exact joint distribution of the hop-correctness bits of a closed chain.
+def _checked_table(cells: tuple[float, ...]) -> tuple[float, ...]:
+    """Return the joint table ``cells`` unchanged once every cell is >= 0.
 
     A round trip x -> y -> x has two hops and 4 cells; a pivot cycle
     x -> y -> z -> x has three hops and 8 cells. ``cells[i]`` is the
     probability of the outcome whose hop bits, read as a binary number
     with the first hop most significant, equal ``i``. Invariants: cells
     sum to 1 within 1e-12 and the marginals reproduce the generating
-    accuracies.
+    accuracies. A negative cell raises InfeasibleParamsError, naming the
+    first one in the builders' documented order: more correct hops first,
+    then the larger index.
     """
-
-    cells: tuple[float, ...]
-
-    def cell(self, *bits: int) -> float:
-        """Pr(hop i correct == bits[i] for every hop); give one bit per hop."""
-        index = 0
-        for b in bits:
-            index = 2 * index + b
-        return self.cells[index]
-
-
-def _checked_table(cells: tuple[float, ...]) -> JointTable:
-    """Return bit-ordered ``cells`` as a JointTable, or raise
-    InfeasibleParamsError on the first negative cell in the builders'
-    documented order: more correct hops first, then the larger index."""
     if min(cells) < 0.0:
         hops = len(cells).bit_length() - 1
         for index in sorted(range(len(cells)), key=lambda i: (-i.bit_count(), -i)):
             if cells[index] < 0.0:
                 bits = tuple(index >> (hops - 1 - h) & 1 for h in range(hops))
                 raise InfeasibleParamsError(bits, cells[index])
-    return JointTable(cells)
+    return cells
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,8 +156,8 @@ class TripleOutcomeParams:
         _require_prob(self.delta, "delta")
 
 
-def build_dual_joint(params: DualOutcomeParams) -> JointTable:
-    """Build the exact 4-cell joint table of a round trip.
+def build_dual_joint(params: DualOutcomeParams) -> tuple[float, ...]:
+    """Build the exact 4-cell joint table of a round trip, in bit order.
 
     Cells:
         (1,1) = p12*p21r + lam          (1,0) = p12*(1-p21r) - lam
@@ -219,8 +205,8 @@ def lambda_loose_range(p12: float, p21r: float) -> tuple[float, float]:
     return -min(p * q, (1.0 - p) * (1.0 - q)), min(p, q)
 
 
-def build_triple_joint(params: TripleOutcomeParams) -> JointTable:
-    """Build the exact 8-cell joint table of a pivot cycle.
+def build_triple_joint(params: TripleOutcomeParams) -> tuple[float, ...]:
+    """Build the exact 8-cell joint table of a pivot cycle, in bit order.
 
     Closed forms (q1=q12, q2=q23, q3=q31):
         (1,1,1) = q1*q2*q3 + lam2

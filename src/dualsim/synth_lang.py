@@ -90,9 +90,9 @@ class Corpus:
 def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     """Build a k-language world with m clusters of s sentences each.
 
-    skew = 0 gives exactly uniform mu; skew > 0 draws weights
-    exp(skew * N(0,1)) per sentence and normalizes. Deterministic in
-    (arguments, seed).
+    Each sentence weighs exp(skew * N(0,1)), normalized per language; at
+    skew = 0 every weight is exactly 1, so every entry of mu is the double
+    nearest 1/n. Deterministic in (arguments, seed).
     """
     if k < 2:
         raise ValidationError(f"need at least 2 languages, got {k}")
@@ -102,15 +102,12 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
         raise ValidationError(f"skew must be nonnegative, got {skew!r}")
     rng = np.random.default_rng(seed)
     n = m * s
-    if skew == 0.0:
-        mu = np.full((k, n), 1.0 / n)
-    else:
-        with np.errstate(over="ignore"):
-            weights = np.exp(skew * rng.standard_normal((k, n)))
-            totals = weights.sum(axis=1, keepdims=True)
-        if not np.all((totals > 0.0) & (totals < np.inf)):
-            raise ValidationError(f"skew {skew!r} is too large: the sentence weights overflow")
-        mu = weights / totals
+    with np.errstate(over="ignore"):
+        weights = np.exp(skew * rng.standard_normal((k, n)))
+        totals = weights.sum(axis=1, keepdims=True)
+    if not np.all((totals > 0.0) & (totals < np.inf)):
+        raise ValidationError(f"skew {skew!r} is too large: the sentence weights overflow")
+    mu = weights / totals
     return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu)
 
 

@@ -59,7 +59,7 @@ class TriplePrediction:
 
 
 def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
-    cells = build_dual_joint(params).cells  # validates feasibility; indexed by hop bits
+    cells = build_dual_joint(params)  # validates feasibility; indexed by hop bits
     pr11 = cells[0b11]
     pr12 = params.delta * cells[0b00]
     return pr11, pr12, 1.0 - pr11 - pr12
@@ -145,7 +145,7 @@ def dual_improvement(params: DualOutcomeParams, gamma: float) -> float:
 
 
 def _triple_case_masses(params: TripleOutcomeParams) -> tuple[float, float, float]:
-    cells = build_triple_joint(params).cells  # validates feasibility; indexed by hop bits
+    cells = build_triple_joint(params)  # validates feasibility; indexed by hop bits
     d = params.delta
     pr11 = cells[0b111] + d * cells[0b100]
     pr12 = d * (cells[0b000] + cells[0b001] + cells[0b010])

@@ -15,7 +15,7 @@ from dualsim import cli
 PUBLIC_NAMES = {
     "AccuracyReport", "Corpus", "DualOutcomeParams", "DualPrediction", "DualSimError",
     "EstimatorReport", "ExperimentRecord", "GenerativeSpec", "InfeasibleParamsError",
-    "JointTable", "OracleResult", "OutcomeCounts", "RedistributionPolicy",
+    "OracleResult", "OutcomeCounts", "RedistributionPolicy",
     "TabularTranslator", "TrainConfig", "TripleOutcomeParams", "TriplePrediction",
     "ValidationError", "World",
     "accuracy", "build_corpus", "build_dual_joint", "build_triple_joint",
@@ -33,7 +33,7 @@ def test_public_names_are_pinned():
         name for name, value in vars(dualsim).items()
         if not name.startswith("_") and type(value).__name__ != "module"
     }
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 42
     assert public == PUBLIC_NAMES
 
 

@@ -90,6 +90,13 @@ class TestConfigValidation:
         assert main(["verify", "--config", path, "--draws", "1"]) == 2
         assert capsys.readouterr().err == "error: unknown config field: verify.errata_params\n"
 
+    def test_shortcut_case_formulas_is_not_a_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"verify": {"use_shortcut_case_formulas": True}})
+        assert main(["verify", "--config", path, "--draws", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown config field: verify.use_shortcut_case_formulas\n"
+        )
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"verifyy": {}})
         assert main(["verify", "--config", path]) == 2
@@ -268,13 +275,6 @@ class TestVerify:
         assert "cell(1,0,0)" in out  # errata always emitted
         assert (tmp_path / "errata.txt").exists()
 
-    def test_shortcut_formulas_fail_with_dependence(self, tmp_path, capsys):
-        cfg = {"verify": {"draws": 30, "use_shortcut_case_formulas": True}}
-        assert main(["verify", "--config", write_config(tmp_path, cfg)]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "shortcut" in out
-
     def test_impossible_tolerance_fails(self, capsys):
         # a negative tolerance cannot be met by any run: it is invalid input
         assert main(["verify", "--draws", "40", "--tolerance", "-1.0"]) == 2
@@ -341,6 +341,32 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "vanilla" in out and "dual" in out and "multistep" in out
         assert "multistep-minus-dual" in out
+
+    def test_summary_reports_the_gain_the_estimators_compare(self, tmp_path):
+        # without the dual phase the estimators compare vanilla with multistep,
+        # and the summary must report that gain as well
+        cfg = {
+            "train": {
+                "world": {"k": 3, "m": 4, "s": 2, "skew": 0.0, "seed": 0},
+                "corpus": {"parallel_per_pair": 20, "monolingual_per_language": 30},
+                "train": {"supervised_steps": 20, "dual_steps": 20, "multistep_steps": 20},
+                "seeds": [1, 2],
+                "phases": ["vanilla", "multistep"],
+            }
+        }
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+        def column(name, index):
+            lines = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+            return [line.split(",")[index] for line in lines]
+
+        assert set(column("estimators.csv", 2)) == {"vanilla->multistep"}
+        gains = [g for g in column("summary.csv", 0) if "-minus-" in g]
+        assert gains == ["multistep-minus-vanilla"]
+        summary = (out / "summary.csv").read_bytes()
+        assert main(["report", "--out", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == summary
 
     def test_two_language_world_with_multistep_rejected(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_TRAIN))
@@ -602,7 +628,6 @@ class TestStdoutPinned:
     TRIPLE_SIMULATE = {
         "simulate": {"kind": "triple", "n": 50000, "seed": 4, "lambda1": 0.005, "lambda2": 0.002}
     }
-    SHORTCUT = {"verify": {"use_shortcut_case_formulas": True}}
     ERRATA = "92a2055ffac46fea19406d9fa25d0aa060bb899f8bf223299851047941efe1a2"
 
     @pytest.mark.parametrize(
@@ -618,14 +643,12 @@ class TestStdoutPinned:
              "cc9f16a1404eb14c92a89b8427f021c0207894df2b6d8b511f253551a5c89fe5"),
             (["verify", "--draws", "200"], None, 0,
              "50d8b43147b5b01f8319005b265a90bab3309b3cbfd968e95dc30a913514c5c2"),
-            (["verify", "--draws", "200"], SHORTCUT, 1,
-             "46833bd1b6830dc43a0176272fbf2c1bd0de7737540d3ef51808d85b08073e45"),
             # the FAIL line names a TripleOutcomeParams with np.float64 fields
             (["verify", "--draws", "200", "--tolerance", "0"], None, 1,
              "935e6c7210f2ed782d95fea7dfad229729eaad482a92e59c7ac29b07283d22c1"),
         ],
         ids=["theory", "theory-triple-sweep", "simulate-dual", "simulate-triple",
-             "verify", "verify-shortcut", "verify-zero-tolerance"],
+             "verify", "verify-zero-tolerance"],
     )
     def test_stdout_digest(self, tmp_path, capsys, argv, cfg, code, digest):
         argv = argv + ["--out", str(tmp_path / "o")]

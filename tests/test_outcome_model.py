@@ -31,14 +31,6 @@ def built(build, params):
         return e.cell, float(e.value).hex(), str(e)
 
 
-def package_dual(params):
-    return build_dual_joint(params).cells
-
-
-def package_triple(params):
-    return build_triple_joint(params).cells
-
-
 def reference_dual(params):
     return checked_cells(named_dual_cells(params))
 
@@ -47,26 +39,31 @@ def reference_triple(params):
     return checked_cells(named_triple_cells(params))
 
 
-def correct_mass(table, *hops):
+def cell(cells, *bits):
+    """Pr(hop h correct == bits[h] for every hop) from the bit-ordered cells."""
+    return cells[int("".join(map(str, bits)), 2)]
+
+
+def correct_mass(cells, *hops):
     """Pr(every hop in ``hops`` correct), summed from the cells reshaped to
     one axis per hop (the first hop is the most significant bit)."""
-    n_hops = len(table.cells).bit_length() - 1
-    joint = np.reshape(table.cells, (2,) * n_hops)
+    n_hops = len(cells).bit_length() - 1
+    joint = np.reshape(cells, (2,) * n_hops)
     rest = tuple(h for h in range(n_hops) if h not in hops)
     return joint.sum(axis=rest)[(1,) * len(hops)]
 
 
 class TestBuildDualJoint:
     def test_independent_symmetric(self):
-        table = build_dual_joint(DualOutcomeParams(0.5, 0.5, 0.0, 0.0))
-        assert len(table.cells) == 4
-        for cell in table.cells:
-            assert cell == pytest.approx(0.25, abs=1e-15)
+        cells = build_dual_joint(DualOutcomeParams(0.5, 0.5, 0.0, 0.0))
+        assert len(cells) == 4
+        for c in cells:
+            assert c == pytest.approx(0.25, abs=1e-15)
 
     def test_product_cell(self):
         # measured marginals 0.65 / 0.73, no dependence
-        table = build_dual_joint(DualOutcomeParams(0.65, 0.73, 0.0, 0.0))
-        assert table.cell(1, 1) == pytest.approx(0.4745, abs=1e-12)
+        cells = build_dual_joint(DualOutcomeParams(0.65, 0.73, 0.0, 0.0))
+        assert cell(cells, 1, 1) == pytest.approx(0.4745, abs=1e-12)
 
     def test_infeasible_lambda_names_cell(self):
         with pytest.raises(InfeasibleParamsError) as exc:
@@ -80,11 +77,11 @@ class TestBuildDualJoint:
         low, high = lambda_feasible_range(p12, p21r)
         # clamp: the lerp can round just past the endpoint
         lam = min(max(low + u * (high - low), low), high)
-        table = build_dual_joint(DualOutcomeParams(p12, p21r, lam, delta))
-        assert correct_mass(table, 0) == pytest.approx(p12, abs=1e-12)
-        assert correct_mass(table, 1) == pytest.approx(p21r, abs=1e-12)
-        assert correct_mass(table, 0, 1) == pytest.approx(p12 * p21r + lam, abs=1e-12)
-        assert sum(table.cells) == pytest.approx(1.0, abs=1e-12)
+        cells = build_dual_joint(DualOutcomeParams(p12, p21r, lam, delta))
+        assert correct_mass(cells, 0) == pytest.approx(p12, abs=1e-12)
+        assert correct_mass(cells, 1) == pytest.approx(p21r, abs=1e-12)
+        assert correct_mass(cells, 0, 1) == pytest.approx(p12 * p21r + lam, abs=1e-12)
+        assert sum(cells) == pytest.approx(1.0, abs=1e-12)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):
@@ -107,7 +104,7 @@ class TestBitIdentity:
     @example(p12=0.5, p21r=0.5, lam=-0.3, delta=0.0)  # (1, 1) and (0, 0) negative
     def test_dual_matches_named_reference(self, p12, p21r, lam, delta):
         params = DualOutcomeParams(p12, p21r, lam, delta)
-        assert built(package_dual, params) == built(reference_dual, params)
+        assert built(build_dual_joint, params) == built(reference_dual, params)
 
     @given(q=st.tuples(probs, probs, probs), lam1=deps, lam2=deps, delta=probs)
     @settings(max_examples=400, deadline=None)
@@ -115,7 +112,7 @@ class TestBitIdentity:
     @example(q=(0.5, 0.5, 0.5), lam1=-0.3, lam2=0.3, delta=0.0)
     def test_triple_matches_named_reference(self, q, lam1, lam2, delta):
         params = TripleOutcomeParams(*q, lam1, lam2, delta)
-        assert built(package_triple, params) == built(reference_triple, params)
+        assert built(build_triple_joint, params) == built(reference_triple, params)
 
     @pytest.mark.parametrize(
         "named, params",
@@ -137,8 +134,8 @@ class TestBitIdentity:
         the first negative cell keep their bits."""
         f = np.float64
         for package, reference, args in (
-            (package_dual, reference_dual, (p12, p21r, lam, delta)),
-            (package_triple, reference_triple, (p12, p21r, q3, lam, lam2, delta)),
+            (build_dual_joint, reference_dual, (p12, p21r, lam, delta)),
+            (build_triple_joint, reference_triple, (p12, p21r, q3, lam, lam2, delta)),
         ):
             cls = DualOutcomeParams if len(args) == 4 else TripleOutcomeParams
             got = built(package, cls(*map(f, args)))
@@ -151,9 +148,9 @@ class TestBitIdentity:
         """Each input is read once as a float, so an all-int model gets float
         cells: the theory command prints its p_case11 as 1.0, where the named
         form printed the int 1, and the error shows -1.0, not -1."""
-        table = build_dual_joint(DualOutcomeParams(1, 1, 0, 0))
-        assert table.cells == (0.0, 0.0, 0.0, 1.0)
-        assert all(type(c) is float for c in table.cells)
+        cells = build_dual_joint(DualOutcomeParams(1, 1, 0, 0))
+        assert cells == (0.0, 0.0, 0.0, 1.0)
+        assert all(type(c) is float for c in cells)
         with pytest.raises(InfeasibleParamsError, match=r"\(1, 1\) would be negative: -1\.0$"):
             build_dual_joint(DualOutcomeParams(0, 0, -1, 0))
 
@@ -238,43 +235,43 @@ def _solve_triple_system(params: TripleOutcomeParams) -> dict[tuple[int, int, in
 
 class TestBuildTripleJoint:
     def test_independent_uniform(self):
-        table = build_triple_joint(TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
-        assert len(table.cells) == 8
-        assert all(c == pytest.approx(0.125, abs=1e-15) for c in table.cells)
+        cells = build_triple_joint(TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.0))
+        assert len(cells) == 8
+        assert all(c == pytest.approx(0.125, abs=1e-15) for c in cells)
 
     def test_product_top_cell(self):
-        table = build_triple_joint(TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.0))
-        assert table.cell(1, 1, 1) == pytest.approx(0.336, abs=1e-12)
+        cells = build_triple_joint(TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.0))
+        assert cell(cells, 1, 1, 1) == pytest.approx(0.336, abs=1e-12)
 
     def test_dependent_cells_match_linear_solve(self):
         params = TripleOutcomeParams(0.5, 0.5, 0.5, 0.05, 0.02, 0.0)
-        table = build_triple_joint(params)
-        assert table.cell(0, 0, 0) == pytest.approx(0.255, abs=1e-12)
-        assert sum(table.cells) == pytest.approx(1.0, abs=1e-12)
+        cells = build_triple_joint(params)
+        assert cell(cells, 0, 0, 0) == pytest.approx(0.255, abs=1e-12)
+        assert sum(cells) == pytest.approx(1.0, abs=1e-12)
         expected = _solve_triple_system(params)
         for outcome, value in expected.items():
-            assert table.cell(*outcome) == pytest.approx(value, abs=1e-12)
+            assert cell(cells, *outcome) == pytest.approx(value, abs=1e-12)
 
     def test_moment_constraints_on_random_draws(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             params = random_triple_params(rng, with_dependence=True)
-            table = build_triple_joint(params)
-            assert sum(table.cells) == pytest.approx(1.0, abs=1e-12)
+            cells = build_triple_joint(params)
+            assert sum(cells) == pytest.approx(1.0, abs=1e-12)
             for axis, q in zip(range(3), (params.q12, params.q23, params.q31)):
-                assert correct_mass(table, axis) == pytest.approx(q, abs=1e-12)
+                assert correct_mass(cells, axis) == pytest.approx(q, abs=1e-12)
             for a, b, q in [
                 (0, 1, params.q12 * params.q23),
                 (1, 2, params.q23 * params.q31),
                 (0, 2, params.q12 * params.q31),
             ]:
-                assert correct_mass(table, a, b) == pytest.approx(q + params.lam1, abs=1e-12)
-            assert table.cell(1, 1, 1) == pytest.approx(
+                assert correct_mass(cells, a, b) == pytest.approx(q + params.lam1, abs=1e-12)
+            assert cell(cells, 1, 1, 1) == pytest.approx(
                 params.q12 * params.q23 * params.q31 + params.lam2, abs=1e-12
             )
             solved = _solve_triple_system(params)
             for outcome, value in solved.items():
-                assert table.cell(*outcome) == pytest.approx(value, abs=1e-12)
+                assert cell(cells, *outcome) == pytest.approx(value, abs=1e-12)
 
     def test_infeasible_names_cell(self):
         # lam1 = 0.1 starves the single-correct cells at moderate marginals

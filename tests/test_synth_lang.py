@@ -15,9 +15,12 @@ class TestGenerateWorld:
         assert world.n_sentences == 1
         assert np.allclose(world.mu, 1.0)
 
-    def test_uniform_entries(self):
-        world = generate_world(3, 50, 4, 0.0, 0)
-        assert np.all(world.mu == 1.0 / 200)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("m, s", [(3, 1), (7, 1), (50, 4), (150, 4)])
+    def test_uniform_entries(self, k, m, s):
+        # every entry is the double nearest 1/n, also where 1/n is inexact
+        mu = generate_world(k, m, s, 0.0, 0).mu
+        assert mu.tobytes() == np.full((k, m * s), 1.0 / (m * s)).tobytes()
 
     def test_determinism(self):
         w1 = generate_world(3, 10, 2, 0.7, 42)
