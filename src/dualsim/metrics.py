@@ -1,4 +1,4 @@
-"""Exact accuracy quantities and empirical redistribution estimators.
+"""Exact accuracy quantities, the round-trip census and redistribution estimators.
 
 Correctness is exact cluster membership: a translation of x is correct
 when it lands in x's cluster, whatever the two languages. Because
@@ -6,8 +6,8 @@ translators are tabular and worlds are finite, every accuracy here is an
 exact sum over the world: no sampling, no decoding heuristics beyond the
 documented greedy tie-break (argmax, lowest id wins).
 
-The estimator report quantifies what dual training did to the mass that
-the baseline chain failed to reconstruct; all chains are decoded greedily.
+The estimator report counts, from two greedy round-trip censuses, what dual
+training did to the sentences the baseline chain failed to reconstruct.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .oracle import OutcomeCounts
 from .synth_lang import World
-from .translator import TabularTranslator, row_probs, shifted_exp
+from .translator import TabularTranslator, shifted_exp
 
 # rows of a score matrix that ``accuracy`` exponentiates at once: 64 rows of
 # a 600-sentence world are 300 KB, where the whole matrix would be 2.9 MB
@@ -106,36 +106,31 @@ def accuracy(t: TabularTranslator, world: World) -> AccuracyReport:
     return AccuracyReport(p_hat=min(p_hat, 1.0), p_expected=min(p_expected, 1.0))
 
 
-def reconstruction_accuracy(t_fwd: TabularTranslator, t_bwd: TabularTranslator, world: World) -> float:
-    """Exact return-hop accuracy under the forward translator's output distribution.
-
-    Pushes mu through the forward rows, then scores the backward
-    translator greedily at every intermediate sentence:
-    ``sum_x mu(x) sum_y Pr(y|x; fwd) * [greedy_bwd(y) lands in y's cluster]``.
-    """
-    _check_defined_on(t_fwd, world)
-    _check_defined_on(t_bwd, world)
-    if t_fwd.dst_lang != t_bwd.src_lang or t_fwd.src_lang != t_bwd.dst_lang:
-        raise ValidationError(
-            f"translators do not compose: {t_fwd.src_lang}->{t_fwd.dst_lang} "
-            f"then {t_bwd.src_lang}->{t_bwd.dst_lang}"
-        )
+def round_trip_cells(fwd: np.ndarray, bwd: np.ndarray, world: World) -> np.ndarray:
+    """The one round-trip measurement: for each source sentence x, the
+    probability of each cell of x -> y -> z, as the rows 11, 10, 01, 00r, 00n
+    of a (5, n) array. Bit 1 is y in x's cluster, bit 2 z in y's cluster; 00r
+    is a 00 chain back in x's cluster. A law is the greedy target id of each
+    source (``greedy_all()``: cells exactly 0 or 1, from n-vectors only) or
+    the (n, n) matrix of row distributions. p21r is ``mu @ (cells[0] + cells[2])``."""
     clusters = world.cluster_of
-    bwd_ok = (clusters[t_bwd.greedy_all()] == clusters).astype(float)
-    pushforward = world.mu[t_fwd.src_lang] @ row_probs(t_fwd.theta)
-    # capped like accuracy: an all-correct pair can sum one ulp above 1
-    return min(float(pushforward @ bwd_ok), 1.0)
 
+    def home(law, weight, ends=clusters):
+        """sum_y law(x, y) weight[y] over the y with ends[y] in x's cluster."""
+        if law.ndim == 1:
+            return weight[law] * (ends[law] == clusters)
+        return (law * (ends == clusters[:, None])) @ weight
 
-def _chain(world: World, pair: tuple[TabularTranslator, TabularTranslator]):
-    """Greedy round trip of every source sentence: returns (hop1 correct,
-    reconstructed) boolean arrays."""
-    fwd, bwd = pair
-    clusters = world.cluster_of
-    ys = fwd.greedy_all()
-    hop1 = clusters[ys] == clusters
-    recon = clusters[bwd.greedy_all()[ys]] == clusters
-    return hop1, recon
+    ones = np.ones(world.n_sentences)
+    hop1 = home(fwd, ones)
+    ok2 = home(bwd, ones)  # per intermediate y: hop 2 lands in y's cluster
+    c11 = home(fwd, ok2)
+    hop2 = ok2[fwd] if fwd.ndim == 1 else fwd @ ok2
+    if bwd.ndim == 1:  # greedy return: y counts when bwd[y] lands in x's cluster
+        back = home(fwd, ones, clusters[bwd])
+    else:
+        back = home(bwd[fwd] if fwd.ndim == 1 else fwd @ bwd, ones)
+    return np.array([c11, hop1 - c11, hop2 - c11, back - c11, 1.0 - hop1 - hop2 - back + 2.0 * c11])
 
 
 def _report(counts: dict[str, int]) -> EstimatorReport:
@@ -158,31 +153,34 @@ def estimators(
 ) -> EstimatorReport:
     """Empirical redistribution estimates comparing two translator pairs.
 
-    Over every sentence of the pair's source language, partition the set
-    the vanilla chain fails to reconstruct by what the dual chain does
-    with it (corrected / aligned-but-wrong / still unreconstructed);
-    estimate the kept-reconstruction rate eta over the complementary set.
-    Undefined ratios (empty denominators) are reported as None, never as
-    zero.
+    Each pair is (forward, backward) and must compose into a round trip.
+    Over every sentence of the pair's source language, decoded greedily,
+    partition the set the vanilla chain fails to reconstruct by what the
+    dual chain does with it (corrected / aligned-but-wrong / still
+    unreconstructed); estimate the kept-reconstruction rate eta over the
+    complementary set. Undefined ratios (empty denominators) are None.
     """
-    for t in (*vanilla, *dual):
-        _check_defined_on(t, world)
-
-    _, v_recon = _chain(world, vanilla)
-    d_hop1, d_recon = _chain(world, dual)
-
-    fail = ~v_recon
-    return _report(
-        {
-            "n_vanilla_fail": int(fail.sum()),
-            "n_vanilla_recon": int(v_recon.sum()),
-            "n_corrected": int((fail & d_hop1 & d_recon).sum()),
-            "n_aligned": int((fail & ~d_hop1 & d_recon).sum()),
-            "n_unreconstructed": int((fail & ~d_recon).sum()),
-            "n_kept": int((v_recon & d_recon).sum()),
-            "n_dual_recon": int(d_recon.sum()),
-        }
-    )
+    for fwd, bwd in (vanilla, dual):
+        _check_defined_on(fwd, world)
+        _check_defined_on(bwd, world)
+        if (bwd.src_lang, bwd.dst_lang) != (fwd.dst_lang, fwd.src_lang):
+            raise ValidationError(
+                f"translators do not compose: {fwd.src_lang}->{fwd.dst_lang} "
+                f"then {bwd.src_lang}->{bwd.dst_lang}"
+            )
+    # greedy cells are 0 or 1, so every sum and product below is an exact count
+    v, d = (round_trip_cells(f.greedy_all(), b.greedy_all(), world) for f, b in (vanilla, dual))
+    v_recon, d_recon = v[0] + v[3], d[0] + d[3]
+    fail = 1.0 - v_recon
+    return _report({
+        "n_vanilla_fail": int(fail.sum()),
+        "n_vanilla_recon": int(v_recon.sum()),
+        "n_corrected": int(fail @ d[0]),
+        "n_aligned": int(fail @ d[3]),
+        "n_unreconstructed": int(fail @ (1.0 - d_recon)),
+        "n_kept": int(v_recon @ d_recon),
+        "n_dual_recon": int(d_recon.sum()),
+    })
 
 
 def estimators_from_counts(counts: OutcomeCounts) -> EstimatorReport:

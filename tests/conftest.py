@@ -9,6 +9,9 @@ live here. ``log_prob`` and ``loop_log_prob_bound`` compute their own
 log-softmax, independent of the ``row_probs`` and ``log_prob_grad_row``
 they check.
 
+``greedy_chain`` is the greedy round trip, one boolean per sentence,
+that the counts of ``dualsim.metrics.estimators`` are checked against.
+
 ``named_dual_cells``, ``named_triple_cells`` (checked by ``checked_cells``)
 and ``expr_counter_uniforms`` are the plain forms of the joint-table
 builders and the counter hash: one named cell at a time, one numpy
@@ -95,6 +98,17 @@ def shifted_translator(world, i: int, j: int, scale: float = 60.0):
         wrong = (world.cluster_of[x] + 1) % m
         theta[x, wrong * s] = scale
     return TabularTranslator(i, j, theta)
+
+
+def greedy_chain(world, pair):
+    """Greedy round trip of every source sentence through (fwd, bwd):
+    returns (hop 1 correct, reconstructed) boolean arrays."""
+    fwd, bwd = pair
+    clusters = world.cluster_of
+    ys = fwd.greedy_all()
+    hop1 = clusters[ys] == clusters
+    recon = clusters[bwd.greedy_all()[ys]] == clusters
+    return hop1, recon
 
 
 def checked_cells(named: dict[tuple[int, ...], float]) -> tuple[float, ...]:

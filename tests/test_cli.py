@@ -368,6 +368,40 @@ class TestTrain:
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "summary.csv").read_bytes() == summary
 
+    def test_summary_gains_are_paired_seed_means(self, tmp_path):
+        # each <later>-minus-<earlier> row is the mean over seeds of that
+        # seed's p_hat difference on the primary pair, from accuracy.csv
+        cfg = {
+            "train": {
+                "world": {"k": 3, "m": 8, "s": 2, "skew": 0.0, "seed": 0},
+                "corpus": {"parallel_per_pair": 20, "monolingual_per_language": 100},
+                "train": {"supervised_steps": 100, "dual_steps": 200, "multistep_steps": 200,
+                          "supervised_batch": 8},
+                "seeds": [1, 2],
+            }
+        }
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        p_hat = {}
+        for line in (out / "accuracy.csv").read_text(encoding="utf-8").splitlines()[1:]:
+            _, seed, phase, i, j, value, _ = line.split(",")
+            if (i, j) == ("0", "1"):
+                p_hat[(phase, seed)] = float(value)
+        for command in (["train", "--config", write_config(tmp_path, cfg)], ["report"]):
+            assert main(command + ["--out", str(out)]) == 0
+            gains = {}
+            for line in (out / "summary.csv").read_text(encoding="utf-8").splitlines()[1:]:
+                name, src, dst, runs, value = line.split(",")
+                if "-minus-" in name:
+                    assert (src, dst, runs) == ("0", "1", "2")
+                    gains[name] = float(value)
+            assert sorted(gains) == ["dual-minus-vanilla", "multistep-minus-dual"]
+            for name, gain in gains.items():
+                later, earlier = name.split("-minus-")
+                paired = np.mean([p_hat[(later, s)] - p_hat[(earlier, s)] for s in ("1", "2")])
+                assert abs(paired) > 1e-6
+                assert gain == pytest.approx(paired, rel=0, abs=1e-12)
+
     def test_two_language_world_with_multistep_rejected(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY_TRAIN))
         cfg["train"]["world"]["k"] = 2

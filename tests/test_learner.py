@@ -486,6 +486,24 @@ class TestEvaluate:
         assert record.warnings
         assert "eta_hat" in record.warnings[0]
 
+    @pytest.mark.parametrize("broken, warned", [(2, False), (3, True)], ids=["0.8", "0.7"])
+    def test_eta_warning_threshold_is_0_8(self, broken, warned):
+        # ten one-sentence clusters: the dual pair's return hop misses on the
+        # first ``broken`` sentences, so eta_hat = (10 - broken) / 10 exactly
+        world = generate_world(2, 10, 1, 0.0, 0)
+        ids = np.arange(10)
+
+        def greedy(i, j, targets):
+            theta = np.zeros((10, 10))
+            theta[ids, targets] = 1.0
+            return TabularTranslator(i, j, theta)
+
+        good = {(0, 1): greedy(0, 1, ids), (1, 0): greedy(1, 0, ids)}
+        miss = np.where(ids < broken, (ids + 1) % 10, ids)
+        record = evaluate({"vanilla": good, "dual": {**good, (1, 0): greedy(1, 0, miss)}}, world)
+        assert record.estimator_reports["vanilla->dual"].eta_hat == (10 - broken) / 10
+        assert bool(record.warnings) == warned
+
     def test_shared_translators_are_scored_once_and_like_copies(self, monkeypatch):
         world, corpus, ts = small_setup(seed=18)
         multi = multistep_dual_learning(ts, corpus, TrainConfig(steps=30, seed=4))

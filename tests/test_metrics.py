@@ -1,19 +1,15 @@
-"""Exact accuracy sums against sampling / brute-force oracles; estimators."""
+"""Exact accuracy sums and the round-trip census against sampling /
+brute-force oracles; estimators against the greedy-chain reference."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import log_prob, perfect_translator, shifted_translator
+from conftest import greedy_chain, log_prob, perfect_translator, shifted_translator
 from dualsim import metrics
 from dualsim.errors import ValidationError
-from dualsim.metrics import (
-    accuracy,
-    estimators,
-    estimators_from_counts,
-    reconstruction_accuracy,
-)
+from dualsim.metrics import accuracy, estimators, estimators_from_counts, round_trip_cells
 from dualsim.oracle import OutcomeCounts
 from dualsim.synth_lang import generate_world
 from dualsim.translator import TabularTranslator, row_probs
@@ -125,52 +121,138 @@ class TestAccuracy:
         assert peak < 0.3 * t.theta.nbytes
 
 
-class TestReconstructionAccuracy:
+def brute_force_cells(world, fwd, bwd):
+    """The census by an explicit (x, y, z) triple loop over (n, n) laws."""
+    c = world.cluster_of
+    n = world.n_sentences
+    cells = np.zeros((5, n))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if c[y] == c[x]:
+                    cell = 0 if c[z] == c[y] else 1
+                elif c[z] == c[y]:
+                    cell = 2
+                else:
+                    cell = 3 if c[z] == c[x] else 4
+                cells[cell, x] += fwd[x, y] * bwd[y, z]
+    return cells
+
+
+class TestRoundTripCells:
+    def test_matches_brute_force_triple_loop(self):
+        # greedy or matrix law on each hop; s = 1 makes every sentence its
+        # own cluster, and integer scores make greedy ties
+        worlds = [
+            generate_world(2, 4, 3, 0.7, 1),
+            generate_world(2, 6, 1, 0.3, 2),
+            generate_world(2, 2, 5, 1.0, 3),
+        ]
+        rng = np.random.default_rng(11)
+        for world in worlds:
+            n = world.n_sentences
+            onehot = np.eye(n)
+            for scores in (rng.normal(size=(2, n, n)), rng.integers(0, 2, size=(2, n, n))):
+                laws = [
+                    (TabularTranslator(0, 1, s).greedy_all(), row_probs(s.astype(float)))
+                    for s in scores
+                ]
+                for fwd in laws[0]:
+                    for bwd in laws[1]:
+                        cells = round_trip_cells(fwd, bwd, world)
+                        expected = brute_force_cells(
+                            world,
+                            onehot[fwd] if fwd.ndim == 1 else fwd,
+                            onehot[bwd] if bwd.ndim == 1 else bwd,
+                        )
+                        assert cells.shape == (5, n)
+                        np.testing.assert_allclose(cells, expected, rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(cells.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+                        if fwd.ndim == bwd.ndim == 1:
+                            assert set(np.unique(cells)) <= {0.0, 1.0}
+                            assert (cells.sum(axis=0) == 1.0).all()
+
     def test_perfect_pair(self):
-        world = generate_world(2, 4, 2, 0.0, 1)
+        world = generate_world(2, 4, 2, 0.5, 1)
         fwd = perfect_translator(world, 0, 1)
         bwd = perfect_translator(world, 1, 0)
-        assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(1.0, abs=1e-9)
-
-    def test_perfect_pair_is_exactly_one_on_a_skewed_world(self):
-        # the pushforward sums one ulp above 1 here without the cap
-        world = generate_world(3, 4, 2, 0.5, 24)
-        for i, j in ((0, 1), (1, 0)):
-            fwd, bwd = perfect_translator(world, i, j), perfect_translator(world, j, i)
-            assert reconstruction_accuracy(fwd, bwd, world) == 1.0
+        greedy = round_trip_cells(fwd.greedy_all(), bwd.greedy_all(), world)
+        assert (greedy[0] == 1.0).all() and (greedy[1:] == 0.0).all()
+        stochastic = round_trip_cells(row_probs(fwd.theta), row_probs(bwd.theta), world)
+        assert world.mu[0] @ (stochastic[0] + stochastic[2]) == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_pair_symmetry(self):
         m = 5
         world = generate_world(2, m, 3, 0.0, 0)
-        fwd = TabularTranslator(0, 1, np.zeros((15, 15)))
-        bwd = TabularTranslator(1, 0, np.zeros((15, 15)))
-        assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(1.0 / m, abs=1e-12)
+        uniform = row_probs(np.zeros((15, 15)))
+        cells = round_trip_cells(uniform, uniform, world)
+        assert world.mu[0] @ (cells[0] + cells[2]) == pytest.approx(1.0 / m, abs=1e-12)
+        assert world.mu[0] @ (cells[0] + cells[1]) == pytest.approx(1.0 / m, abs=1e-12)
 
-    def test_matches_nested_loop_enumeration(self):
+    def test_p21r_is_the_pushforward_return_accuracy(self):
+        # independent oracle: mu pushed through the forward rows, then the
+        # greedy return hop scored at every intermediate sentence
         world = generate_world(2, 2, 2, 0.7, 9)
         rng = np.random.default_rng(4)
         fwd = TabularTranslator(0, 1, rng.normal(size=(4, 4)))
         bwd = TabularTranslator(1, 0, rng.normal(size=(4, 4)))
-        # independent oracle: explicit double loop over (x, y)
         expected = 0.0
         for x in range(4):
             for y in range(4):
                 back = np.argmax(bwd.theta[y])
                 ok = world.cluster_of[back] == world.cluster_of[y]
                 expected += world.mu[0, x] * np.exp(log_prob(fwd, x, y)) * ok
-        assert reconstruction_accuracy(fwd, bwd, world) == pytest.approx(expected, abs=1e-12)
+        cells = round_trip_cells(row_probs(fwd.theta), bwd.greedy_all(), world)
+        assert world.mu[0] @ (cells[0] + cells[2]) == pytest.approx(expected, abs=1e-12)
 
-    def test_non_composing_rejected(self):
-        world = generate_world(3, 2, 2, 0.0, 0)
-        with pytest.raises(ValidationError):
-            reconstruction_accuracy(
-                TabularTranslator(0, 1, np.zeros((4, 4))),
-                TabularTranslator(2, 0, np.zeros((4, 4))),
-                world,
-            )
+    def test_greedy_pair_allocates_no_n_by_m_temporary(self):
+        # the greedy census is index arithmetic on n-vectors: its peak stays
+        # under 20 float n-vectors (192 KB here), where one (n, m) bool mask
+        # would take 1.44 MB
+        n = 1200
+        world = generate_world(2, n, 1, 1.0, 0)
+        fwd, bwd = np.random.default_rng(2).integers(0, n, size=(2, n))
+        round_trip_cells(fwd, bwd, world)
+        tracemalloc.start()
+        try:
+            round_trip_cells(fwd, bwd, world)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n * 8, peak
 
 
 class TestEstimators:
+    def test_counts_match_the_greedy_chain_reference(self):
+        worlds = [generate_world(2, 6, 2, 0.5, 7), generate_world(3, 5, 1, 0.0, 8)]
+        rng = np.random.default_rng(12)
+        for world in worlds:
+            n = world.n_sentences
+            for scale in (0.5, 3.0, 40.0):
+                thetas = scale * rng.normal(size=(4, n, n))
+                thetas[3] = np.round(thetas[3] / scale)  # greedy ties
+                vanilla = (TabularTranslator(0, 1, thetas[0]), TabularTranslator(1, 0, thetas[1]))
+                dual = (TabularTranslator(0, 1, thetas[2]), TabularTranslator(1, 0, thetas[3]))
+                _, v_recon = greedy_chain(world, vanilla)
+                d_hop1, d_recon = greedy_chain(world, dual)
+                fail = ~v_recon
+                assert estimators(vanilla, dual, world).counts == {
+                    "n_vanilla_fail": int(fail.sum()),
+                    "n_vanilla_recon": int(v_recon.sum()),
+                    "n_corrected": int((fail & d_hop1 & d_recon).sum()),
+                    "n_aligned": int((fail & ~d_hop1 & d_recon).sum()),
+                    "n_unreconstructed": int((fail & ~d_recon).sum()),
+                    "n_kept": int((v_recon & d_recon).sum()),
+                    "n_dual_recon": int(d_recon.sum()),
+                }
+
+    def test_non_composing_rejected(self):
+        world = generate_world(3, 2, 2, 0.0, 0)
+        t01, t10, t20 = (TabularTranslator(i, j, np.zeros((4, 4))) for i, j in ((0, 1), (1, 0), (2, 0)))
+        for vanilla, dual in (((t01, t20), (t01, t10)), ((t01, t10), (t01, t20))):
+            with pytest.raises(ValidationError, match="0->1 then 2->0"):
+                estimators(vanilla, dual, world)
+
     def test_identical_pairs_put_all_failure_mass_in_gamma(self):
         world = generate_world(2, 5, 2, 0.0, 6)
         rng = np.random.default_rng(8)

@@ -28,6 +28,7 @@ from dualsim.outcome_model import (
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
+    build_triple_joint,
 )
 from dualsim.theory import predict_dual, predict_multistep
 
@@ -310,6 +311,22 @@ class TestErrataReport:
             for r in errata_report(TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.02, 0.1))
         }
         assert records["cell(1,0,0)"].abs_diff <= 1e-12
+
+    def test_shortcuts_follow_their_docstring_formulas(self):
+        # lam2 != 0, so a flipped sign on any lam2 term shows
+        params = TripleOutcomeParams(0.6, 0.7, 0.8, lam1=0.01, lam2=0.004, delta=0.2)
+        q1, q2, q3, l1, l2, d = 0.6, 0.7, 0.8, 0.01, 0.004, 0.2
+        cells = build_triple_joint(params)
+        cell_100 = q1 * (1 - q2) * (1 - q3) + l2
+        records = {r.name: r for r in errata_report(params)}
+        assert records["cell(1,0,0)"].shortcut == pytest.approx(cell_100, rel=0, abs=1e-15)
+        assert records["case11"].shortcut == pytest.approx(
+            cells[0b111] + d * cell_100, rel=0, abs=1e-15
+        )
+        assert records["case12"].shortcut == pytest.approx(
+            d * (1 - q1) * (1 - q2 * q3 - l1 + l2), rel=0, abs=1e-15
+        )
+        assert records["cell(1,0,0)"].consistent == cells[0b100]
 
     def test_text_rendering(self):
         text = errata_to_text(errata_report(TripleOutcomeParams(0.5, 0.5, 0.5, 0.05, 0.0, 0.1)))
