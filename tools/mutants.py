@@ -8,11 +8,14 @@ of being skipped. For each mutant, ``src/``, ``tests/`` and
 applied there, and tier-1 runs on the copy with ``-x``. The unmutated copy
 runs first, so a suite that already fails cannot kill anything by accident.
 
-Exit status 0 when every mutant is killed; 1 when one survives, does not
-apply, or the unmutated suite fails; 2 for a name not in the catalogue.
+A run that outlasts ``TIMEOUT_S`` is stopped and reported as timed out;
+for a mutant that counts as killed (a mutant that makes the suite hang
+is caught), for the unmutated copy it is a failure.
 
-    python3 tools/mutants.py           # the whole catalogue
-    python3 tools/mutants.py M7 M11    # the named mutants only
+Exit status 0 when every mutant is killed; 1 when one survives, does not
+apply, or the unmutated suite fails.
+
+    python3 tools/mutants.py
 
 Removing a mutant from the catalogue needs a line in CHANGES.md saying why.
 """
@@ -51,6 +54,9 @@ MUTANTS = {
     "census-00n": ("metrics.py", "+ 2.0 * c11]", "+ c11]"),
 }
 
+# a few times the 30-40 s that one tier-1 run takes
+TIMEOUT_S = 300
+
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -73,52 +79,53 @@ def apply(dest: Path, name: str) -> str | None:
     return None
 
 
-def tier1(dest: Path) -> int:
-    """Run tier-1 on the copy at ``dest``, its own src/ first on the path."""
+def tier1(dest: Path) -> int | None:
+    """Run tier-1 on the copy at ``dest``, its own src/ first on the path;
+    its exit status, or None when it outlasts ``TIMEOUT_S``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(dest / "src"), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, *TIER1], cwd=dest, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    try:
+        run = subprocess.run(
+            [sys.executable, *TIER1], cwd=dest, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return run.returncode
 
 
-def outcome(name: str | None) -> str | None:
+def outcome(name: str | None) -> tuple[bool, str]:
     """Run tier-1 on a fresh copy, mutated by ``name`` unless it is None.
-    Returns None when the run went as it must: the unmutated suite passes
-    and a mutant makes a test fail (pytest exits 1); otherwise what happened."""
+    Returns whether the run went as it must (the unmutated suite passes; a
+    mutant makes a test fail, pytest exiting 1, or times out) and what
+    happened."""
     with tempfile.TemporaryDirectory(prefix="dualsim-mutant-") as tmp:
         dest = Path(tmp)
         copy_tree(dest)
         error = apply(dest, name) if name else None
         if error:
-            return error
+            return False, error
         code = tier1(dest)
+    if code is None:
+        return name is not None, "timed out"
     if code == (1 if name else 0):
-        return None
-    return {0: "survived", 1: "tier-1 fails"}.get(code, f"pytest exited {code}")
+        return True, "killed" if name else "passes"
+    return False, {0: "survived", 1: "tier-1 fails"}.get(code, f"pytest exited {code}")
 
 
-def main(argv: list[str]) -> int:
-    unknown = [name for name in argv if name not in MUTANTS]
-    if unknown:
-        print(f"unknown mutants {unknown}; catalogue: {list(MUTANTS)}", file=sys.stderr)
-        return 2
+def main() -> int:
     survivors = []
-    for name in [None, *(argv or MUTANTS)]:
+    for name in [None, *MUTANTS]:
         start = time.perf_counter()
-        error = outcome(name)
-        done = "passes" if name is None else "killed"
-        print(f"{name or 'unmutated'}: {error or done} ({time.perf_counter() - start:.1f} s)",
-              flush=True)
-        if error and name is None:
+        ok, what = outcome(name)
+        print(f"{name or 'unmutated'}: {what} ({time.perf_counter() - start:.1f} s)", flush=True)
+        if not ok and name is None:
             return 1
-        if error:
+        if not ok:
             survivors.append(name)
     print(f"not killed: {survivors}" if survivors else "every mutant killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
