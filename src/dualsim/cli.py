@@ -401,7 +401,8 @@ def _sub_seeds(seed: int, n: int) -> list[int]:
 
 
 def run_training_experiment(cfg: dict[str, Any], run_seed: int):
-    """One full vanilla -> dual -> multistep run; returns (phases, world, corpus)."""
+    """One run of the phases ``train.phases`` lists; returns (phases, world, corpus).
+    Vanilla, and dual before multistep, are trained as a start even when not listed."""
     block = cfg["train"]
     wb, cb, tb = block["world"], block["corpus"], block["train"]
     phases_wanted = list(block["phases"])
@@ -436,13 +437,12 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
         update_pivots=tb["update_pivots"],
     )
 
-    phases: dict[str, dict[tuple[int, int], TabularTranslator]] = {}
     vanilla: dict[tuple[int, int], TabularTranslator] = {}
     seeds = _sub_seeds(phase_seeds[0], len(directions))
     for seed, (i, j) in zip(seeds, directions):
         cfg_ij = dataclasses.replace(base, steps=tb["supervised_steps"], seed=seed)
         vanilla[(i, j)] = train_supervised(i, j, n, corpus.parallel[(i, j)], cfg_ij)
-    phases["vanilla"] = vanilla
+    phases = {"vanilla": vanilla}
 
     if "dual" in phases_wanted or "multistep" in phases_wanted:
         dual_pairs = [PRIMARY_PAIR]
@@ -457,14 +457,13 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
             dual[(i, j)], dual[(j, i)] = dual_learning(
                 vanilla[(i, j)], vanilla[(j, i)], corpus, cfg_ij
             )
-        if "dual" in phases_wanted:
-            phases["dual"] = dual
+        phases["dual"] = dual
 
     if "multistep" in phases_wanted:
         multi_cfg = dataclasses.replace(base, steps=tb["multistep_steps"], seed=phase_seeds[2])
         phases["multistep"] = multistep_dual_learning(dual, corpus, multi_cfg)
 
-    return phases, world, corpus
+    return {ph: ts for ph, ts in phases.items() if ph in phases_wanted}, world, corpus
 
 
 def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:

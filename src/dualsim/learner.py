@@ -111,6 +111,31 @@ def _replayed(
     return True
 
 
+def _round_trips(trips: list[tuple[np.ndarray, ...]], rng: np.random.Generator, lr: float) -> None:
+    """One x -> y -> x update per (monolingual ids, forward theta, backward theta), in order."""
+    for mono, fwd, bwd in trips:
+        x = int(mono[rng.integers(mono.size)])
+        _recon_update((fwd,), bwd, x, rng, lr)
+
+
+def _monolingual(corpus: Corpus, langs: Collection[int], what: str) -> dict[int, np.ndarray]:
+    """The monolingual ids of each of ``langs``; raises naming the first language without any."""
+    mono = {}
+    for lang in langs:
+        mono[lang] = corpus.monolingual.get(lang)
+        if mono[lang] is None or mono[lang].size == 0:
+            raise ValidationError(f"{what} needs monolingual data for language {lang}")
+    return mono
+
+
+def _replay_pairs(corpus: Corpus, key: tuple[int, int], cfg: TrainConfig) -> np.ndarray | None:
+    """The pairs that replay of direction ``key`` draws; raises if replay is on and has none."""
+    pairs = corpus.parallel.get(key)
+    if cfg.supervised_mix > 0.0 and (pairs is None or pairs.size == 0):
+        raise ValidationError(f"supervised replay needs parallel data for pair {key}")
+    return pairs
+
+
 def dual_learning(
     t12: TabularTranslator, t21: TabularTranslator, corpus: Corpus, cfg: TrainConfig
 ) -> tuple[TabularTranslator, TabularTranslator]:
@@ -126,30 +151,17 @@ def dual_learning(
     i, j = t12.src_lang, t12.dst_lang
     if (t21.src_lang, t21.dst_lang) != (j, i):
         raise ValidationError("t21 must invert t12's direction")
-    mono_i = corpus.monolingual.get(i)
-    mono_j = corpus.monolingual.get(j)
-    if mono_i is None or mono_j is None or mono_i.size == 0 or mono_j.size == 0:
-        raise ValidationError(f"dual learning needs monolingual data for languages {i} and {j}")
-    pairs_ij = corpus.parallel.get((i, j))
-    pairs_ji = corpus.parallel.get((j, i))
-    for key, pairs in (((i, j), pairs_ij), ((j, i), pairs_ji)):
-        if cfg.supervised_mix > 0.0 and (pairs is None or pairs.size == 0):
-            raise ValidationError(f"supervised replay needs parallel data for pair {key}")
+    mono = _monolingual(corpus, (i, j), "dual learning")
+    pairs_ij = _replay_pairs(corpus, (i, j), cfg)
+    pairs_ji = _replay_pairs(corpus, (j, i), cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    th12 = t12.theta.copy()
-    th21 = t21.theta.copy()
+    th12, th21 = t12.theta.copy(), t21.theta.copy()
+    trips = [(mono[i], th12, th21), (mono[j], th21, th12)] * cfg.reconstruction_batch
     for _ in range(cfg.steps):
-        if _replayed(th12, th21, pairs_ij, pairs_ji, rng, cfg):
-            continue
-        for _ in range(cfg.reconstruction_batch):
-            for fwd, bwd, mono in ((th12, th21, mono_i), (th21, th12, mono_j)):
-                x = int(mono[rng.integers(mono.size)])
-                _recon_update((fwd,), bwd, x, rng, cfg.learning_rate)
-    return (
-        TabularTranslator(i, j, th12),
-        TabularTranslator(j, i, th21),
-    )
+        if not _replayed(th12, th21, pairs_ij, pairs_ji, rng, cfg):
+            _round_trips(trips, rng, cfg.learning_rate)
+    return TabularTranslator(i, j, th12), TabularTranslator(j, i, th21)
 
 
 def multistep_dual_learning(
@@ -170,9 +182,9 @@ def multistep_dual_learning(
         theta_ba at row pseudo_target(b) pushed toward the real a sample.
 
     Pivot translators only generate by default; ``cfg.update_pivots``
-    additionally gives each pivot pair its own reconstruction update per
-    step. Requires at least three languages; with two this degenerates
-    to plain dual learning, which must be called directly.
+    additionally gives each pivot direction dual learning's round-trip
+    update per step. Requires at least three languages; with two this
+    degenerates to plain dual learning, which must be called directly.
 
     Replay feeds theta_ba the reversed (a, b) pairs and ignores
     ``corpus.parallel[(b, a)]``, which dual_learning replays as given.
@@ -183,36 +195,28 @@ def multistep_dual_learning(
     back as the caller's own object, shared with the input phase.
     """
     a, b = PRIMARY_PAIR
-    langs = sorted({lang for key in translators for lang in key})
-    pivots = [p for p in langs if p not in (a, b)]
+    pivots = sorted({lang for key in translators for lang in key} - {a, b})
     if not pivots:
         raise ValidationError(
             "multi-step training needs at least 3 languages; "
             "with 2 it degenerates to dual_learning"
         )
-    required = [(a, b), (b, a)]
-    for p in pivots:
-        required += [(a, p), (p, a), (b, p), (p, b)]
-    missing = [key for key in required if key not in translators]
+    # every direction between a pivot and a or b, in pivot-refresh order
+    pivot_dirs = [d for q in pivots for d in ((a, q), (q, a), (b, q), (q, b))]
+    missing = [key for key in [(a, b), (b, a), *pivot_dirs] if key not in translators]
     if missing:
         raise ValidationError(f"missing pretrained translators for pairs: {missing}")
-    mono = {lang: corpus.monolingual.get(lang) for lang in langs}
-    if mono[a] is None or mono[b] is None or mono[a].size == 0 or mono[b].size == 0:
-        raise ValidationError(f"multi-step training needs monolingual data for {a} and {b}")
+    mono = _monolingual(corpus, (a, b), "multi-step training")
     if cfg.update_pivots:
-        for q in pivots:
-            if mono[q] is None or mono[q].size == 0:
-                raise ValidationError(f"update_pivots needs monolingual data for {q}")
-    pairs_ab = corpus.parallel.get((a, b))
-    if cfg.supervised_mix > 0.0 and (pairs_ab is None or pairs_ab.size == 0):
-        raise ValidationError(f"supervised replay needs parallel data for pair {PRIMARY_PAIR}")
+        mono.update(_monolingual(corpus, pivots, "update_pivots"))
+    pairs_ab = _replay_pairs(corpus, (a, b), cfg)
     pairs_ba = pairs_ab[:, ::-1] if pairs_ab is not None else None
 
-    written = {(a, b), (b, a)}
-    if cfg.update_pivots:
-        written.update(key for q in pivots for key in ((a, q), (q, a), (b, q), (q, b)))
+    refresh_dirs = pivot_dirs if cfg.update_pivots else []
+    written = {(a, b), (b, a), *refresh_dirs}
     rng = np.random.default_rng(cfg.seed)
     thetas = {key: t.theta.copy() if key in written else t.theta for key, t in translators.items()}
+    refresh = [(mono[src], thetas[(src, dst)], thetas[(dst, src)]) for src, dst in refresh_dirs]
     lr = cfg.learning_rate
     for _ in range(cfg.steps):
         if _replayed(thetas[(a, b)], thetas[(b, a)], pairs_ab, pairs_ba, rng, cfg):
@@ -225,11 +229,7 @@ def multistep_dual_learning(
             _recon_update((thetas[(a, p)], thetas[(p, b)]), thetas[(b, a)], x_a, rng, lr)
             # pseudo-source for x_b through b -> p -> a trains the a -> b model
             _recon_update((thetas[(b, p)], thetas[(p, a)]), thetas[(a, b)], x_b, rng, lr)
-        if cfg.update_pivots:
-            for q in pivots:
-                for src, dst in ((a, q), (q, a), (b, q), (q, b)):
-                    x = int(mono[src][rng.integers(mono[src].size)])
-                    _recon_update((thetas[(src, dst)],), thetas[(dst, src)], x, rng, lr)
+        _round_trips(refresh, rng, lr)
     return {
         key: TabularTranslator(key[0], key[1], thetas[key]) if key in written else t
         for key, t in translators.items()

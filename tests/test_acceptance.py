@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; tolerances are pinned here and nowhere else.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -16,8 +17,8 @@ from conftest import (
     random_policy,
     random_triple_params,
 )
-from dualsim.cli import DEFAULT_CONFIG, run_training_experiment
-from dualsim.learner import _supervised_update, evaluate
+from dualsim.cli import DEFAULT_CONFIG, main
+from dualsim.learner import _supervised_update
 from dualsim.metrics import estimators_from_counts
 from dualsim.oracle import (
     GenerativeSpec,
@@ -208,23 +209,36 @@ def test_criterion_6_gradients_match_finite_differences():
     check(6, "update directions vs finite differences", ok and checked >= 20, f"{checked} configs")
 
 
-def test_criterion_7_end_to_end_learning_ordering():
+# sha256 of the three CSVs that `dualsim train` writes on the default config
+DEFAULT_TRAIN_DIGESTS = {
+    "accuracy.csv": "2cacc93ba19f7132fedf355efecd61269f54892fdf75b7158d9dd1a6e2dca6a2",
+    "estimators.csv": "3b354a770156ee149d581cfd23b2ad9f3b4453910ae2fa2f01d47b6518cabe14",
+    "summary.csv": "df522fc4c0707f02741676b0373e01306a34e8f1d36a37c56becba83365e90ee",
+}
+
+
+def test_criterion_7_end_to_end_learning_ordering(tmp_path):
     start = time.perf_counter()
-    seeds = [1, 2, 3, 4, 5]
-    vanilla, dual, multi = [], [], []
-    for seed in seeds:
-        phases, world, _ = run_training_experiment(DEFAULT_CONFIG, seed)
-        record = evaluate(phases, world)
-        vanilla.append(record.accuracies[("vanilla", (0, 1))].p_hat)
-        dual.append(record.accuracies[("dual", (0, 1))].p_hat)
-        multi.append(record.accuracies[("multistep", (0, 1))].p_hat)
+    assert main(["train", "--out", str(tmp_path)]) == 0
     elapsed = time.perf_counter() - start
-    v, d, m = float(np.mean(vanilla)), float(np.mean(dual)), float(np.mean(multi))
+    moved = sorted(
+        name for name, digest in DEFAULT_TRAIN_DIGESTS.items()
+        if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest
+    )
+    p_hat = {"vanilla": [], "dual": [], "multistep": []}
+    for line in (tmp_path / "accuracy.csv").read_text(encoding="utf-8").splitlines()[1:]:
+        _, _seed, phase, i, j, value, _ = line.split(",")
+        if (i, j) == ("0", "1"):
+            p_hat[phase].append(float(value))
+    seeds = DEFAULT_CONFIG["train"]["seeds"]
+    v, d, m = (float(np.mean(p_hat[phase])) for phase in ("vanilla", "dual", "multistep"))
     check(
         7,
         "end-to-end phase ordering",
-        d >= v + 0.02 and m >= d + 0.01 and elapsed < 300.0,
-        f"vanilla={v:.4f} dual={d:.4f} multistep={m:.4f} in {elapsed:.0f}s over {len(seeds)} seeds",
+        d >= v + 0.02 and m >= d + 0.01 and elapsed < 300.0 and not moved
+        and all(len(vals) == len(seeds) for vals in p_hat.values()),
+        f"vanilla={v:.4f} dual={d:.4f} multistep={m:.4f} in {elapsed:.0f}s over {len(seeds)} seeds"
+        f"; outputs off their pinned sha256: {moved or 'none'}",
     )
 
 

@@ -368,6 +368,39 @@ class TestTrain:
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "summary.csv").read_bytes() == summary
 
+    @pytest.mark.parametrize(
+        "phases, gains, comparisons",
+        [
+            (["dual"], [], []),
+            (["dual", "multistep"], ["multistep-minus-dual"], ["dual->multistep"]),
+        ],
+        ids=["dual", "dual-multistep"],
+    )
+    def test_only_listed_phases_are_written(self, tmp_path, phases, gains, comparisons):
+        # vanilla (and dual before multistep) is trained as a start, but a
+        # phase left out of train.phases writes no row to any of the three files
+        cfg = {
+            "train": {
+                "world": {"k": 3, "m": 4, "s": 2, "skew": 0.0, "seed": 0},
+                "corpus": {"parallel_per_pair": 20, "monolingual_per_language": 30},
+                "train": {"supervised_steps": 20, "dual_steps": 20, "multistep_steps": 20},
+                "seeds": [1, 2],
+                "phases": phases,
+            }
+        }
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+
+        def column(name, index):
+            lines = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+            return [line.split(",")[index] for line in lines]
+
+        assert set(column("accuracy.csv", 2)) == set(phases)
+        names = column("summary.csv", 0)
+        assert sorted(set(names) - set(gains)) == sorted(phases)
+        assert [g for g in names if "-minus-" in g] == gains
+        assert sorted(set(column("estimators.csv", 2))) == comparisons
+
     def test_summary_gains_are_paired_seed_means(self, tmp_path):
         # each <later>-minus-<earlier> row is the mean over seeds of that
         # seed's p_hat difference on the primary pair, from accuracy.csv

@@ -233,6 +233,14 @@ class TestGradients:
         assert np.array_equal(theta[[0, 1, 2, 4]], theta0[[0, 1, 2, 4]])
 
 
+def round_trip_by_hand(mono, fwd, bwd, rng, lr):
+    """One round-trip update: a source x drawn from ``mono``, a translation y
+    sampled from the forward row at x, the backward row at y pushed toward x."""
+    x = int(mono[rng.integers(mono.size)])
+    y = sample_row(fwd[x], rng)
+    bwd[y] += lr * log_prob_grad_row(bwd[y], x)
+
+
 def small_setup(seed=0, m=6, s=2, pairs=25, mono=200):
     world = generate_world(3, m, s, 0.0, seed)
     corpus = build_corpus(world, pairs, mono, seed + 1)
@@ -269,6 +277,22 @@ class TestDualLearning:
                 after.theta[row],
                 before.theta[row] + lr * log_prob_grad_row(before.theta[row], target),
             )
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_step_is_its_round_trips_by_hand(self, batch):
+        # the replay coin, then batch times 0 -> 1 -> 0 and 1 -> 0 -> 1 in turn
+        _, corpus, ts = small_setup()
+        lr = 0.7
+        cfg = TrainConfig(learning_rate=lr, steps=1, supervised_mix=0.0,
+                          reconstruction_batch=batch, seed=5)
+        d12, d21 = dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, cfg)
+        rng = np.random.default_rng(5)
+        rng.random()
+        th12, th21 = ts[(0, 1)].theta.copy(), ts[(1, 0)].theta.copy()
+        for _ in range(batch):
+            round_trip_by_hand(corpus.monolingual[0], th12, th21, rng, lr)
+            round_trip_by_hand(corpus.monolingual[1], th21, th12, rng, lr)
+        assert np.array_equal(d12.theta, th12) and np.array_equal(d21.theta, th21)
 
     def test_improves_over_vanilla_on_small_world(self):
         world = generate_world(2, 20, 2, 0.0, 3)
@@ -325,7 +349,8 @@ class TestDualLearning:
         corpus = build_corpus(world, 10, 0, 1)
         t12 = TabularTranslator(0, 1, np.zeros((6, 6)))
         t21 = TabularTranslator(1, 0, np.zeros((6, 6)))
-        with pytest.raises(ValidationError):
+        message = "^dual learning needs monolingual data for language 0$"
+        with pytest.raises(ValidationError, match=message):
             dual_learning(t12, t21, corpus, TrainConfig(steps=5))
 
     def test_direction_mismatch_rejected(self):
@@ -345,6 +370,19 @@ class TestDualLearning:
         cfg = TrainConfig(steps=5, supervised_mix=1.0)
         with pytest.raises(ValidationError, match=r"parallel data for pair \(1, 0\)"):
             dual_learning(ts[(0, 1)], ts[(1, 0)], no_reverse, cfg)
+
+    def test_no_replay_needs_no_parallel_data(self):
+        # with supervised_mix 0 no step replays, so both trainers accept a
+        # corpus without parallel pairs and make the updates they make with them
+        _, corpus, ts = small_setup()
+        no_pairs = Corpus(parallel={}, monolingual=corpus.monolingual)
+        cfg = TrainConfig(steps=20, supervised_mix=0.0, update_pivots=True, seed=4)
+        got = dual_learning(ts[(0, 1)], ts[(1, 0)], no_pairs, cfg)
+        ref = dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, cfg)
+        assert all(np.array_equal(g.theta, r.theta) for g, r in zip(got, ref))
+        got = multistep_dual_learning(ts, no_pairs, cfg)
+        ref = multistep_dual_learning(ts, corpus, cfg)
+        assert all(np.array_equal(got[key].theta, ref[key].theta) for key in ref)
 
 
 class TestMultistepDualLearning:
@@ -372,7 +410,8 @@ class TestMultistepDualLearning:
             monolingual={**corpus.monolingual, 2: np.empty(0, dtype=np.int64)},
         )
         cfg = TrainConfig(steps=0, update_pivots=True)
-        with pytest.raises(ValidationError, match="update_pivots"):
+        message = "^update_pivots needs monolingual data for language 2$"
+        with pytest.raises(ValidationError, match=message):
             multistep_dual_learning(ts, no_pivot_mono, cfg)
         multistep_dual_learning(ts, no_pivot_mono, TrainConfig(steps=0))
 
@@ -394,6 +433,32 @@ class TestMultistepDualLearning:
                 out[key].theta[row],
                 ts[key].theta[row] + lr * log_prob_grad_row(ts[key].theta[row], target),
             )
+
+    def test_step_with_pivot_updates_by_hand(self):
+        # the replay coin, the pivot, twice the two pivot chains a -> p -> b
+        # (training b -> a) and b -> p -> a (training a -> b), then one round
+        # trip per pivot direction
+        _, corpus, ts = small_setup(seed=7)
+        lr = 0.6
+        cfg = TrainConfig(learning_rate=lr, steps=1, supervised_mix=0.0,
+                          reconstruction_batch=2, update_pivots=True, seed=13)
+        out = multistep_dual_learning(ts, corpus, cfg)
+        th = {key: t.theta.copy() for key, t in ts.items()}
+        mono = corpus.monolingual
+        rng = np.random.default_rng(13)
+        rng.random()
+        p = [2][rng.integers(1)]
+        for _ in range(2):
+            x_a = int(mono[0][rng.integers(mono[0].size)])
+            x_b = int(mono[1][rng.integers(mono[1].size)])
+            for x, hops, bwd in ((x_a, [(0, p), (p, 1)], (1, 0)), (x_b, [(1, p), (p, 0)], (0, 1))):
+                end = x
+                for key in hops:
+                    end = sample_row(th[key][end], rng)
+                th[bwd][end] += lr * log_prob_grad_row(th[bwd][end], x)
+        for src, dst in ((0, p), (p, 0), (1, p), (p, 1)):
+            round_trip_by_hand(mono[src], th[(src, dst)], th[(dst, src)], rng, lr)
+        assert all(np.array_equal(out[key].theta, th[key]) for key in th)
 
     def test_update_pivots_flag_touches_pivot_pairs(self):
         _, corpus, ts = small_setup(seed=8)

@@ -1,19 +1,24 @@
 """Mutation-kill gate: every catalogued one-line mutant of ``src/dualsim``
 must make the tier-1 suite fail.
 
-Each mutant is a ``(file, old, new)`` replacement that must match exactly
-once in its file, so a moved or edited line fails the gate loudly instead
-of being skipped. For each mutant, ``src/``, ``tests/`` and
-``pyproject.toml`` are copied to a temporary directory, the replacement is
-applied there, and tier-1 runs on the copy with ``-x``. The unmutated copy
-runs first, so a suite that already fails cannot kill anything by accident.
+Each mutant is a ``(file, old, new, killer)`` entry: a replacement that
+must match exactly once in its file, so a moved or edited line fails the
+gate loudly instead of being skipped, and the node id of the tier-1 test
+that kills it. For each mutant, ``src/``, ``tests/`` and ``pyproject.toml``
+are copied to a temporary directory and the replacement is applied there.
+The killer runs first; only if it passes does the whole of tier-1 run on
+the copy with ``-x``. So a mutant survives exactly when tier-1 passes with
+it, and a killer that fails costs seconds instead of a tier-1 run. A killer
+that pytest cannot find or run fails the gate. The unmutated copy runs the
+whole of tier-1 first, so a suite that already fails cannot kill anything
+by accident.
 
 A run that outlasts ``TIMEOUT_S`` is stopped and reported as timed out;
 for a mutant that counts as killed (a mutant that makes the suite hang
 is caught), for the unmutated copy it is a failure.
 
 Exit status 0 when every mutant is killed; 1 when one survives, does not
-apply, or the unmutated suite fails.
+apply, names a killer that does not run, or the unmutated suite fails.
 
     python3 tools/mutants.py
 
@@ -32,32 +37,91 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# name: (file under src/dualsim, old text, new text)
+# name: (file under src/dualsim, old text, new text, node id of the test that kills it)
 MUTANTS = {
     # the kept-reconstruction warning threshold
-    "M7": ("learner.py", "rep.eta_hat < 0.8:", "rep.eta_hat < 0.7:"),
+    "M7": ("learner.py", "rep.eta_hat < 0.8:", "rep.eta_hat < 0.7:",
+           "tests/test_learner.py::TestEvaluate::test_eta_warning_threshold_is_0_8"),
     # the sign of the summary's consecutive-phase gain
-    "M11": ("cli.py", "means[second] - means[base]", "means[base] - means[second]"),
+    "M11": ("cli.py", "means[second] - means[base]", "means[base] - means[second]",
+            "tests/test_cli.py::TestTrain::test_summary_gains_are_paired_seed_means"),
     # verify skips the dependent half of its triple checks
-    "M16": ("cli.py", "for with_dep in (False, True):", "for with_dep in (True,):"),
+    "M16": ("cli.py", "for with_dep in (False, True):", "for with_dep in (True,):",
+            "tests/test_cli.py::TestStdoutPinned::test_stdout_digest[verify]"),
     # the errata's case-1.2 shortcut flips its lam2 term
-    "M18": ("oracle.py", "(1.0 - q2 * q3 - l1 + l2)", "(1.0 - q2 * q3 - l1 - l2)"),
+    "M18": (
+        "oracle.py", "(1.0 - q2 * q3 - l1 + l2)", "(1.0 - q2 * q3 - l1 - l2)",
+        "tests/test_oracle.py::TestErrataReport::test_shortcuts_follow_their_docstring_formulas",
+    ),
     # the census swaps its 01 and 00r rows
     "census-01-00r": (
         "metrics.py",
         "[c11, hop1 - c11, hop2 - c11, back - c11,",
         "[c11, hop1 - c11, back - c11, hop2 - c11,",
+        "tests/test_metrics.py::TestRoundTripCells::test_matches_brute_force_triple_loop",
     ),
     # the census's greedy home test inverted
-    "census-home": ("metrics.py", "(ends[law] == clusters)", "(ends[law] != clusters)"),
+    "census-home": ("metrics.py", "(ends[law] == clusters)", "(ends[law] != clusters)",
+                    "tests/test_metrics.py::TestRoundTripCells::test_perfect_pair"),
     # the census's 00-not row loses the factor on its doubly subtracted 11 mass
-    "census-00n": ("metrics.py", "+ 2.0 * c11]", "+ c11]"),
+    "census-00n": (
+        "metrics.py", "+ 2.0 * c11]", "+ c11]",
+        "tests/test_metrics.py::TestRoundTripCells::test_matches_brute_force_triple_loop",
+    ),
+    # a round trip samples from the backward model and updates the forward one
+    "round-trips-swap": (
+        "learner.py",
+        "_recon_update((fwd,), bwd, x, rng, lr)",
+        "_recon_update((bwd,), fwd, x, rng, lr)",
+        "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
+    ),
+    # dual learning draws each direction's sources from the other language
+    "round-trips-sources": (
+        "learner.py",
+        "[(mono[i], th12, th21), (mono[j], th21, th12)]",
+        "[(mono[j], th12, th21), (mono[i], th21, th12)]",
+        "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
+    ),
+    # dual learning makes one round trip per direction, whatever reconstruction_batch says
+    "round-trips-batch": (
+        "learner.py", "] * cfg.reconstruction_batch", "]",
+        "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
+    ),
+    # update_pivots leaves the pivots frozen
+    "refresh-frozen": (
+        "learner.py",
+        "refresh_dirs = pivot_dirs if cfg.update_pivots else []",
+        "refresh_dirs = []",
+        "tests/test_learner.py::TestMultistepDualLearning"
+        "::test_update_pivots_flag_touches_pivot_pairs",
+    ),
+    # the pivot refresh draws its sources from the target language
+    "refresh-mono": (
+        "learner.py", "[(mono[src], thetas", "[(mono[dst], thetas",
+        "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # the pivot refresh swaps forward and backward theta
+    "refresh-swap": (
+        "learner.py",
+        "thetas[(src, dst)], thetas[(dst, src)]",
+        "thetas[(dst, src)], thetas[(src, dst)]",
+        "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # an empty monolingual list passes the check
+    "mono-empty": ("learner.py", "mono[lang].size == 0", "mono[lang].size < 0",
+                   "tests/test_learner.py::TestDualLearning::test_missing_monolingual_rejected"),
+    # replay data is required even when no step replays
+    "replay-off": (
+        "learner.py", "cfg.supervised_mix > 0.0 and", "cfg.supervised_mix >= 0.0 and",
+        "tests/test_learner.py::TestDualLearning::test_no_replay_needs_no_parallel_data",
+    ),
 }
 
 # a few times the 30-40 s that one tier-1 run takes
 TIMEOUT_S = 300
 
-TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+TIER1 = ["-x", "--continue-on-collection-errors"]
 
 
 def copy_tree(dest: Path) -> None:
@@ -69,7 +133,7 @@ def copy_tree(dest: Path) -> None:
 
 def apply(dest: Path, name: str) -> str | None:
     """Apply mutant ``name`` in the copy at ``dest``; return an error, or None."""
-    file, old, new = MUTANTS[name]
+    file, old, new, _killer = MUTANTS[name]
     path = dest / "src" / "dualsim" / file
     text = path.read_text(encoding="utf-8")
     found = text.count(old)
@@ -79,14 +143,14 @@ def apply(dest: Path, name: str) -> str | None:
     return None
 
 
-def tier1(dest: Path) -> int | None:
-    """Run tier-1 on the copy at ``dest``, its own src/ first on the path;
-    its exit status, or None when it outlasts ``TIMEOUT_S``."""
+def pytest(dest: Path, args: list[str]) -> int | None:
+    """Run pytest with ``args`` on the copy at ``dest``, its own src/ first on
+    the path; its exit status, or None when it outlasts ``TIMEOUT_S``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(dest / "src"), env.get("PYTHONPATH")]))
     try:
         run = subprocess.run(
-            [sys.executable, *TIER1], cwd=dest, env=env,
+            [sys.executable, *PYTEST, *args], cwd=dest, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
@@ -95,26 +159,36 @@ def tier1(dest: Path) -> int | None:
 
 
 def outcome(name: str | None) -> tuple[bool, str]:
-    """Run tier-1 on a fresh copy, mutated by ``name`` unless it is None.
-    Returns whether the run went as it must (the unmutated suite passes; a
-    mutant makes a test fail, pytest exiting 1, or times out) and what
-    happened."""
+    """Run a fresh copy, mutated by ``name`` unless it is None. Returns
+    whether the run went as it must (the unmutated tier-1 passes; a mutant
+    makes its killer or else tier-1 fail, pytest exiting 1, or times out)
+    and what happened."""
     with tempfile.TemporaryDirectory(prefix="dualsim-mutant-") as tmp:
         dest = Path(tmp)
         copy_tree(dest)
-        error = apply(dest, name) if name else None
+        if name is None:
+            code = pytest(dest, TIER1)
+            return code == 0, {None: "timed out", 0: "passes", 1: "tier-1 fails"}.get(
+                code, f"pytest exited {code}")
+        error = apply(dest, name)
         if error:
             return False, error
-        code = tier1(dest)
+        by = MUTANTS[name][3]
+        code = pytest(dest, [by])
+        if code not in (None, 0, 1):
+            return False, f"killer {by} did not run: pytest exited {code}"
+        if code == 0:
+            by, code = "tier-1", pytest(dest, TIER1)
     if code is None:
-        return name is not None, "timed out"
-    if code == (1 if name else 0):
-        return True, "killed" if name else "passes"
-    return False, {0: "survived", 1: "tier-1 fails"}.get(code, f"pytest exited {code}")
+        return True, f"timed out in {by}"
+    if code == 1:
+        return True, f"killed by {by}"
+    return False, "survived" if code == 0 else f"pytest exited {code}"
 
 
 def main() -> int:
     survivors = []
+    begin = time.perf_counter()
     for name in [None, *MUTANTS]:
         start = time.perf_counter()
         ok, what = outcome(name)
@@ -123,7 +197,8 @@ def main() -> int:
             return 1
         if not ok:
             survivors.append(name)
-    print(f"not killed: {survivors}" if survivors else "every mutant killed")
+    print(f"not killed: {survivors}" if survivors else "every mutant killed",
+          f"({time.perf_counter() - begin:.0f} s)")
     return 1 if survivors else 0
 
 
