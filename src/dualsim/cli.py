@@ -417,6 +417,13 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
             "multistep phase needs at least 3 languages (k >= 3); "
             "a 2-language world degenerates to plain dual learning"
         )
+    # the config of every phase that trains, checked before any of them does
+    knobs = {key: value for key, value in tb.items() if not key.endswith("_steps")}
+    trained = PHASE_ORDER[: max(_PHASE_RANK[ph] for ph in phases_wanted) + 1]
+    phase_cfgs = {
+        ph: TrainConfig(steps=tb[steps], **knobs)
+        for ph, steps in zip(trained, ("supervised_steps", "dual_steps", "multistep_steps"))
+    }
     world = generate_world(k, wb["m"], wb["s"], wb["skew"], wb["seed"])
     corpus_seed, *phase_seeds = _sub_seeds(run_seed, 4)
     corpus = build_corpus(
@@ -427,40 +434,32 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
         within_cluster=cb["within_cluster"],
     )
     n = world.n_sentences
-    directions = [(i, j) for i in range(k) for j in range(k) if i != j]
-
-    base = TrainConfig(
-        learning_rate=tb["learning_rate"],
-        supervised_batch=tb["supervised_batch"],
-        reconstruction_batch=tb["reconstruction_batch"],
-        supervised_mix=tb["supervised_mix"],
-        update_pivots=tb["update_pivots"],
-    )
 
     vanilla: dict[tuple[int, int], TabularTranslator] = {}
+    directions = list(corpus.parallel)  # every ordered pair
     seeds = _sub_seeds(phase_seeds[0], len(directions))
     for seed, (i, j) in zip(seeds, directions):
-        cfg_ij = dataclasses.replace(base, steps=tb["supervised_steps"], seed=seed)
+        cfg_ij = dataclasses.replace(phase_cfgs["vanilla"], seed=seed)
         vanilla[(i, j)] = train_supervised(i, j, n, corpus.parallel[(i, j)], cfg_ij)
     phases = {"vanilla": vanilla}
 
-    if "dual" in phases_wanted or "multistep" in phases_wanted:
+    if "dual" in phase_cfgs:
         dual_pairs = [PRIMARY_PAIR]
-        if "multistep" in phases_wanted:
+        if "multistep" in phase_cfgs:
             dual_pairs += [
                 (i, p) for p in range(k) if p not in PRIMARY_PAIR for i in PRIMARY_PAIR
             ]
         dual: dict[tuple[int, int], TabularTranslator] = dict(vanilla)
         seeds = _sub_seeds(phase_seeds[1], len(dual_pairs))
         for seed, (i, j) in zip(seeds, dual_pairs):
-            cfg_ij = dataclasses.replace(base, steps=tb["dual_steps"], seed=seed)
+            cfg_ij = dataclasses.replace(phase_cfgs["dual"], seed=seed)
             dual[(i, j)], dual[(j, i)] = dual_learning(
                 vanilla[(i, j)], vanilla[(j, i)], corpus, cfg_ij
             )
         phases["dual"] = dual
 
-    if "multistep" in phases_wanted:
-        multi_cfg = dataclasses.replace(base, steps=tb["multistep_steps"], seed=phase_seeds[2])
+    if "multistep" in phase_cfgs:
+        multi_cfg = dataclasses.replace(phase_cfgs["multistep"], seed=phase_seeds[2])
         phases["multistep"] = multistep_dual_learning(dual, corpus, multi_cfg)
 
     return {ph: ts for ph, ts in phases.items() if ph in phases_wanted}, world, corpus

@@ -10,9 +10,10 @@ Three phases, mirroring how the translators are meant to be produced:
      toward reconstructing the source (the update lands on the last hop
      of the sampled path, which is the exact gradient of that sampled
      log-likelihood term);
-  3. multi-step training: same idea with a two-hop pivot chain generating
-     the pseudo-source, so the trained pair receives feedback routed
-     through a third language.
+  3. multi-step training: the same update with a two-hop pivot chain
+     generating the pseudo-source, so the trained pair receives feedback
+     routed through a third language. Round trips, pivot chains and the
+     optional pivot refresh all go through one reconstruction kernel.
 
 Every update direction is the analytic gradient of its sampled term (the
 test suite checks this against central finite differences), and a full
@@ -78,22 +79,6 @@ def train_supervised(
     return TabularTranslator(src_lang, dst_lang, theta)
 
 
-def _recon_update(
-    chain: tuple[np.ndarray, ...],
-    theta_bwd: np.ndarray,
-    x: int,
-    rng: np.random.Generator,
-    lr: float,
-) -> None:
-    """Single reconstruction update: sample x along the hops of ``chain``
-    (one hop for a round trip, two for a pivot chain), then push the
-    backward row at the sampled end toward x."""
-    end = x
-    for theta in chain:
-        end = sample_row(theta[end], rng)
-    theta_bwd[end] += lr * log_prob_grad_row(theta_bwd[end], x)
-
-
 def _replayed(
     th_fwd: np.ndarray,
     th_bwd: np.ndarray,
@@ -111,11 +96,19 @@ def _replayed(
     return True
 
 
-def _round_trips(trips: list[tuple[np.ndarray, ...]], rng: np.random.Generator, lr: float) -> None:
-    """One x -> y -> x update per (monolingual ids, forward theta, backward theta), in order."""
-    for mono, fwd, bwd in trips:
-        x = int(mono[rng.integers(mono.size)])
-        _recon_update((fwd,), bwd, x, rng, lr)
+def _reconstruct(groups: list[list[tuple]], rng: np.random.Generator, lr: float) -> None:
+    """Reconstruction updates, one per (monolingual ids, chain, backward
+    theta) entry. Each group, in order, first draws a source x for every
+    entry; then, entry by entry, it samples x along the hops of the chain
+    (one theta for a round trip, two for a pivot chain) and pushes the
+    backward row at the sampled end toward x."""
+    for group in groups:
+        xs = [int(mono[rng.integers(mono.size)]) for mono, _, _ in group]
+        for x, (_, chain, bwd) in zip(xs, group):
+            end = x
+            for theta in chain:
+                end = sample_row(theta[end], rng)
+            bwd[end] += lr * log_prob_grad_row(bwd[end], x)
 
 
 def _monolingual(corpus: Corpus, langs: Collection[int], what: str) -> dict[int, np.ndarray]:
@@ -157,10 +150,10 @@ def dual_learning(
 
     rng = np.random.default_rng(cfg.seed)
     th12, th21 = t12.theta.copy(), t21.theta.copy()
-    trips = [(mono[i], th12, th21), (mono[j], th21, th12)] * cfg.reconstruction_batch
+    trips = [[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]] * cfg.reconstruction_batch
     for _ in range(cfg.steps):
         if not _replayed(th12, th21, pairs_ij, pairs_ji, rng, cfg):
-            _round_trips(trips, rng, cfg.learning_rate)
+            _reconstruct(trips, rng, cfg.learning_rate)
     return TabularTranslator(i, j, th12), TabularTranslator(j, i, th21)
 
 
@@ -216,20 +209,19 @@ def multistep_dual_learning(
     written = {(a, b), (b, a), *refresh_dirs}
     rng = np.random.default_rng(cfg.seed)
     thetas = {key: t.theta.copy() if key in written else t.theta for key, t in translators.items()}
-    refresh = [(mono[src], thetas[(src, dst)], thetas[(dst, src)]) for src, dst in refresh_dirs]
-    lr = cfg.learning_rate
+    # per pivot p: the pivot chains a -> p -> b (training b -> a) and
+    # b -> p -> a (training a -> b), then one round trip per refreshed direction
+    refresh = [
+        [(mono[src], (thetas[(src, dst)],), thetas[(dst, src)])] for src, dst in refresh_dirs
+    ]
+    groups_by_pivot = {
+        p: [[(mono[src], (thetas[(src, p)], thetas[(p, dst)]), thetas[(dst, src)])
+             for src, dst in ((a, b), (b, a))]] * cfg.reconstruction_batch + refresh
+        for p in pivots
+    }
     for _ in range(cfg.steps):
-        if _replayed(thetas[(a, b)], thetas[(b, a)], pairs_ab, pairs_ba, rng, cfg):
-            continue
-        p = pivots[rng.integers(len(pivots))]
-        for _ in range(cfg.reconstruction_batch):
-            x_a = int(mono[a][rng.integers(mono[a].size)])
-            x_b = int(mono[b][rng.integers(mono[b].size)])
-            # pseudo-target for x_a through a -> p -> b trains the b -> a model
-            _recon_update((thetas[(a, p)], thetas[(p, b)]), thetas[(b, a)], x_a, rng, lr)
-            # pseudo-source for x_b through b -> p -> a trains the a -> b model
-            _recon_update((thetas[(b, p)], thetas[(p, a)]), thetas[(a, b)], x_b, rng, lr)
-        _round_trips(refresh, rng, lr)
+        if not _replayed(thetas[(a, b)], thetas[(b, a)], pairs_ab, pairs_ba, rng, cfg):
+            _reconstruct(groups_by_pivot[pivots[rng.integers(len(pivots))]], rng, cfg.learning_rate)
     return {
         key: TabularTranslator(key[0], key[1], thetas[key]) if key in written else t
         for key, t in translators.items()

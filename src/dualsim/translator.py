@@ -95,7 +95,8 @@ class TrainConfig:
     supervised_batch     minibatch size for parallel-data updates (the
                          update applies the mean batch gradient)
     reconstruction_batch round-trip samples drawn per reconstruction step
-                         and direction, applied one at a time
+                         and direction, applied one at a time; for
+                         multi-step training, pivot-chain pairs per step
     supervised_mix       fraction of steps that replay parallel data
                          during the dual / multi-step phases
     update_pivots        keep refining pivot-pair translators with their

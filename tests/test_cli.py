@@ -401,6 +401,20 @@ class TestTrain:
         assert [g for g in names if "-minus-" in g] == gains
         assert sorted(set(column("estimators.csv", 2))) == comparisons
 
+    @pytest.mark.parametrize("field", ["dual_steps", "multistep_steps"])
+    def test_bad_phase_steps_rejected_before_any_training(
+        self, tmp_path, capsys, monkeypatch, field
+    ):
+        # the config of every phase that trains is checked before the first
+        # one trains, not after the earlier phases have run
+        def no_training(*args):
+            raise AssertionError("train_supervised ran before the config was checked")
+
+        monkeypatch.setattr(cli, "train_supervised", no_training)
+        path = write_config(tmp_path, {"train": {"train": {field: -1}}})
+        assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: steps must be nonnegative, got -1\n"
+
     def test_summary_gains_are_paired_seed_means(self, tmp_path):
         # each <later>-minus-<earlier> row is the mean over seeds of that
         # seed's p_hat difference on the primary pair, from accuracy.csv

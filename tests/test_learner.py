@@ -241,15 +241,15 @@ def round_trip_by_hand(mono, fwd, bwd, rng, lr):
     bwd[y] += lr * log_prob_grad_row(bwd[y], x)
 
 
-def small_setup(seed=0, m=6, s=2, pairs=25, mono=200):
-    world = generate_world(3, m, s, 0.0, seed)
+def small_setup(seed=0, m=6, s=2, pairs=25, mono=200, k=3):
+    world = generate_world(k, m, s, 0.0, seed)
     corpus = build_corpus(world, pairs, mono, seed + 1)
     n = world.n_sentences
     rng = np.random.default_rng(seed + 2)
     translators = {
         (i, j): TabularTranslator(i, j, 0.5 * rng.normal(size=(n, n)))
-        for i in range(3)
-        for j in range(3)
+        for i in range(k)
+        for j in range(k)
         if i != j
     }
     return world, corpus, translators
@@ -434,30 +434,39 @@ class TestMultistepDualLearning:
                 ts[key].theta[row] + lr * log_prob_grad_row(ts[key].theta[row], target),
             )
 
-    def test_step_with_pivot_updates_by_hand(self):
-        # the replay coin, the pivot, twice the two pivot chains a -> p -> b
-        # (training b -> a) and b -> p -> a (training a -> b), then one round
-        # trip per pivot direction
-        _, corpus, ts = small_setup(seed=7)
-        lr = 0.6
-        cfg = TrainConfig(learning_rate=lr, steps=1, supervised_mix=0.0,
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_step_with_pivot_updates_by_hand(self, k):
+        # per step: the replay coin, the pivot, twice the two pivot chains
+        # a -> p -> b (training b -> a) and b -> p -> a (training a -> b),
+        # then one round trip per pivot direction; with two pivots (k = 4)
+        # the steps draw both, so a step that runs another pivot's chains fails
+        _, corpus, ts = small_setup(seed=7, k=k)
+        lr, steps = 0.6, 4
+        cfg = TrainConfig(learning_rate=lr, steps=steps, supervised_mix=0.0,
                           reconstruction_batch=2, update_pivots=True, seed=13)
         out = multistep_dual_learning(ts, corpus, cfg)
         th = {key: t.theta.copy() for key, t in ts.items()}
         mono = corpus.monolingual
+        pivots = list(range(2, k))
         rng = np.random.default_rng(13)
-        rng.random()
-        p = [2][rng.integers(1)]
-        for _ in range(2):
-            x_a = int(mono[0][rng.integers(mono[0].size)])
-            x_b = int(mono[1][rng.integers(mono[1].size)])
-            for x, hops, bwd in ((x_a, [(0, p), (p, 1)], (1, 0)), (x_b, [(1, p), (p, 0)], (0, 1))):
-                end = x
-                for key in hops:
-                    end = sample_row(th[key][end], rng)
-                th[bwd][end] += lr * log_prob_grad_row(th[bwd][end], x)
-        for src, dst in ((0, p), (p, 0), (1, p), (p, 1)):
-            round_trip_by_hand(mono[src], th[(src, dst)], th[(dst, src)], rng, lr)
+        drawn = set()
+        for _ in range(steps):
+            rng.random()
+            p = pivots[rng.integers(len(pivots))]
+            drawn.add(p)
+            for _ in range(2):
+                x_a = int(mono[0][rng.integers(mono[0].size)])
+                x_b = int(mono[1][rng.integers(mono[1].size)])
+                for x, hops, bwd in ((x_a, [(0, p), (p, 1)], (1, 0)),
+                                     (x_b, [(1, p), (p, 0)], (0, 1))):
+                    end = x
+                    for key in hops:
+                        end = sample_row(th[key][end], rng)
+                    th[bwd][end] += lr * log_prob_grad_row(th[bwd][end], x)
+            for q in pivots:
+                for src, dst in ((0, q), (q, 0), (1, q), (q, 1)):
+                    round_trip_by_hand(mono[src], th[(src, dst)], th[(dst, src)], rng, lr)
+        assert drawn == set(pivots)
         assert all(np.array_equal(out[key].theta, th[key]) for key in th)
 
     def test_update_pivots_flag_touches_pivot_pairs(self):

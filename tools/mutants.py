@@ -4,7 +4,10 @@ must make the tier-1 suite fail.
 Each mutant is a ``(file, old, new, killer)`` entry: a replacement that
 must match exactly once in its file, so a moved or edited line fails the
 gate loudly instead of being skipped, and the node id of the tier-1 test
-that kills it. For each mutant, ``src/``, ``tests/`` and ``pyproject.toml``
+that kills it. A pre-flight checks the whole catalogue before any tier-1
+run: every entry's old text must match exactly once in the checkout, and
+one ``pytest --collect-only`` must find every killer, so a stale catalogue
+fails in seconds. For each mutant, ``src/``, ``tests/`` and ``pyproject.toml``
 are copied to a temporary directory and the replacement is applied there.
 The killer runs first; only if it passes does the whole of tier-1 run on
 the copy with ``-x``. So a mutant survives exactly when tier-1 passes with
@@ -17,8 +20,9 @@ A run that outlasts ``TIMEOUT_S`` is stopped and reported as timed out;
 for a mutant that counts as killed (a mutant that makes the suite hang
 is caught), for the unmutated copy it is a failure.
 
-Exit status 0 when every mutant is killed; 1 when one survives, does not
-apply, names a killer that does not run, or the unmutated suite fails.
+Exit status 0 when every mutant is killed; 1 when the pre-flight finds a
+stale entry, a mutant survives or names a killer that does not run, or the
+unmutated suite fails.
 
     python3 tools/mutants.py
 
@@ -71,21 +75,54 @@ MUTANTS = {
     # a round trip samples from the backward model and updates the forward one
     "round-trips-swap": (
         "learner.py",
-        "_recon_update((fwd,), bwd, x, rng, lr)",
-        "_recon_update((bwd,), fwd, x, rng, lr)",
+        "[[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]]",
+        "[[(mono[i], (th21,), th12)], [(mono[j], (th12,), th21)]]",
         "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
     ),
     # dual learning draws each direction's sources from the other language
     "round-trips-sources": (
         "learner.py",
-        "[(mono[i], th12, th21), (mono[j], th21, th12)]",
-        "[(mono[j], th12, th21), (mono[i], th21, th12)]",
+        "[[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]]",
+        "[[(mono[j], (th12,), th21)], [(mono[i], (th21,), th12)]]",
         "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
     ),
     # dual learning makes one round trip per direction, whatever reconstruction_batch says
     "round-trips-batch": (
-        "learner.py", "] * cfg.reconstruction_batch", "]",
+        "learner.py", "th12)]] * cfg.reconstruction_batch", "th12)]]",
         "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
+    ),
+    # the kernel draws each entry's source just before sampling its chain,
+    # not every source of a group first
+    "kernel-draw-per-entry": (
+        "learner.py",
+        "xs = [int(mono[rng.integers(mono.size)]) for mono, _, _ in group]",
+        "xs = (int(mono[rng.integers(mono.size)]) for mono, _, _ in group)",
+        "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # a pivot chain takes its two hops in reverse order
+    "pivot-hops-reversed": (
+        "learner.py", "(thetas[(src, p)], thetas[(p, dst)])", "(thetas[(p, dst)], thetas[(src, p)])",
+        "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # a pivot chain trains the direction it generated through, not its inverse
+    "pivot-backward": (
+        "learner.py",
+        "thetas[(p, dst)]), thetas[(dst, src)])",
+        "thetas[(p, dst)]), thetas[(src, dst)])",
+        "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # one pair of pivot chains per step, whatever reconstruction_batch says
+    "pivot-batch": (
+        "learner.py", "]] * cfg.reconstruction_batch + refresh", "]] + refresh",
+        "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # every step runs the first pivot's chains, whichever pivot it drew
+    "pivot-choice": (
+        "learner.py",
+        "groups_by_pivot[pivots[rng.integers(len(pivots))]]",
+        "groups_by_pivot[pivots[rng.integers(len(pivots)) * 0]]",
+        "tests/test_learner.py::TestMultistepDualLearning"
+        "::test_step_with_pivot_updates_by_hand[4]",
     ),
     # update_pivots leaves the pivots frozen
     "refresh-frozen": (
@@ -97,14 +134,14 @@ MUTANTS = {
     ),
     # the pivot refresh draws its sources from the target language
     "refresh-mono": (
-        "learner.py", "[(mono[src], thetas", "[(mono[dst], thetas",
+        "learner.py", "[(mono[src], (thetas[(src, dst)],)", "[(mono[dst], (thetas[(src, dst)],)",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
     # the pivot refresh swaps forward and backward theta
     "refresh-swap": (
         "learner.py",
-        "thetas[(src, dst)], thetas[(dst, src)]",
-        "thetas[(dst, src)], thetas[(src, dst)]",
+        "(thetas[(src, dst)],), thetas[(dst, src)]",
+        "(thetas[(dst, src)],), thetas[(src, dst)]",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
     # an empty monolingual list passes the check
@@ -131,31 +168,44 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def apply(dest: Path, name: str) -> str | None:
-    """Apply mutant ``name`` in the copy at ``dest``; return an error, or None."""
+def preflight() -> list[str]:
+    """What is stale in the catalogue, found in seconds before any tier-1
+    run: an entry whose old text does not match exactly once in the source,
+    and a killer that one ``pytest --collect-only`` does not find."""
+    stale = []
+    for name, (file, old, _new, _killer) in MUTANTS.items():
+        found = (ROOT / "src" / "dualsim" / file).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            stale.append(f"{name}: {file}: {old!r} matches {found} times, not once")
+    killers = sorted({killer for *_, killer in MUTANTS.values()})
+    code, output = pytest(ROOT, ["--collect-only", *killers])
+    if code != 0:
+        missing = [line for line in output.splitlines() if "not found" in line]
+        stale += missing or [f"collecting the killers: pytest exited {code}"]
+    return stale
+
+
+def apply(dest: Path, name: str) -> None:
+    """Apply mutant ``name`` in the copy at ``dest``; the pre-flight checked
+    that its old text matches exactly once."""
     file, old, new, _killer = MUTANTS[name]
     path = dest / "src" / "dualsim" / file
-    text = path.read_text(encoding="utf-8")
-    found = text.count(old)
-    if found != 1:
-        return f"{file}: {old!r} matches {found} times, not once"
-    path.write_text(text.replace(old, new), encoding="utf-8")
-    return None
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
 
 
-def pytest(dest: Path, args: list[str]) -> int | None:
-    """Run pytest with ``args`` on the copy at ``dest``, its own src/ first on
-    the path; its exit status, or None when it outlasts ``TIMEOUT_S``."""
+def pytest(dest: Path, args: list[str]) -> tuple[int | None, str]:
+    """Run pytest with ``args`` on the tree at ``dest``, its own src/ first on
+    the path; its exit status (None when it outlasts ``TIMEOUT_S``) and output."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(dest / "src"), env.get("PYTHONPATH")]))
     try:
         run = subprocess.run(
             [sys.executable, *PYTEST, *args], cwd=dest, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+            capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        return None
-    return run.returncode
+        return None, ""
+    return run.returncode, run.stdout + run.stderr
 
 
 def outcome(name: str | None) -> tuple[bool, str]:
@@ -167,18 +217,16 @@ def outcome(name: str | None) -> tuple[bool, str]:
         dest = Path(tmp)
         copy_tree(dest)
         if name is None:
-            code = pytest(dest, TIER1)
+            code, _ = pytest(dest, TIER1)
             return code == 0, {None: "timed out", 0: "passes", 1: "tier-1 fails"}.get(
                 code, f"pytest exited {code}")
-        error = apply(dest, name)
-        if error:
-            return False, error
+        apply(dest, name)
         by = MUTANTS[name][3]
-        code = pytest(dest, [by])
+        code, _ = pytest(dest, [by])
         if code not in (None, 0, 1):
             return False, f"killer {by} did not run: pytest exited {code}"
         if code == 0:
-            by, code = "tier-1", pytest(dest, TIER1)
+            by, (code, _) = "tier-1", pytest(dest, TIER1)
     if code is None:
         return True, f"timed out in {by}"
     if code == 1:
@@ -187,8 +235,15 @@ def outcome(name: str | None) -> tuple[bool, str]:
 
 
 def main() -> int:
-    survivors = []
     begin = time.perf_counter()
+    stale = preflight()
+    for problem in stale:
+        print(f"stale: {problem}", flush=True)
+    print(f"pre-flight: {len(stale) or 'no'} stale entries ({time.perf_counter() - begin:.1f} s)",
+          flush=True)
+    if stale:
+        return 1
+    survivors = []
     for name in [None, *MUTANTS]:
         start = time.perf_counter()
         ok, what = outcome(name)
