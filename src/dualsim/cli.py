@@ -417,13 +417,22 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
             "multistep phase needs at least 3 languages (k >= 3); "
             "a 2-language world degenerates to plain dual learning"
         )
-    # the config of every phase that trains, checked before any of them does
+    # the config and corpus sizes of every phase that trains, checked before any of them does
     knobs = {key: value for key, value in tb.items() if not key.endswith("_steps")}
     trained = PHASE_ORDER[: max(_PHASE_RANK[ph] for ph in phases_wanted) + 1]
-    phase_cfgs = {
-        ph: TrainConfig(steps=tb[steps], **knobs)
-        for ph, steps in zip(trained, ("supervised_steps", "dual_steps", "multistep_steps"))
-    }
+    phase_cfgs = {}
+    for ph, steps in zip(trained, ("supervised_steps", "dual_steps", "multistep_steps")):
+        try:
+            phase_cfgs[ph] = TrainConfig(steps=tb[steps], **knobs)
+        except ValidationError as e:
+            # TrainConfig's messages open with the field's name: report it under its config path
+            field, rest = str(e).split(" ", 1)
+            field = steps if field == "steps" else field
+            raise ValidationError(f"train.train.{field} {rest}") from None
+    # vanilla trains on parallel pairs; dual and multistep on monolingual data too
+    for size in ("parallel_per_pair", "monolingual_per_language")[: len(trained)]:
+        if cb[size] < 1:
+            raise ValidationError(f"train.corpus.{size} must be at least 1, got {cb[size]!r}")
     world = generate_world(k, wb["m"], wb["s"], wb["skew"], wb["seed"])
     corpus_seed, *phase_seeds = _sub_seeds(run_seed, 4)
     corpus = build_corpus(

@@ -65,9 +65,10 @@ def train_supervised(
 
     The zero start is allocated here with ``np.zeros``, whose fresh pages
     are backed by memory only once written: the rows of sources that no
-    pair holds are never written, and cost no resident memory until a
-    later phase writes them. A caller-supplied start would have to be
-    copied, which writes every page.
+    pair holds are never written, and cost no resident memory. A later
+    phase's start (:func:`_phase_start`) copies only written rows, so they
+    stay unbacked until that phase's own updates write them. A
+    caller-supplied start would have to be copied, which writes every page.
     """
     pairs = np.asarray(pairs)
     if pairs.size == 0:
@@ -77,6 +78,16 @@ def train_supervised(
     for _ in range(cfg.steps):
         _supervised_update(theta, pairs, rng, cfg.supervised_batch, cfg.learning_rate)
     return TabularTranslator(src_lang, dst_lang, theta)
+
+
+def _phase_start(theta: np.ndarray) -> np.ndarray:
+    """A phase's own working copy of ``theta``: ``np.zeros`` with only the
+    rows holding a nonzero bit copied in, so rows still all zero stay on
+    the zero page. Rows are tested through a ``uint64`` view, so a row of
+    -0.0 is copied too, and the masked copy needs no n x n temporary."""
+    start = np.zeros(theta.shape)
+    np.copyto(start, theta, where=theta.view(np.uint64).any(axis=1)[:, None])
+    return start
 
 
 def _replayed(
@@ -138,8 +149,10 @@ def dual_learning(
     probability ``supervised_mix``) or performs reconstruction updates:
     the forward model generates translations of monolingual sources and
     the backward model is pushed to undo them, symmetrically in both
-    directions, each replaying its own corpus pairs. Returns updated
-    copies of both translators.
+    directions, each replaying its own corpus pairs. Returns new
+    translators for both directions, each trained from a
+    :func:`_phase_start` copy of its input, so a row still all zero stays
+    on the zero page until this phase writes it.
     """
     i, j = t12.src_lang, t12.dst_lang
     if (t21.src_lang, t21.dst_lang) != (j, i):
@@ -149,7 +162,7 @@ def dual_learning(
     pairs_ji = _replay_pairs(corpus, (j, i), cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    th12, th21 = t12.theta.copy(), t21.theta.copy()
+    th12, th21 = _phase_start(t12.theta), _phase_start(t21.theta)
     trips = [[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]] * cfg.reconstruction_batch
     for _ in range(cfg.steps):
         if not _replayed(th12, th21, pairs_ij, pairs_ji, rng, cfg):
@@ -184,7 +197,8 @@ def multistep_dual_learning(
 
     No input theta is written. The result holds new translators for the
     directions trained here, (a, b), (b, a) and, with ``update_pivots``,
-    every pair between a pivot and a or b; every other direction comes
+    every pair between a pivot and a or b, each trained from a
+    :func:`_phase_start` copy of its input; every other direction comes
     back as the caller's own object, shared with the input phase.
     """
     a, b = PRIMARY_PAIR
@@ -208,7 +222,10 @@ def multistep_dual_learning(
     refresh_dirs = pivot_dirs if cfg.update_pivots else []
     written = {(a, b), (b, a), *refresh_dirs}
     rng = np.random.default_rng(cfg.seed)
-    thetas = {key: t.theta.copy() if key in written else t.theta for key, t in translators.items()}
+    thetas = {
+        key: _phase_start(t.theta) if key in written else t.theta
+        for key, t in translators.items()
+    }
     # per pivot p: the pivot chains a -> p -> b (training b -> a) and
     # b -> p -> a (training a -> b), then one round trip per refreshed direction
     refresh = [

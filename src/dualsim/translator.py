@@ -64,8 +64,9 @@ class TabularTranslator:
 
     A theta fresh from ``np.zeros`` is backed by memory only where it has
     been written: the rows that supervised pretraining never updates stay
-    uniform and read as the kernel's shared zero page, so they cost no
-    resident memory until a later phase writes them.
+    uniform and read as the kernel's shared zero page. Later phases start
+    from ``np.zeros`` too and copy in only the rows holding a nonzero bit,
+    so such a row costs no resident memory until a phase's updates write it.
     """
 
     src_lang: int
@@ -120,7 +121,8 @@ class TrainConfig:
             )
         if self.steps < 0:
             raise ValidationError(f"steps must be nonnegative, got {self.steps!r}")
-        if self.supervised_batch < 1 or self.reconstruction_batch < 1:
-            raise ValidationError("batch sizes must be at least 1")
+        for name in ("supervised_batch", "reconstruction_batch"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.supervised_mix <= 1.0:
             raise ValidationError(f"supervised_mix must be in [0, 1], got {self.supervised_mix!r}")

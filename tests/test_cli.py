@@ -401,19 +401,44 @@ class TestTrain:
         assert [g for g in names if "-minus-" in g] == gains
         assert sorted(set(column("estimators.csv", 2))) == comparisons
 
-    @pytest.mark.parametrize("field", ["dual_steps", "multistep_steps"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "supervised_steps", "dual_steps", "multistep_steps", "supervised_batch",
+            "reconstruction_batch", "parallel_per_pair", "monolingual_per_language",
+        ],
+    )
     def test_bad_phase_steps_rejected_before_any_training(
         self, tmp_path, capsys, monkeypatch, field
     ):
-        # the config of every phase that trains is checked before the first
-        # one trains, not after the earlier phases have run
-        def no_training(*args):
-            raise AssertionError("train_supervised ran before the config was checked")
+        # the config and corpus sizes of every phase that trains are checked
+        # before the world is built, not after the earlier phases have run;
+        # the one-line error names the config field and its value
+        block = "train" if field in DEFAULT_CONFIG["train"]["train"] else "corpus"
+        steps = field.endswith("_steps")
+        value, rule = (-1, "must be nonnegative") if steps else (0, "must be at least 1")
 
-        monkeypatch.setattr(cli, "train_supervised", no_training)
-        path = write_config(tmp_path, {"train": {"train": {field: -1}}})
+        def no_training(*args):
+            raise AssertionError("the world was built before the config was checked")
+
+        monkeypatch.setattr(cli, "generate_world", no_training)
+        path = write_config(tmp_path, {"train": {block: {field: value}}})
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: steps must be nonnegative, got -1\n"
+        assert capsys.readouterr().err == f"error: train.{block}.{field} {rule}, got {value}\n"
+
+    def test_monolingual_size_unchecked_when_only_vanilla_trains(self, tmp_path):
+        cfg = {
+            "train": {
+                "world": {"k": 3, "m": 4, "s": 2, "skew": 0.0, "seed": 0},
+                "corpus": {"parallel_per_pair": 10, "monolingual_per_language": 0},
+                "train": {"supervised_steps": 10, "supervised_batch": 4},
+                "seeds": [1],
+                "phases": ["vanilla"],
+            }
+        }
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert (out / "accuracy.csv").exists()
 
     def test_summary_gains_are_paired_seed_means(self, tmp_path):
         # each <later>-minus-<earlier> row is the mean over seeds of that
@@ -498,8 +523,10 @@ class TestTrain:
     @pytest.mark.parametrize(
         "corpus, what",
         [
-            ({"parallel_per_pair": -1}, "nonnegative"),
-            ({"monolingual_per_language": -1}, "nonnegative"),
+            ({"parallel_per_pair": -1},
+             "error: train.corpus.parallel_per_pair must be at least 1, got -1\n"),
+            ({"monolingual_per_language": -1},
+             "error: train.corpus.monolingual_per_language must be at least 1, got -1\n"),
             ({"within_cluster": "nope"}, "within_cluster"),
         ],
         ids=["parallel_per_pair", "monolingual_per_language", "within_cluster"],

@@ -49,6 +49,58 @@ def fd_row_grad(f, theta, row, h=1e-5):
     return g
 
 
+def peak_growth(*scripts):
+    """Run ``scripts``, one after another, in a new process with ``src/`` on
+    its path and a ``peak_kib()`` that reads the process's own VmHWM
+    (ru_maxrss would keep the peak of the forking test process across
+    exec); returns the two integers the scripts print. Skipped where the peak cannot show
+    unbacked rows: off Linux, and under transparent huge pages "always",
+    which back whole 2 MiB ranges on first write."""
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/status")
+    thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+    if thp.exists() and "[always]" in thp.read_text():
+        pytest.skip("transparent huge pages back whole 2 MiB ranges on first write")
+    preamble = textwrap.dedent(
+        """
+        def peak_kib():
+            with open("/proc/self/status") as fh:
+                return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "".join(map(textwrap.dedent, [preamble, *scripts]))],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return map(int, done.stdout.split())
+
+
+# n = 700 is 3.9 MB, below the 4 MiB from which numpy asks for huge pages;
+# the starts write 5 of the 700 rows. Inputs are built, and every code path
+# warmed on n = 20, before the peak is read
+SPARSE_STARTS = """
+    import numpy as np
+    from dualsim.learner import dual_learning, multistep_dual_learning
+    from dualsim.synth_lang import Corpus
+    from dualsim.translator import TabularTranslator, TrainConfig
+
+    def sparse(k, n):
+        ts = {}
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    theta = np.zeros((n, n))
+                    theta[:: n // 5] = 1.0
+                    ts[(i, j)] = TabularTranslator(i, j, theta)
+        return ts
+
+    corpus = Corpus(parallel={}, monolingual={lang: np.arange(5) for lang in range(3)})
+    cfg = TrainConfig(steps=0, supervised_mix=0.0, update_pivots=True)
+"""
+
+
 class TestTabularTranslator:
     def test_rows_normalized(self):
         rng = np.random.default_rng(0)
@@ -110,8 +162,9 @@ class TestTabularTranslator:
             TrainConfig(steps=-1)
         with pytest.raises(ValidationError):
             TrainConfig(supervised_mix=1.5)
-        with pytest.raises(ValidationError):
-            TrainConfig(supervised_batch=0)
+        for field in ("supervised_batch", "reconstruction_batch"):
+            with pytest.raises(ValidationError, match=f"^{field} must be at least 1, got 0$"):
+                TrainConfig(**{field: 0})
 
 
 class TestTrainSupervised:
@@ -138,24 +191,14 @@ class TestTrainSupervised:
             train_supervised(0, 1, 4, pairs, cfg).theta, train_supervised(0, 1, 4, pairs, cfg).theta
         )
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
     def test_unwritten_rows_cost_no_resident_memory(self):
-        # n = 700 is 3.9 MB, below the 4 MiB from which numpy asks for huge
-        # pages; 10 pairs write at most 10 of the 700 rows. The peak is
-        # VmHWM, the new process's own: ru_maxrss keeps the peak of the
-        # forking test process across exec
-        thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
-        if thp.exists() and "[always]" in thp.read_text():
-            pytest.skip("transparent huge pages back whole 2 MiB ranges on first write")
-        script = textwrap.dedent(
+        # 10 pairs write at most 10 of the 700 rows; n = 700 stays below
+        # numpy's 4 MiB huge-page advice
+        grown_kib, nbytes = peak_growth(
             """
             import numpy as np
             from dualsim.learner import train_supervised
             from dualsim.translator import TrainConfig
-
-            def peak_kib():
-                with open("/proc/self/status") as fh:
-                    return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
 
             pairs = np.stack([np.arange(0, 700, 70), np.arange(10)], axis=1)
             cfg = TrainConfig(steps=50, seed=1)
@@ -165,12 +208,6 @@ class TestTrainSupervised:
             print(peak_kib() - before, t.theta.nbytes)
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        )
-        grown_kib, nbytes = map(int, done.stdout.split())
         assert grown_kib * 1024 < nbytes / 4
 
 
@@ -293,6 +330,34 @@ class TestDualLearning:
             round_trip_by_hand(corpus.monolingual[0], th12, th21, rng, lr)
             round_trip_by_hand(corpus.monolingual[1], th21, th12, rng, lr)
         assert np.array_equal(d12.theta, th12) and np.array_equal(d21.theta, th21)
+
+    def test_phase_start_costs_only_written_rows(self):
+        # two phase starts from 5-row starts; dense copies would grow the
+        # peak by two whole thetas
+        grown_kib, nbytes = peak_growth(
+            SPARSE_STARTS,
+            """
+            small = sparse(2, 20)
+            dual_learning(small[(0, 1)], small[(1, 0)], corpus, cfg)
+            ts = sparse(2, 700)
+            before = peak_kib()
+            out = dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, cfg)
+            print(peak_kib() - before, out[0].theta.nbytes)
+            """
+        )
+        assert grown_kib * 1024 < nbytes / 4
+
+    def test_zero_steps_returns_its_inputs_bit_for_bit(self):
+        # written rows, all-zero rows and a row of -0.0 cells all come back
+        # with their own bits, in arrays of their own
+        _, corpus, ts = small_setup()
+        for t in ts.values():
+            t.theta[1] = 0.0
+            t.theta[2] = -0.0
+        d12, d21 = dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, TrainConfig(steps=0))
+        for before, after in ((ts[(0, 1)], d12), (ts[(1, 0)], d21)):
+            assert after.theta.tobytes() == before.theta.tobytes()
+            assert not np.shares_memory(after.theta, before.theta)
 
     def test_improves_over_vanilla_on_small_world(self):
         world = generate_world(2, 20, 2, 0.0, 3)
@@ -509,6 +574,33 @@ class TestMultistepDualLearning:
         b = multistep_dual_learning(ts, corpus, cfg)
         for key in a:
             assert np.array_equal(a[key].theta, b[key].theta)
+
+    def test_phase_start_costs_only_written_rows(self):
+        # k = 3 with pivot updates trains six directions from 5-row starts;
+        # dense copies would grow the peak by six whole thetas
+        grown_kib, nbytes = peak_growth(
+            SPARSE_STARTS,
+            """
+            multistep_dual_learning(sparse(3, 20), corpus, cfg)
+            ts = sparse(3, 700)
+            before = peak_kib()
+            out = multistep_dual_learning(ts, corpus, cfg)
+            assert all(out[key] is not t for key, t in ts.items())
+            print(peak_kib() - before, out[(0, 1)].theta.nbytes)
+            """
+        )
+        assert grown_kib * 1024 < nbytes / 4
+
+    def test_zero_steps_returns_its_inputs_bit_for_bit(self):
+        _, corpus, ts = small_setup(k=4)
+        for t in ts.values():
+            t.theta[1] = 0.0
+            t.theta[2] = -0.0
+        out = multistep_dual_learning(ts, corpus, TrainConfig(steps=0, update_pivots=True))
+        for key, t in ts.items():
+            assert out[key].theta.tobytes() == t.theta.tobytes()
+            # the pivot pair (2, 3) is not trained: it comes back as the caller's own
+            assert np.shares_memory(out[key].theta, t.theta) == (key in ((2, 3), (3, 2)))
 
     @pytest.mark.parametrize("update_pivots", [False, True])
     def test_untouched_directions_are_the_callers_objects(self, update_pivots):

@@ -144,6 +144,16 @@ MUTANTS = {
         "(thetas[(dst, src)],), thetas[(src, dst)]",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
+    # a phase start copies every row, so never-written rows become resident
+    "dense-phase-start": (
+        "learner.py", "where=theta.view(np.uint64).any(axis=1)[:, None]", "where=True",
+        "tests/test_learner.py::TestDualLearning::test_phase_start_costs_only_written_rows",
+    ),
+    # a phase start tests rows as floats, so a row of -0.0 comes back as +0.0
+    "phase-start-float-rows": (
+        "learner.py", "theta.view(np.uint64).any(axis=1)", "theta.any(axis=1)",
+        "tests/test_learner.py::TestDualLearning::test_zero_steps_returns_its_inputs_bit_for_bit",
+    ),
     # an empty monolingual list passes the check
     "mono-empty": ("learner.py", "mono[lang].size == 0", "mono[lang].size < 0",
                    "tests/test_learner.py::TestDualLearning::test_missing_monolingual_rejected"),
