@@ -70,18 +70,23 @@ from .theory import (
 )
 from .translator import TabularTranslator, TrainConfig
 
+# the outcome model that theory and simulate both default to
+_DEFAULT_MODEL = {
+    "kind": "dual",
+    "p12": 0.65,
+    "p21r": 0.73,
+    "lambda": 0.0,
+    "q12": 0.6,
+    "q23": 0.7,
+    "q31": 0.8,
+    "lambda1": 0.0,
+    "lambda2": 0.0,
+    "delta": 0.1,  # theory also takes a list: one row per value
+}
+
 DEFAULT_CONFIG: dict[str, Any] = {
     "theory": {
-        "kind": "dual",
-        "p12": 0.65,
-        "p21r": 0.73,
-        "lambda": 0.0,
-        "q12": 0.6,
-        "q23": 0.7,
-        "q31": 0.8,
-        "lambda1": 0.0,
-        "lambda2": 0.0,
-        "delta": 0.1,  # scalar or list: a list sweeps one row per value
+        **_DEFAULT_MODEL,
         "gamma": 0.42,
         "policy": None,  # explicit {alpha, beta, gamma} overrides gamma
     },
@@ -91,18 +96,9 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "seed": 0,
     },
     "simulate": {
-        "kind": "dual",
+        **_DEFAULT_MODEL,
         "n": 100000,
         "seed": 1,
-        "p12": 0.65,
-        "p21r": 0.73,
-        "lambda": 0.0,
-        "q12": 0.6,
-        "q23": 0.7,
-        "q31": 0.8,
-        "lambda1": 0.0,
-        "lambda2": 0.0,
-        "delta": 0.1,
         "policy": {"alpha": 0.30, "beta": 0.28, "gamma": 0.42},
     },
     "train": {
@@ -517,7 +513,7 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
     ]
     _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, acc_rows)
     _write_csv(out_dir / "estimators.csv", est_header, est_rows)
-    _emit_table(*_summarize(acc_rows), out_dir / "summary.csv")
+    cmd_report(out_dir)  # the summary of accuracy.csv as written, through report's checks
     for w in all_warnings:
         print(f"warning: {w}")
     print(f"wrote {out_dir / 'accuracy.csv'}, estimators.csv, summary.csv")
@@ -563,8 +559,12 @@ def cmd_report(out_dir: Path | None) -> int:
         try:
             chash, seed, phase, i, j, p_hat, p_exp = line.strip().split(",")
             row = [chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)]
+            if not 0 <= row[1] < 2**64:  # train.seeds' rule
+                raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed}")
             if phase not in _PHASE_RANK:
                 raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
+            if row[3] < 0 or row[4] < 0 or row[3] == row[4]:
+                raise ValueError(f"src and dst must be two different nonnegative ids, got {i}, {j}")
             if not all(0.0 <= p <= 1.0 for p in row[5:]):
                 raise ValueError(f"p_hat and p_expected must be in [0, 1], got {p_hat}, {p_exp}")
             if rows and chash != rows[0][0]:  # runs of two configs do not average

@@ -12,8 +12,10 @@ Three phases, mirroring how the translators are meant to be produced:
      log-likelihood term);
   3. multi-step training: the same update with a two-hop pivot chain
      generating the pseudo-source, so the trained pair receives feedback
-     routed through a third language. Round trips, pivot chains and the
-     optional pivot refresh all go through one reconstruction kernel.
+     routed through a third language. It shares one phase runner with
+     dual training, which is the runner's one-choice case, and round
+     trips, pivot chains and the optional pivot refresh all go through
+     one reconstruction kernel.
 
 Every update direction is the analytic gradient of its sampled term (the
 test suite checks this against central finite differences), and a full
@@ -65,9 +67,8 @@ def train_supervised(
 
     The zero start is allocated here with ``np.zeros``, whose fresh pages
     are backed by memory only once written: the rows of sources that no
-    pair holds are never written, and cost no resident memory. A later
-    phase's start (:func:`_phase_start`) copies only written rows, so they
-    stay unbacked until that phase's own updates write them. A
+    pair holds are never written, and cost no resident memory, also
+    through later phases (:func:`_train_phase`) until one writes them. A
     caller-supplied start would have to be copied, which writes every page.
     """
     pairs = np.asarray(pairs)
@@ -81,45 +82,67 @@ def train_supervised(
 
 
 def _phase_start(theta: np.ndarray) -> np.ndarray:
-    """A phase's own working copy of ``theta``: ``np.zeros`` with only the
-    rows holding a nonzero bit copied in, so rows still all zero stay on
-    the zero page. Rows are tested through a ``uint64`` view, so a row of
-    -0.0 is copied too, and the masked copy needs no n x n temporary."""
+    """``np.zeros`` with the rows of ``theta`` that hold a nonzero bit copied in."""
     start = np.zeros(theta.shape)
     np.copyto(start, theta, where=theta.view(np.uint64).any(axis=1)[:, None])
     return start
 
 
-def _replayed(
-    th_fwd: np.ndarray,
-    th_bwd: np.ndarray,
-    pairs_fwd: np.ndarray | None,
-    pairs_bwd: np.ndarray | None,
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-) -> bool:
-    """With probability ``supervised_mix``, replay parallel data on both
-    directions of a pair; returns whether the step was a replay step."""
-    if rng.random() >= cfg.supervised_mix:
-        return False
-    _supervised_update(th_fwd, pairs_fwd, rng, cfg.supervised_batch, cfg.learning_rate)
-    _supervised_update(th_bwd, pairs_bwd, rng, cfg.supervised_batch, cfg.learning_rate)
-    return True
-
-
-def _reconstruct(groups: list[list[tuple]], rng: np.random.Generator, lr: float) -> None:
-    """Reconstruction updates, one per (monolingual ids, chain, backward
-    theta) entry. Each group, in order, first draws a source x for every
-    entry; then, entry by entry, it samples x along the hops of the chain
-    (one theta for a round trip, two for a pivot chain) and pushes the
-    backward row at the sampled end toward x."""
+def _reconstruct(
+    groups: list[list[tuple]], thetas: Mapping, rng: np.random.Generator, lr: float
+) -> None:
+    """Reconstruction updates, one per (monolingual ids, chain directions,
+    backward direction) entry, on the arrays in ``thetas``. Each group, in
+    order, first draws a source x for every entry; then, entry by entry, it
+    samples x along the chain's hops (one for a round trip, two for a pivot
+    chain) and pushes the backward row at the sampled end toward x."""
     for group in groups:
         xs = [int(mono[rng.integers(mono.size)]) for mono, _, _ in group]
         for x, (_, chain, bwd) in zip(xs, group):
             end = x
-            for theta in chain:
-                end = sample_row(theta[end], rng)
-            bwd[end] += lr * log_prob_grad_row(bwd[end], x)
+            for hop in chain:
+                end = sample_row(thetas[hop][end], rng)
+            theta = thetas[bwd]
+            theta[end] += lr * log_prob_grad_row(theta[end], x)
+
+
+def _train_phase(
+    translators: Mapping[tuple[int, int], TabularTranslator],
+    replay: list[tuple[tuple[int, int], np.ndarray | None]],
+    choices: list[list[list[tuple]]],
+    cfg: TrainConfig,
+) -> dict[tuple[int, int], TabularTranslator]:
+    """The one training loop of dual and multi-step learning.
+
+    Each step either replays parallel data (with probability
+    ``supervised_mix``) on each ``replay`` (direction, pairs) in turn, or
+    runs :func:`_reconstruct` on one of ``choices``, drawn uniformly; with
+    one choice the draw takes nothing from the random stream.
+
+    The entries' backward directions are trained, each from a
+    :func:`_phase_start` copy: ``np.zeros`` with only the input rows
+    holding a nonzero bit copied in (tested through a ``uint64`` view, so
+    a -0.0 row is copied, with no n x n temporary). An all-zero row stays
+    on the zero page until this phase writes it, where a dense ``copy()``
+    would back every page. No input theta is written; the other directions
+    come back as the caller's own objects.
+    """
+    trained = {bwd for groups in choices for group in groups for _, _, bwd in group}
+    thetas = {
+        key: _phase_start(t.theta) if key in trained else t.theta
+        for key, t in translators.items()
+    }
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.steps):
+        if rng.random() < cfg.supervised_mix:
+            for key, pairs in replay:
+                _supervised_update(thetas[key], pairs, rng, cfg.supervised_batch, cfg.learning_rate)
+        else:
+            _reconstruct(choices[rng.integers(len(choices))], thetas, rng, cfg.learning_rate)
+    return {
+        key: TabularTranslator(*key, thetas[key]) if key in trained else t
+        for key, t in translators.items()
+    }
 
 
 def _monolingual(corpus: Corpus, langs: Collection[int], what: str) -> dict[int, np.ndarray]:
@@ -143,31 +166,23 @@ def _replay_pairs(corpus: Corpus, key: tuple[int, int], cfg: TrainConfig) -> np.
 def dual_learning(
     t12: TabularTranslator, t21: TabularTranslator, corpus: Corpus, cfg: TrainConfig
 ) -> tuple[TabularTranslator, TabularTranslator]:
-    """Joint round-trip training of a translator pair.
+    """Joint round-trip training of a translator pair, through :func:`_train_phase`.
 
     Each step either replays parallel data on both directions (with
-    probability ``supervised_mix``) or performs reconstruction updates:
-    the forward model generates translations of monolingual sources and
-    the backward model is pushed to undo them, symmetrically in both
-    directions, each replaying its own corpus pairs. Returns new
-    translators for both directions, each trained from a
-    :func:`_phase_start` copy of its input, so a row still all zero stays
-    on the zero page until this phase writes it.
+    probability ``supervised_mix``), each on its own corpus pairs, or
+    performs reconstruction updates: the forward model generates
+    translations of monolingual sources and the backward model is pushed
+    to undo them, symmetrically in both directions. Returns new
+    translators for both directions; no input theta is written.
     """
     i, j = t12.src_lang, t12.dst_lang
     if (t21.src_lang, t21.dst_lang) != (j, i):
         raise ValidationError("t21 must invert t12's direction")
     mono = _monolingual(corpus, (i, j), "dual learning")
-    pairs_ij = _replay_pairs(corpus, (i, j), cfg)
-    pairs_ji = _replay_pairs(corpus, (j, i), cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    th12, th21 = _phase_start(t12.theta), _phase_start(t21.theta)
-    trips = [[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]] * cfg.reconstruction_batch
-    for _ in range(cfg.steps):
-        if not _replayed(th12, th21, pairs_ij, pairs_ji, rng, cfg):
-            _reconstruct(trips, rng, cfg.learning_rate)
-    return TabularTranslator(i, j, th12), TabularTranslator(j, i, th21)
+    replay = [(key, _replay_pairs(corpus, key, cfg)) for key in ((i, j), (j, i))]
+    trips = [[(mono[i], ((i, j),), (j, i))], [(mono[j], ((j, i),), (i, j))]]
+    out = _train_phase({(i, j): t12, (j, i): t21}, replay, [trips * cfg.reconstruction_batch], cfg)
+    return out[(i, j)], out[(j, i)]
 
 
 def multistep_dual_learning(
@@ -176,7 +191,7 @@ def multistep_dual_learning(
     cfg: TrainConfig,
 ) -> dict[tuple[int, int], TabularTranslator]:
     """Refine the primary pair (a, b) = ``PRIMARY_PAIR`` with feedback
-    routed through pivot languages.
+    routed through pivot languages, through :func:`_train_phase`.
 
     Languages are inferred from the translator keys; every language other
     than a and b acts as a pivot. Each non-replay step samples a
@@ -195,11 +210,9 @@ def multistep_dual_learning(
     Replay feeds theta_ba the reversed (a, b) pairs and ignores
     ``corpus.parallel[(b, a)]``, which dual_learning replays as given.
 
-    No input theta is written. The result holds new translators for the
-    directions trained here, (a, b), (b, a) and, with ``update_pivots``,
-    every pair between a pivot and a or b, each trained from a
-    :func:`_phase_start` copy of its input; every other direction comes
-    back as the caller's own object, shared with the input phase.
+    It trains (a, b), (b, a) and, with ``update_pivots``, every pair
+    between a pivot and a or b; every other direction comes back as the
+    caller's own object, shared with the input phase.
     """
     a, b = PRIMARY_PAIR
     pivots = sorted({lang for key in translators for lang in key} - {a, b})
@@ -217,32 +230,17 @@ def multistep_dual_learning(
     if cfg.update_pivots:
         mono.update(_monolingual(corpus, pivots, "update_pivots"))
     pairs_ab = _replay_pairs(corpus, (a, b), cfg)
-    pairs_ba = pairs_ab[:, ::-1] if pairs_ab is not None else None
-
-    refresh_dirs = pivot_dirs if cfg.update_pivots else []
-    written = {(a, b), (b, a), *refresh_dirs}
-    rng = np.random.default_rng(cfg.seed)
-    thetas = {
-        key: _phase_start(t.theta) if key in written else t.theta
-        for key, t in translators.items()
-    }
-    # per pivot p: the pivot chains a -> p -> b (training b -> a) and
-    # b -> p -> a (training a -> b), then one round trip per refreshed direction
-    refresh = [
-        [(mono[src], (thetas[(src, dst)],), thetas[(dst, src)])] for src, dst in refresh_dirs
-    ]
-    groups_by_pivot = {
-        p: [[(mono[src], (thetas[(src, p)], thetas[(p, dst)]), thetas[(dst, src)])
-             for src, dst in ((a, b), (b, a))]] * cfg.reconstruction_batch + refresh
+    replay = [((a, b), pairs_ab), ((b, a), pairs_ab[:, ::-1] if pairs_ab is not None else None)]
+    # one choice per pivot p: the pivot chains a -> p -> b (training b -> a)
+    # and b -> p -> a (training a -> b), then one round trip per refreshed direction
+    refresh = [[(mono[src], ((src, dst),), (dst, src))]
+               for src, dst in pivot_dirs if cfg.update_pivots]
+    choices = [
+        [[(mono[src], ((src, p), (p, dst)), (dst, src)) for src, dst in ((a, b), (b, a))]]
+        * cfg.reconstruction_batch + refresh
         for p in pivots
-    }
-    for _ in range(cfg.steps):
-        if not _replayed(thetas[(a, b)], thetas[(b, a)], pairs_ab, pairs_ba, rng, cfg):
-            _reconstruct(groups_by_pivot[pivots[rng.integers(len(pivots))]], rng, cfg.learning_rate)
-    return {
-        key: TabularTranslator(key[0], key[1], thetas[key]) if key in written else t
-        for key, t in translators.items()
-    }
+    ]
+    return _train_phase(translators, replay, choices, cfg)
 
 
 @dataclass(frozen=True)

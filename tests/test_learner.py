@@ -331,6 +331,18 @@ class TestDualLearning:
             round_trip_by_hand(corpus.monolingual[1], th21, th12, rng, lr)
         assert np.array_equal(d12.theta, th12) and np.array_equal(d21.theta, th21)
 
+    def test_one_choice_draw_takes_nothing_from_the_stream(self):
+        # dual learning is the phase runner's one-choice case: each of its
+        # reconstruction steps draws rng.integers(1) and must go on as if it had not
+        rng = np.random.default_rng(5)
+        rng.random()
+        state = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == state, (
+            "Generator.integers(1) took bits from the stream; dual learning's output "
+            "bits depend on it taking none"
+        )
+
     def test_phase_start_costs_only_written_rows(self):
         # two phase starts from 5-row starts; dense copies would grow the
         # peak by two whole thetas

@@ -75,20 +75,20 @@ MUTANTS = {
     # a round trip samples from the backward model and updates the forward one
     "round-trips-swap": (
         "learner.py",
-        "[[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]]",
-        "[[(mono[i], (th21,), th12)], [(mono[j], (th12,), th21)]]",
+        "[[(mono[i], ((i, j),), (j, i))], [(mono[j], ((j, i),), (i, j))]]",
+        "[[(mono[i], ((j, i),), (i, j))], [(mono[j], ((i, j),), (j, i))]]",
         "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
     ),
     # dual learning draws each direction's sources from the other language
     "round-trips-sources": (
         "learner.py",
-        "[[(mono[i], (th12,), th21)], [(mono[j], (th21,), th12)]]",
-        "[[(mono[j], (th12,), th21)], [(mono[i], (th21,), th12)]]",
+        "[[(mono[i], ((i, j),), (j, i))], [(mono[j], ((j, i),), (i, j))]]",
+        "[[(mono[j], ((i, j),), (j, i))], [(mono[i], ((j, i),), (i, j))]]",
         "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
     ),
     # dual learning makes one round trip per direction, whatever reconstruction_batch says
     "round-trips-batch": (
-        "learner.py", "th12)]] * cfg.reconstruction_batch", "th12)]]",
+        "learner.py", "[trips * cfg.reconstruction_batch]", "[trips]",
         "tests/test_learner.py::TestDualLearning::test_step_is_its_round_trips_by_hand",
     ),
     # the kernel draws each entry's source just before sampling its chain,
@@ -101,48 +101,58 @@ MUTANTS = {
     ),
     # a pivot chain takes its two hops in reverse order
     "pivot-hops-reversed": (
-        "learner.py", "(thetas[(src, p)], thetas[(p, dst)])", "(thetas[(p, dst)], thetas[(src, p)])",
+        "learner.py", "((src, p), (p, dst))", "((p, dst), (src, p))",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
     # a pivot chain trains the direction it generated through, not its inverse
     "pivot-backward": (
-        "learner.py",
-        "thetas[(p, dst)]), thetas[(dst, src)])",
-        "thetas[(p, dst)]), thetas[(src, dst)])",
+        "learner.py", "(p, dst)), (dst, src))", "(p, dst)), (src, dst))",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
     # one pair of pivot chains per step, whatever reconstruction_batch says
     "pivot-batch": (
-        "learner.py", "]] * cfg.reconstruction_batch + refresh", "]] + refresh",
+        "learner.py", "* cfg.reconstruction_batch + refresh", "+ refresh",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
     # every step runs the first pivot's chains, whichever pivot it drew
     "pivot-choice": (
         "learner.py",
-        "groups_by_pivot[pivots[rng.integers(len(pivots))]]",
-        "groups_by_pivot[pivots[rng.integers(len(pivots)) * 0]]",
+        "choices[rng.integers(len(choices))]",
+        "choices[rng.integers(len(choices)) * 0]",
+        "tests/test_learner.py::TestMultistepDualLearning"
+        "::test_step_with_pivot_updates_by_hand[4]",
+    ),
+    # every step runs the first choice and draws none
+    "first-choice": (
+        "learner.py", "choices[rng.integers(len(choices))]", "choices[0]",
         "tests/test_learner.py::TestMultistepDualLearning"
         "::test_step_with_pivot_updates_by_hand[4]",
     ),
     # update_pivots leaves the pivots frozen
     "refresh-frozen": (
-        "learner.py",
-        "refresh_dirs = pivot_dirs if cfg.update_pivots else []",
-        "refresh_dirs = []",
+        "learner.py", "for src, dst in pivot_dirs if cfg.update_pivots]",
+        "for src, dst in pivot_dirs if False]",
         "tests/test_learner.py::TestMultistepDualLearning"
         "::test_update_pivots_flag_touches_pivot_pairs",
     ),
     # the pivot refresh draws its sources from the target language
     "refresh-mono": (
-        "learner.py", "[(mono[src], (thetas[(src, dst)],)", "[(mono[dst], (thetas[(src, dst)],)",
+        "learner.py", "[[(mono[src], ((src, dst),)", "[[(mono[dst], ((src, dst),)",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
-    # the pivot refresh swaps forward and backward theta
+    # the pivot refresh swaps forward and backward direction
     "refresh-swap": (
-        "learner.py",
-        "(thetas[(src, dst)],), thetas[(dst, src)]",
-        "(thetas[(dst, src)],), thetas[(src, dst)]",
+        "learner.py", "((src, dst),), (dst, src))", "((dst, src),), (src, dst))",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
+    ),
+    # phase starts are keyed on the replay directions, not the trained ones,
+    # so a refreshed pivot direction writes into the caller's theta
+    "trained-by-replay": (
+        "learner.py",
+        "trained = {bwd for groups in choices for group in groups for _, _, bwd in group}",
+        "trained = {key for key, _ in replay}",
+        "tests/test_learner.py::TestMultistepDualLearning"
+        "::test_untouched_directions_are_the_callers_objects[True]",
     ),
     # a phase start copies every row, so never-written rows become resident
     "dense-phase-start": (
@@ -153,6 +163,21 @@ MUTANTS = {
     "phase-start-float-rows": (
         "learner.py", "theta.view(np.uint64).any(axis=1)", "theta.any(axis=1)",
         "tests/test_learner.py::TestDualLearning::test_zero_steps_returns_its_inputs_bit_for_bit",
+    ),
+    # report takes a seed that train.seeds rejects
+    "report-seed": (
+        "cli.py", "if not 0 <= row[1] < 2**64:", "if False:",
+        "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[seed-negative]",
+    ),
+    # report takes a negative src or dst
+    "report-negative-pair": (
+        "cli.py", "if row[3] < 0 or row[4] < 0 or row[3] == row[4]:", "if row[3] == row[4]:",
+        "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[src-negative]",
+    ),
+    # report takes a pair whose src is its dst
+    "report-same-pair": (
+        "cli.py", " or row[3] == row[4]:", ":",
+        "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[src-equals-dst]",
     ),
     # an empty monolingual list passes the check
     "mono-empty": ("learner.py", "mono[lang].size == 0", "mono[lang].size < 0",
