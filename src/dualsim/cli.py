@@ -558,6 +558,8 @@ def cmd_report(out_dir: Path | None) -> int:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             chash, seed, phase, i, j, p_hat, p_exp = line.strip().split(",")
+            if any(str(int(field)) != field for field in (seed, i, j)):  # the form train writes
+                raise ValueError(f"seed, src and dst must be plain decimals, got {seed}, {i}, {j}")
             row = [chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)]
             if not 0 <= row[1] < 2**64:  # train.seeds' rule
                 raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed}")

@@ -12,10 +12,12 @@ Three phases, mirroring how the translators are meant to be produced:
      log-likelihood term);
   3. multi-step training: the same update with a two-hop pivot chain
      generating the pseudo-source, so the trained pair receives feedback
-     routed through a third language. It shares one phase runner with
-     dual training, which is the runner's one-choice case, and round
-     trips, pivot chains and the optional pivot refresh all go through
-     one reconstruction kernel.
+     routed through a third language.
+
+All three run through one phase runner, :func:`_train_phase`: supervised
+pretraining is its no-choice case and dual training its one-choice case.
+Round trips, pivot chains and the optional pivot refresh all go through
+one reconstruction kernel.
 
 Every update direction is the analytic gradient of its sampled term (the
 test suite checks this against central finite differences), and a full
@@ -63,22 +65,13 @@ def _supervised_update(
 def train_supervised(
     src_lang: int, dst_lang: int, n: int, pairs: np.ndarray, cfg: TrainConfig
 ) -> TabularTranslator:
-    """Pretrain an n x n translator from uniform scores on parallel pairs.
-
-    The zero start is allocated here with ``np.zeros``, whose fresh pages
-    are backed by memory only once written: the rows of sources that no
-    pair holds are never written, and cost no resident memory, also
-    through later phases (:func:`_train_phase`) until one writes them. A
-    caller-supplied start would have to be copied, which writes every page.
-    """
+    """Pretrain an n x n translator from uniform scores on parallel pairs:
+    :func:`_train_phase` with this one replay direction and no choices, so
+    every step replays and ``supervised_mix`` is not read."""
     pairs = np.asarray(pairs)
     if pairs.size == 0:
         raise ValidationError("train_supervised needs a nonempty pair list")
-    rng = np.random.default_rng(cfg.seed)
-    theta = np.zeros((n, n))
-    for _ in range(cfg.steps):
-        _supervised_update(theta, pairs, rng, cfg.supervised_batch, cfg.learning_rate)
-    return TabularTranslator(src_lang, dst_lang, theta)
+    return _train_phase({}, [((src_lang, dst_lang), pairs)], [], cfg, n)[(src_lang, dst_lang)]
 
 
 def _phase_start(theta: np.ndarray) -> np.ndarray:
@@ -111,37 +104,44 @@ def _train_phase(
     replay: list[tuple[tuple[int, int], np.ndarray | None]],
     choices: list[list[list[tuple]]],
     cfg: TrainConfig,
+    n: int = 0,
 ) -> dict[tuple[int, int], TabularTranslator]:
-    """The one training loop of dual and multi-step learning.
+    """The one training loop of all three phases.
 
     Each step either replays parallel data (with probability
     ``supervised_mix``) on each ``replay`` (direction, pairs) in turn, or
-    runs :func:`_reconstruct` on one of ``choices``, drawn uniformly; with
-    one choice the draw takes nothing from the random stream.
+    runs :func:`_reconstruct` on one of ``choices``, drawn uniformly. With
+    no choice every step replays and draws no mix uniform; with one choice
+    the choice draw takes nothing from the random stream.
 
-    The entries' backward directions are trained, each from a
+    The replay directions and the entries' backward directions are
+    trained. A trained direction missing from ``translators`` starts from
+    a bare ``np.zeros((n, n))``; one present starts from a
     :func:`_phase_start` copy: ``np.zeros`` with only the input rows
     holding a nonzero bit copied in (tested through a ``uint64`` view, so
-    a -0.0 row is copied, with no n x n temporary). An all-zero row stays
-    on the zero page until this phase writes it, where a dense ``copy()``
-    would back every page. No input theta is written; the other directions
-    come back as the caller's own objects.
+    a -0.0 row is copied, with no n x n temporary). Fresh ``np.zeros``
+    pages are backed by memory only once written, so a row that no update
+    has written stays on the kernel's shared zero page through every
+    phase, where a dense ``copy()`` would back every page. No input theta
+    is written; the other directions come back as the caller's own objects.
     """
-    trained = {bwd for groups in choices for group in groups for _, _, bwd in group}
+    trained = {key for key, _ in replay}
+    trained |= {bwd for groups in choices for group in groups for _, _, bwd in group}
     thetas = {
         key: _phase_start(t.theta) if key in trained else t.theta
         for key, t in translators.items()
     }
+    thetas.update((key, np.zeros((n, n))) for key in trained.difference(thetas))
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.steps):
-        if rng.random() < cfg.supervised_mix:
+        if not choices or rng.random() < cfg.supervised_mix:
             for key, pairs in replay:
                 _supervised_update(thetas[key], pairs, rng, cfg.supervised_batch, cfg.learning_rate)
         else:
             _reconstruct(choices[rng.integers(len(choices))], thetas, rng, cfg.learning_rate)
     return {
-        key: TabularTranslator(*key, thetas[key]) if key in trained else t
-        for key, t in translators.items()
+        key: TabularTranslator(*key, theta) if key in trained else translators[key]
+        for key, theta in thetas.items()
     }
 
 

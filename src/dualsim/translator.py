@@ -60,13 +60,9 @@ class TabularTranslator:
     row distributions are normalized by construction. Trainers never write
     to an input theta: they return new translators for the directions they
     train and the caller's own objects for the directions they leave
-    untouched, so the phases of one run share those objects.
-
-    A theta fresh from ``np.zeros`` is backed by memory only where it has
-    been written: the rows that supervised pretraining never updates stay
-    uniform and read as the kernel's shared zero page. Later phases start
-    from ``np.zeros`` too and copy in only the rows holding a nonzero bit,
-    so such a row costs no resident memory until a phase's updates write it.
+    untouched, so the phases of one run share those objects. Where a
+    trained theta starts, and why its unwritten rows cost no resident
+    memory, is said once, in :func:`dualsim.learner._train_phase`.
     """
 
     src_lang: int

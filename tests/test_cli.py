@@ -666,6 +666,10 @@ class TestReport:
             (b"abc,1,vanilla,-1,1,0.5,0.5\n", "line 3: src and dst must be"),
             (b"abc,1,vanilla,0,-1,0.5,0.5\n", "line 3: src and dst must be"),
             (b"abc,1,vanilla,1,1,0.5,0.5\n", "line 3: src and dst must be"),
+            # integer forms train never writes, each read by int() as a valid id
+            (b"abc,1_0,vanilla,0,1,0.5,0.5\n", "line 3: seed, src and dst must be plain decimals"),
+            (b"abc, 2 ,vanilla,0,1,0.5,0.5\n", "line 3: seed, src and dst must be plain decimals"),
+            (b"abc,1,vanilla,+0,2,0.5,0.5\n", "line 3: seed, src and dst must be plain decimals"),
             # runs of two configs must not be averaged into one summary
             (b"def,2,vanilla,0,1,0.9,0.9\n", "line 3: config_hash def differs from abc on line 2"),
             # a seed without a row other seeds hold would average over other seeds
@@ -674,6 +678,7 @@ class TestReport:
         ids=["short-row", "seed", "src", "dst", "p_hat", "not-utf8",
              "p_hat-nan", "p_hat-inf", "p_hat-above-1", "p_expected-below-0", "phase",
              "seed-negative", "seed-too-large", "src-negative", "dst-negative", "src-equals-dst",
+             "seed-underscore", "seed-spaces", "src-plus-sign",
              "config-hash", "seed-lacks-row"],
     )
     def test_malformed_accuracy_csv_exits_2(self, tmp_path, capsys, row, where):

@@ -343,6 +343,20 @@ class TestDualLearning:
             "bits depend on it taking none"
         )
 
+    def test_no_choice_phase_draws_no_mix_uniform(self):
+        # supervised pretraining is the phase runner's no-choice case: every
+        # step replays, with no rng.random() between two updates, whatever
+        # supervised_mix says
+        pairs = np.array([[0, 1], [1, 0], [2, 3], [3, 3], [1, 2]])
+        for mix in (1.0, 0.5, 0.0):
+            cfg = TrainConfig(steps=30, supervised_batch=3, supervised_mix=mix, seed=4)
+            rng = np.random.default_rng(cfg.seed)
+            expected = np.zeros((4, 4))
+            for _ in range(cfg.steps):
+                _supervised_update(expected, pairs, rng, cfg.supervised_batch, cfg.learning_rate)
+            got = train_supervised(0, 1, 4, pairs, cfg).theta
+            assert got.tobytes() == expected.tobytes(), f"supervised_mix={mix}"
+
     def test_phase_start_costs_only_written_rows(self):
         # two phase starts from 5-row starts; dense copies would grow the
         # peak by two whole thetas

@@ -145,14 +145,20 @@ MUTANTS = {
         "learner.py", "((src, dst),), (dst, src))", "((dst, src),), (src, dst))",
         "tests/test_learner.py::TestMultistepDualLearning::test_step_with_pivot_updates_by_hand",
     ),
-    # phase starts are keyed on the replay directions, not the trained ones,
-    # so a refreshed pivot direction writes into the caller's theta
+    # only the replay directions are trained, not the backward ones, so a
+    # refreshed pivot direction writes into the caller's theta
     "trained-by-replay": (
         "learner.py",
-        "trained = {bwd for groups in choices for group in groups for _, _, bwd in group}",
-        "trained = {key for key, _ in replay}",
+        "trained |= {bwd for groups in choices for group in groups for _, _, bwd in group}",
+        "trained |= set()",
         "tests/test_learner.py::TestMultistepDualLearning"
         "::test_untouched_directions_are_the_callers_objects[True]",
+    ),
+    # a phase with no choice draws its mix uniform anyway, so supervised
+    # pretraining takes one rng.random() before every replay
+    "no-choice-mix-draw": (
+        "learner.py", "if not choices or rng.random()", "if rng.random()",
+        "tests/test_learner.py::TestDualLearning::test_no_choice_phase_draws_no_mix_uniform",
     ),
     # a phase start copies every row, so never-written rows become resident
     "dense-phase-start": (
@@ -163,6 +169,11 @@ MUTANTS = {
     "phase-start-float-rows": (
         "learner.py", "theta.view(np.uint64).any(axis=1)", "theta.any(axis=1)",
         "tests/test_learner.py::TestDualLearning::test_zero_steps_returns_its_inputs_bit_for_bit",
+    ),
+    # report reads seed, src and dst with bare int(), so 1_0, " 2 " and +0 pass
+    "report-canonical-int": (
+        "cli.py", "if any(str(int(field)) != field for field in (seed, i, j)):", "if False:",
+        "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[seed-underscore]",
     ),
     # report takes a seed that train.seeds rejects
     "report-seed": (
