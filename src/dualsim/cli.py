@@ -66,7 +66,6 @@ from .theory import (
     predict_multistep,
     proportional_dual_accuracy,
     proportional_policy,
-    proportional_triple_policy,
 )
 from .translator import TabularTranslator, TrainConfig
 
@@ -292,7 +291,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
         ]
         for delta in deltas:
             params = _outcome_params({**block, "delta": delta}, "theory")
-            policy = explicit or proportional_triple_policy(params, block["gamma"])
+            policy = explicit or proportional_policy(params, block["gamma"])
             pred = predict_multistep(params, policy)
             rows.append(
                 [

@@ -196,13 +196,13 @@ def lambda_feasible_range(p12: float, p21r: float) -> tuple[float, float]:
 def lambda_loose_range(p12: float, p21r: float) -> tuple[float, float]:
     """Weaker dependence range implied by the marginals alone.
 
-    ``(-min(p12*p21r, (1-p12)*(1-p21r)), min(p12, p21r))``: a superset of
-    the tight range, kept as a diagnostic: reports whether a given lam
-    would also pass this cruder check even when the tight one fails.
+    The tight range's lower bound, with ``min(p12, p21r)`` as the upper
+    bound: a superset of the tight range, kept as a diagnostic: reports
+    whether a given lam would also pass this cruder check even when the
+    tight one fails.
     """
-    p = _require_prob(p12, "p12")
-    q = _require_prob(p21r, "p21r")
-    return -min(p * q, (1.0 - p) * (1.0 - q)), min(p, q)
+    low, _ = lambda_feasible_range(p12, p21r)
+    return low, float(min(p12, p21r))
 
 
 def build_triple_joint(params: TripleOutcomeParams) -> tuple[float, ...]:

@@ -92,7 +92,10 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
 
     Each sentence weighs exp(skew * N(0,1)), normalized per language; at
     skew = 0 every weight is exactly 1, so every entry of mu is the double
-    nearest 1/n. Deterministic in (arguments, seed).
+    nearest 1/n. Every language must put positive mass on every cluster,
+    or ``build_corpus`` could not draw a target inside it; a skew that
+    leaves a cluster with none, or overflows the weights, is rejected.
+    Deterministic in (arguments, seed).
     """
     if k < 2:
         raise ValidationError(f"need at least 2 languages, got {k}")
@@ -101,13 +104,14 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     if skew < 0.0:
         raise ValidationError(f"skew must be nonnegative, got {skew!r}")
     rng = np.random.default_rng(seed)
-    n = m * s
-    with np.errstate(over="ignore"):
-        weights = np.exp(skew * rng.standard_normal((k, n)))
-        totals = weights.sum(axis=1, keepdims=True)
-    if not np.all((totals > 0.0) & (totals < np.inf)):
-        raise ValidationError(f"skew {skew!r} is too large: the sentence weights overflow")
-    mu = weights / totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.exp(skew * rng.standard_normal((k, m * s)))
+        mu = weights / weights.sum(axis=1, keepdims=True)
+        # an overflowed weight makes its language's row NaN, which fails too
+        if not np.all(mu.reshape(k, m, s).sum(axis=2) > 0.0):
+            raise ValidationError(
+                f"skew {skew!r} is too large: some language puts no mass on a cluster"
+            )
     return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu)
 
 

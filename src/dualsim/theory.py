@@ -65,6 +65,14 @@ def _dual_case_masses(params: DualOutcomeParams) -> tuple[float, float, float]:
     return pr11, pr12, 1.0 - pr11 - pr12
 
 
+def _triple_case_masses(params: TripleOutcomeParams) -> tuple[float, float, float]:
+    cells = build_triple_joint(params)  # validates feasibility; indexed by hop bits
+    d = params.delta
+    pr11 = cells[0b111] + d * cells[0b100]
+    pr12 = d * (cells[0b000] + cells[0b001] + cells[0b010])
+    return pr11, pr12, 1.0 - pr11 - pr12
+
+
 def predict_dual(params: DualOutcomeParams, policy: RedistributionPolicy) -> DualPrediction:
     """Closed-form accuracy after dual training.
 
@@ -93,24 +101,40 @@ def predict_dual(params: DualOutcomeParams, policy: RedistributionPolicy) -> Dua
     )
 
 
-def proportional_policy(params: DualOutcomeParams, gamma: float) -> RedistributionPolicy:
-    """Redistribution policy whose alpha:beta ratio copies case 1.1 : case 1.2.
-
-    alpha + beta = 1 - gamma, with alpha/beta = p_case11/p_case12. When
-    case 1.2 has zero mass, beta = 0 and alpha = 1 - gamma. Rejects inputs
-    where both case masses vanish (the ratio is then undefined).
-    """
+def _proportional_split(
+    params: DualOutcomeParams | TripleOutcomeParams, gamma: float
+) -> tuple[float, float, float, float]:
+    """Case masses (1.1, 1.2, 2) of the round trip or pivot cycle, by the
+    params type, and the reconstructing total 1.1 + 1.2 that the
+    proportional policy divides by. Gamma is checked before a joint table is
+    built; a zero total is rejected, since the ratio is then undefined."""
     if not 0.0 <= gamma <= 1.0:
         raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
-    pr11, pr12, _ = _dual_case_masses(params)
+    masses = _dual_case_masses if isinstance(params, DualOutcomeParams) else _triple_case_masses
+    pr11, pr12, pr2 = masses(params)
     total = pr11 + pr12
     if total <= 0.0:
         raise ValidationError(
             "proportional policy undefined: case 1.1 and case 1.2 both have zero mass"
         )
-    alpha = (1.0 - gamma) * (pr11 / total)
-    beta = (1.0 - gamma) * (pr12 / total)
-    return RedistributionPolicy(alpha=alpha, beta=beta, gamma=gamma)
+    return pr11, pr12, pr2, total
+
+
+def proportional_policy(
+    params: DualOutcomeParams | TripleOutcomeParams, gamma: float
+) -> RedistributionPolicy:
+    """Redistribution policy whose alpha:beta ratio copies case 1.1 : case 1.2.
+
+    The paper's one proportional assumption, for both outcome models: the
+    case masses are the round trip's for DualOutcomeParams and the pivot
+    cycle's for TripleOutcomeParams. alpha + beta = 1 - gamma, with
+    alpha = (1 - gamma) * (p_case11 / (p_case11 + p_case12)) and beta
+    likewise. When case 1.2 has zero mass, beta = 0 and alpha = 1 - gamma.
+    Rejects gamma outside [0, 1] and inputs where both case masses vanish.
+    """
+    pr11, pr12, _, total = _proportional_split(params, gamma)
+    rest = 1.0 - gamma
+    return RedistributionPolicy(rest * (pr11 / total), rest * (pr12 / total), gamma)
 
 
 def proportional_dual_accuracy(params: DualOutcomeParams, gamma: float) -> float:
@@ -124,14 +148,8 @@ def proportional_dual_accuracy(params: DualOutcomeParams, gamma: float) -> float
     ``predict_dual(params, proportional_policy(params, gamma)).p_d12``;
     the test suite asserts the identity to 1e-12.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
-    pr11, pr12, pr2 = _dual_case_masses(params)
-    denom = pr11 + pr12
-    if denom <= 0.0:
-        raise ValidationError("zero denominator: case 1.1 and case 1.2 both have zero mass")
-    gamma_cap = gamma * pr2
-    return pr11 * (1.0 - gamma_cap) / denom
+    pr11, _, pr2, total = _proportional_split(params, gamma)
+    return pr11 * (1.0 - gamma * pr2) / total
 
 
 def dual_improvement(params: DualOutcomeParams, gamma: float) -> float:
@@ -142,30 +160,6 @@ def dual_improvement(params: DualOutcomeParams, gamma: float) -> float:
     ``p21r > delta / (1 + delta)`` (for p12 strictly inside (0, 1)).
     """
     return proportional_dual_accuracy(params, gamma) - params.p12
-
-
-def _triple_case_masses(params: TripleOutcomeParams) -> tuple[float, float, float]:
-    cells = build_triple_joint(params)  # validates feasibility; indexed by hop bits
-    d = params.delta
-    pr11 = cells[0b111] + d * cells[0b100]
-    pr12 = d * (cells[0b000] + cells[0b001] + cells[0b010])
-    return pr11, pr12, 1.0 - pr11 - pr12
-
-
-def proportional_triple_policy(
-    params: TripleOutcomeParams, gamma: float
-) -> RedistributionPolicy:
-    """Multi-step twin of proportional_policy: alpha:beta copies the pivot
-    cycle's case 1.1 : case 1.2, with alpha + beta = 1 - gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
-    pr11, pr12, _ = _triple_case_masses(params)
-    total = pr11 + pr12
-    if total <= 0.0:
-        raise ValidationError("proportional policy undefined for these parameters")
-    # (1 - gamma) * pr11 / total, not proportional_policy's (1 - gamma) * (pr11 / total):
-    # the two round differently and the theory table's bits follow this form
-    return RedistributionPolicy((1 - gamma) * pr11 / total, (1 - gamma) * pr12 / total, gamma)
 
 
 def predict_multistep(

@@ -266,6 +266,13 @@ class TestTheory:
         assert main(["theory", "--config", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == "error: gamma must be in [0, 1], got 2.0\n"
 
+    def test_triple_zero_case_mass_exits_2(self, tmp_path, capsys):
+        cfg = {"theory": {"kind": "triple", "q12": 0, "delta": 0}}
+        assert main(["theory", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: proportional policy undefined: case 1.1 and case 1.2 both have zero mass\n"
+        )
+
 
 class TestVerify:
     def test_passes_with_defaults(self, tmp_path, capsys):
@@ -498,7 +505,19 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: skew 800.0 is too large: the sentence weights overflow\n"
+            "error: skew 800.0 is too large: some language puts no mass on a cluster\n"
+        )
+
+    def test_skew_leaving_a_cluster_empty_exits_2(self, tmp_path, capsys):
+        # on the default world, skew 200 leaves one cluster of language 1 with
+        # zero mass, so build_corpus could not draw a target inside it
+        cfg = json.loads(json.dumps(TINY_TRAIN))
+        cfg["train"]["world"] = {**DEFAULT_CONFIG["train"]["world"], "skew": 200.0}
+        cfg["train"]["train"].update(supervised_steps=5, dual_steps=5, multistep_steps=5)
+        out = tmp_path / "o"
+        assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: skew 200.0 is too large: some language puts no mass on a cluster\n"
         )
 
     def test_empty_phase_list_rejected(self, tmp_path, capsys):

@@ -56,6 +56,9 @@ class TestGenerateWorld:
     def test_overflowing_skew_names_the_skew(self, skew):
         with pytest.raises(ValidationError, match=f"skew {skew!r}"):
             generate_world(3, 5, 2, skew, 0)
+        # weights that do not overflow can still leave a cluster with no mass
+        with pytest.raises(ValidationError, match="^skew 200.0 is too large: some language puts"):
+            generate_world(3, 50, 4, 200.0, 0)
 
 
 class TestSampleParallel:

@@ -20,7 +20,6 @@ from dualsim.theory import (
     predict_multistep,
     proportional_dual_accuracy,
     proportional_policy,
-    proportional_triple_policy,
     simplified_multistep_accuracy,
 )
 
@@ -128,21 +127,33 @@ class TestProportionalTriplePolicy:
     def test_ratio_copies_reconstructing_cases(self):
         params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.01, -0.003, 0.1)
         probe = predict_multistep(params, RedistributionPolicy(1.0, 0.0, 0.0))
-        pol = proportional_triple_policy(params, 0.3)
+        pol = proportional_policy(params, 0.3)
         assert pol.gamma == 0.3
         assert pol.alpha + pol.beta == pytest.approx(0.7, abs=1e-12)
         assert pol.alpha / pol.beta == pytest.approx(probe.p_case11 / probe.p_case12, rel=1e-12)
 
     def test_rejects_zero_case_mass(self):
         # q12 = 0 and delta = 0: neither reconstructing case has mass
-        with pytest.raises(ValidationError):
-            proportional_triple_policy(TripleOutcomeParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.0), 0.2)
+        with pytest.raises(ValidationError, match=r"^proportional policy undefined: case 1\.1 "):
+            proportional_policy(TripleOutcomeParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.0), 0.2)
 
     @pytest.mark.parametrize("gamma", [2.0, -0.5, float("nan")])
     def test_rejects_gamma_out_of_range(self, gamma):
         params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.1)
         with pytest.raises(ValidationError, match=r"^gamma must be in \[0, 1\]"):
-            proportional_triple_policy(params, gamma)
+            proportional_policy(params, gamma)
+
+    def test_alpha_is_one_rounding_of_the_case_ratio(self):
+        # the same (1 - g) * (pr11 / total) as the dual policy, bit for bit
+        rng = np.random.default_rng(22)
+        for _ in range(500):
+            params = random_triple_params(rng, with_dependence=bool(rng.integers(2)))
+            g = rng.uniform(0.0, 1.0)
+            probe = predict_multistep(params, RedistributionPolicy(1.0, 0.0, 0.0))
+            pr11, pr12 = probe.p_case11, probe.p_case12
+            pol = proportional_policy(params, g)
+            assert pol.alpha == (1 - g) * (pr11 / (pr11 + pr12))
+            assert pol.beta == (1 - g) * (pr12 / (pr11 + pr12))
 
 
 class TestProportionalDualAccuracy:
@@ -162,6 +173,15 @@ class TestProportionalDualAccuracy:
     def test_value(self):
         p = DualOutcomeParams(0.6, 0.7, 0.0, 0.1)
         assert proportional_dual_accuracy(p, 0.42) == pytest.approx(0.740289, abs=1e-6)
+
+    def test_rejects_gamma_out_of_range(self):
+        with pytest.raises(ValidationError, match=r"^gamma must be in \[0, 1\], got 2.0$"):
+            proportional_dual_accuracy(DualOutcomeParams(0.6, 0.7, 0.0, 0.1), 2.0)
+
+    def test_rejects_zero_case_mass(self):
+        # the one zero-mass message of the proportional policy
+        with pytest.raises(ValidationError, match=r"^proportional policy undefined: case 1\.1 "):
+            proportional_dual_accuracy(DualOutcomeParams(0.0, 1.0, 0.0, 0.5), 0.2)
 
 
 class TestDualImprovement:
@@ -274,7 +294,7 @@ class TestSimplifiedMultistepAccuracy:
 
     def test_matches_full_prediction_under_proportional_policy(self):
         params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.1)
-        policy = proportional_triple_policy(params, 0.0)
+        policy = proportional_policy(params, 0.0)
         full = predict_multistep(params, policy)
         m = m_factor(0.7, 0.8, 0.1)
         assert simplified_multistep_accuracy(0.6, m, 0.0) == pytest.approx(
@@ -286,7 +306,7 @@ class TestSimplifiedMultistepAccuracy:
         for _ in range(300):
             params = random_triple_params(rng)
             gamma = rng.uniform(0.0, 1.0)
-            policy = proportional_triple_policy(params, gamma)
+            policy = proportional_policy(params, gamma)
             full = predict_multistep(params, policy)
             m = m_factor(params.q23, params.q31, params.delta)
             assert simplified_multistep_accuracy(

@@ -190,6 +190,27 @@ MUTANTS = {
         "cli.py", " or row[3] == row[4]:", ":",
         "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[src-equals-dst]",
     ),
+    # the proportional split divides by a zero reconstructing total
+    "split-zero-mass": (
+        "theory.py", "if total <= 0.0:", "if total < 0.0:",
+        "tests/test_theory.py::TestProportionalDualAccuracy::test_rejects_zero_case_mass",
+    ),
+    # the proportional split takes a gamma above 1
+    "split-gamma-high": (
+        "theory.py", "if not 0.0 <= gamma <= 1.0:", "if not 0.0 <= gamma:",
+        "tests/test_theory.py::TestProportionalDualAccuracy::test_rejects_gamma_out_of_range",
+    ),
+    # the loose lambda range starts at the tight range's upper bound
+    "loose-low-from-high": (
+        "outcome_model.py", "low, _ = lambda_feasible_range(p12, p21r)",
+        "_, low = lambda_feasible_range(p12, p21r)",
+        "tests/test_outcome_model.py::TestLambdaRange::test_loose_range_contains_tight",
+    ),
+    # a world may leave a cluster of some language with zero mass
+    "world-cluster-mass": (
+        "synth_lang.py", "sum(axis=2) > 0.0)", "sum(axis=2) >= 0.0)",
+        "tests/test_synth_lang.py::TestGenerateWorld::test_overflowing_skew_names_the_skew[800.0]",
+    ),
     # an empty monolingual list passes the check
     "mono-empty": ("learner.py", "mono[lang].size == 0", "mono[lang].size < 0",
                    "tests/test_learner.py::TestDualLearning::test_missing_monolingual_rejected"),
