@@ -215,18 +215,17 @@ def _write_text(path: Path, text: str) -> None:
         raise ValidationError(f"cannot write {path}: {e}") from e
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """The one CSV format: a header line, then one line per row, each ended by LF."""
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in [header, *rows])
 
 
 def _emit_table(header: Sequence[str], rows: Sequence[Sequence[Any]], path: Path | None) -> None:
     """Print a result table as CSV and, given a path, write the same CSV there."""
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
+    text = _csv(header, rows)
+    print(text, end="")
     if path is not None:
-        _write_csv(path, header, rows)
+        _write_text(path, text)
 
 
 def _outcome_params(
@@ -382,12 +381,11 @@ def cmd_simulate(cfg: dict[str, Any], out_dir: Path | None) -> int:
         f"(n_fail={est.counts['n_vanilla_fail']})"
     )
     if out_dir is not None:
-        _write_csv(
-            out_dir / "simulate.csv",
+        _write_text(out_dir / "simulate.csv", _csv(
             ["n", "seed", "estimate", "stderr", "exact", "alpha_hat", "beta_hat", "gamma_hat"],
             [[result.n_samples, block["seed"], result.accuracy, result.stderr,
               exact.accuracy, est.alpha_hat, est.beta_hat, est.gamma_hat]],
-        )
+        ))
     return 0
 
 
@@ -510,8 +508,8 @@ def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:
         "config_hash", "seed", "comparison", "alpha_hat", "beta_hat", "gamma_hat",
         "eta_hat", "eta_raw", "n_vanilla_fail", "n_vanilla_recon",
     ]
-    _write_csv(out_dir / "accuracy.csv", ACCURACY_HEADER, acc_rows)
-    _write_csv(out_dir / "estimators.csv", est_header, est_rows)
+    _write_text(out_dir / "accuracy.csv", _csv(ACCURACY_HEADER, acc_rows))
+    _write_text(out_dir / "estimators.csv", _csv(est_header, est_rows))
     cmd_report(out_dir)  # the summary of accuracy.csv as written, through report's checks
     for w in all_warnings:
         print(f"warning: {w}")

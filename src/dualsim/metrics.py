@@ -4,7 +4,7 @@ Correctness is exact cluster membership: a translation of x is correct
 when it lands in x's cluster, whatever the two languages. Because
 translators are tabular and worlds are finite, every accuracy here is an
 exact sum over the world: no sampling, no decoding heuristics beyond the
-documented greedy tie-break (argmax, lowest id wins).
+greedy tie-break of ``TabularTranslator.greedy_all`` (lowest id wins).
 
 The estimator report counts, from two greedy round-trip censuses, what dual
 training did to the sentences the baseline chain failed to reconstruct.
@@ -30,7 +30,7 @@ _BLOCK_ROWS = 64
 class AccuracyReport:
     """Exact accuracies of one translator.
 
-    p_hat       greedy accuracy: mu-mass of sources whose argmax
+    p_hat       greedy accuracy: mu-mass of sources whose greedy
                 translation lands in the correct cluster
     p_expected  stochastic-decoding accuracy: mu-weighted probability
                 mass the rows place on the correct cluster
@@ -78,29 +78,25 @@ def accuracy(t: TabularTranslator, world: World) -> AccuracyReport:
     softmax ``mu @ (row_probs(theta) * mask).sum(axis=1)``: each kept
     cell gets the same exp, row total and division, every other cell is
     +0.0 as the mask makes it, and each row is summed over the same
-    contiguous row of n cells. The row max is read from the argmax cell,
-    which holds that very value.
+    contiguous row of n cells.
     """
     _check_defined_on(t, world)
     clusters = world.cluster_of
     mu = world.mu[t.src_lang]
     n, s = world.n_sentences, world.cluster_size
-    greedy = np.empty(n, dtype=np.intp)
     on_cluster = np.empty(n)
     for lo in range(0, n, _BLOCK_ROWS):
         block = t.theta[lo : lo + _BLOCK_ROWS]
         b = len(block)
-        here = slice(lo, lo + b)
-        rows, home = np.arange(b), clusters[here]
-        greedy[here] = np.argmax(block, axis=1)  # first maximum, as greedy_all
-        e, total = shifted_exp(block, block[rows, greedy[here]][:, None])
+        rows, home = np.arange(b), clusters[lo : lo + b]
+        e, total = shifted_exp(block)
         cells = e.reshape(b, -1, s)  # a (row, cluster, offset) view of e
         kept = cells[rows, home] / total
         e.fill(0.0)
         cells[rows, home] = kept
-        on_cluster[here] = e.sum(axis=1)
+        on_cluster[lo : lo + b] = e.sum(axis=1)
 
-    p_hat = float(mu @ (clusters[greedy] == clusters))
+    p_hat = float(mu @ (clusters[t.greedy_all()] == clusters))
     p_expected = float(mu @ on_cluster)
     # an all-correct translator on a skewed world can sum one ulp above 1
     return AccuracyReport(p_hat=min(p_hat, 1.0), p_expected=min(p_expected, 1.0))

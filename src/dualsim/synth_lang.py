@@ -33,7 +33,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class World:
     """Immutable synthetic multi-language world.
 
-    mu          (k, m*s) rows: per-language sentence distributions
+    mu          (k, m*s) rows: per-language sentence distributions, each
+                with positive mass on every cluster
     cluster_of  read-only (m*s,) sentence id -> cluster id, x // s in every language
     """
 
@@ -45,6 +46,11 @@ class World:
     def __post_init__(self) -> None:
         if self.mu.shape != (self.n_langs, self.n_sentences):
             raise ValidationError("mu shape does not match world dimensions")
+        # build_corpus draws every parallel target inside its source's
+        # cluster; checked first, so that a NaN row fails here
+        by_cluster = self.mu.reshape(self.n_langs, self.n_clusters, self.cluster_size)
+        if not np.all(by_cluster.sum(axis=2) > 0.0):
+            raise ValidationError("some language puts no mass on a cluster")
         if not np.all(np.abs(self.mu.sum(axis=1) - 1.0) <= 1e-12):
             raise ValidationError("every per-language distribution must sum to 1 within 1e-12")
         if np.any(self.mu < 0.0):
@@ -92,9 +98,9 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
 
     Each sentence weighs exp(skew * N(0,1)), normalized per language; at
     skew = 0 every weight is exactly 1, so every entry of mu is the double
-    nearest 1/n. Every language must put positive mass on every cluster,
-    or ``build_corpus`` could not draw a target inside it; a skew that
-    leaves a cluster with none, or overflows the weights, is rejected.
+    nearest 1/n. A skew that leaves some language's cluster with no mass,
+    or overflows the weights, fails :class:`World`'s checks and is
+    rejected as too large.
     Deterministic in (arguments, seed).
     """
     if k < 2:
@@ -106,13 +112,12 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.exp(skew * rng.standard_normal((k, m * s)))
+        # an overflowed weight makes its language's row NaN, which World rejects
         mu = weights / weights.sum(axis=1, keepdims=True)
-        # an overflowed weight makes its language's row NaN, which fails too
-        if not np.all(mu.reshape(k, m, s).sum(axis=2) > 0.0):
-            raise ValidationError(
-                f"skew {skew!r} is too large: some language puts no mass on a cluster"
-            )
-    return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu)
+    try:
+        return World(n_langs=k, n_clusters=m, cluster_size=s, mu=mu)
+    except ValidationError as e:
+        raise ValidationError(f"skew {skew!r} is too large: {e}") from None
 
 
 def build_corpus(

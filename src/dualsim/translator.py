@@ -20,11 +20,11 @@ import numpy as np
 from .errors import ValidationError
 
 
-def shifted_exp(theta: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The softmax numerator ``exp(theta - top)``, in one new buffer the
-    shape of ``theta``, and its row totals (kept as a trailing axis).
-    ``top`` is the row maximum with a trailing axis of length one."""
-    e = theta - top
+def shifted_exp(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The softmax numerator ``exp(theta - max)``, with the maximum of each
+    row (the last axis), in one new buffer the shape of ``theta``, and its
+    row totals (kept as a trailing axis)."""
+    e = theta - theta.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     return e, e.sum(axis=-1, keepdims=True)
 
@@ -32,7 +32,7 @@ def shifted_exp(theta: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndar
 def row_probs(theta: np.ndarray) -> np.ndarray:
     """Stable softmax of a score row, or of each row of a score matrix,
     computed in one new buffer the shape of ``theta``."""
-    e, total = shifted_exp(theta, theta.max(axis=-1, keepdims=True))
+    e, total = shifted_exp(theta)
     e /= total
     return e
 

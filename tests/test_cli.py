@@ -235,7 +235,9 @@ class TestTheory:
         out = capsys.readouterr().out
         data_lines = [ln for ln in out.splitlines() if ln.startswith("0.")]
         assert len(data_lines) == 3
-        assert (tmp_path / "o" / "theory.csv").exists()
+        # the file holds exactly the table printed after the three lambda lines
+        table = out.split("\n", 3)[3]
+        assert (tmp_path / "o" / "theory.csv").read_bytes() == table.encode("utf-8")
 
     def test_alpha_one_delta_zero_prints_perfect_accuracy(self, tmp_path, capsys):
         cfg = {
@@ -642,8 +644,9 @@ class TestReport:
         first = (out / "summary.csv").read_bytes()
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
-        assert "mean_p_hat" in capsys.readouterr().out
-        assert (out / "summary.csv").read_bytes() == first
+        printed = capsys.readouterr().out
+        assert "mean_p_hat" in printed
+        assert (out / "summary.csv").read_bytes() == first == printed.encode("utf-8")
 
     def test_reports_what_train_wrote_on_a_skewed_world(self, tmp_path, capsys):
         # some translators here are correct on every source, where the mu-weighted

@@ -92,8 +92,16 @@ class TestAccuracy:
             n = world.n_sentences
             clusters = world.cluster_of
             mask = np.equal.outer(clusters, clusters)
-            for scale in (0.1, 3.0, 40.0):
-                theta = scale * rng.normal(size=(n, n))
+            thetas = [scale * rng.normal(size=(n, n)) for scale in (0.1, 3.0, 40.0)]
+            # rounded scores tie exactly and round small negatives to -0.0;
+            # rows of +0.0, of -0.0, and a row whose maximum is a tie of
+            # -0.0 and +0.0 follow, where a max read from the argmax cell
+            # and one from theta.max could differ in sign
+            tied = np.round(rng.normal(size=(n, n)))
+            tied[0], tied[-1] = 0.0, -0.0
+            tied[1] = -1.0
+            tied[1, :2] = -0.0, 0.0
+            for theta in thetas + [tied]:
                 t = TabularTranslator(0, 1, theta.copy())
                 rep = accuracy(t, world)
                 z = theta - theta.max(axis=1, keepdims=True)

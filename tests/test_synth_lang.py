@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualsim.errors import ValidationError
-from dualsim.synth_lang import build_corpus, generate_world
+from dualsim.synth_lang import World, build_corpus, generate_world
 
 
 class TestGenerateWorld:
@@ -59,6 +59,12 @@ class TestGenerateWorld:
         # weights that do not overflow can still leave a cluster with no mass
         with pytest.raises(ValidationError, match="^skew 200.0 is too large: some language puts"):
             generate_world(3, 50, 4, 200.0, 0)
+
+    def test_world_rejects_a_language_with_no_mass_on_a_cluster(self):
+        # build_corpus would draw language 1's targets in cluster 1 with probability 0
+        mu = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="^some language puts no mass on a cluster$"):
+            World(n_langs=2, n_clusters=2, cluster_size=2, mu=mu)
 
 
 class TestSampleParallel:
