@@ -91,7 +91,6 @@ DEFAULT_CONFIG: dict[str, Any] = {
     },
     "verify": {
         "draws": 1000,
-        "tolerance": 1e-12,
         "seed": 0,
     },
     "simulate": {
@@ -128,6 +127,8 @@ _PHASE_RANK = {ph: idx for idx, ph in enumerate(PHASE_ORDER)}
 # the one model the errata report runs at: lambda1 != 0 is where the shortcut
 # formulas part from the consistent joint table
 _ERRATA_PARAMS = TripleOutcomeParams(0.5, 0.5, 0.5, lam1=0.05, lam2=0.0, delta=0.1)
+# verify passes when every closed form agrees with exact enumeration this closely
+_TOLERANCE = 1e-12
 
 
 def _is_number(v: Any) -> bool:
@@ -306,11 +307,9 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
 
 def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["verify"]
-    draws, tol = block["draws"], float(block["tolerance"])
+    draws = block["draws"]
     if draws < 1:
         raise ValidationError(f"verify.draws must be at least 1, got {draws!r}")
-    if tol < 0.0:  # _merge_config has rejected a non-finite one
-        raise ValidationError(f"verify.tolerance must be nonnegative, got {tol!r}")
     rng = np.random.default_rng(block["seed"])
     # (|difference|, what was compared, the params it was compared at); only
     # the printed offender's params are formatted
@@ -351,8 +350,8 @@ def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     # a NaN difference is the worst possible one; otherwise the first largest counts
     nans = [d for d in diffs if math.isnan(d[0])]
     worst, what, params = nans[0] if nans else max(diffs, key=lambda d: d[0])
-    print(f"max |difference|: {float(worst)!r} (tolerance {tol!r})")
-    if not worst <= tol:
+    print(f"max |difference|: {float(worst)!r} (tolerance {_TOLERANCE!r})")
+    if not worst <= _TOLERANCE:
         print(f"FAIL worst offender: {what} {params}")
         return 1
     print("PASS")
@@ -604,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="path to a JSON config document")
     parser.add_argument("--seed", type=int, default=None, help="override the command's seed(s)")
     parser.add_argument("--out", default=None, help="directory for CSV/report artifacts")
-    parser.add_argument("--tolerance", type=float, default=None, help="override verify tolerance")
     parser.add_argument("--draws", type=int, default=None, help="override verify draw count")
     return parser
 
@@ -617,8 +615,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg["verify"]["seed"] = args.seed
             cfg["simulate"]["seed"] = args.seed
             cfg["train"]["seeds"] = [args.seed]
-        if args.tolerance is not None:
-            cfg["verify"]["tolerance"] = args.tolerance
         if args.draws is not None:
             cfg["verify"]["draws"] = args.draws
         # check the flags as config values; the running command's section goes

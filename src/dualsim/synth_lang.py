@@ -29,12 +29,26 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _array(value, dtype: type, shape: tuple[int | None, ...], what: str) -> np.ndarray:
+    """``value`` as an array of ``dtype`` and ``shape`` (None: any length),
+    the caller's own array when it already is one, else a converted copy."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{what} is not an array of {dtype.__name__}: {e}") from None
+    if arr.ndim != len(shape) or any(d not in (None, got) for d, got in zip(shape, arr.shape)):
+        dims = ", ".join("n" if d is None else str(d) for d in shape)
+        raise ValidationError(f"{what} must have shape ({dims}), got {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class World:
     """Immutable synthetic multi-language world.
 
-    mu          (k, m*s) rows: per-language sentence distributions, each
-                with positive mass on every cluster
+    mu          (k, m*s) float64 rows, converted from any array-like:
+                per-language sentence distributions, each with positive
+                mass on every cluster
     cluster_of  read-only (m*s,) sentence id -> cluster id, x // s in every language
     """
 
@@ -44,8 +58,8 @@ class World:
     mu: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mu.shape != (self.n_langs, self.n_sentences):
-            raise ValidationError("mu shape does not match world dimensions")
+        shape = (self.n_langs, self.n_sentences)
+        object.__setattr__(self, "mu", _array(self.mu, np.float64, shape, "mu"))
         # build_corpus draws every parallel target inside its source's
         # cluster; checked first, so that a NaN row fails here
         by_cluster = self.mu.reshape(self.n_langs, self.n_clusters, self.cluster_size)
@@ -76,21 +90,31 @@ class Corpus:
     """Sampled training data: parallel pairs per ordered language pair,
     monolingual sentence ids per language.
 
-    ``parallel[(i, j)]`` is an (n, 2) int array of (source id, target id);
-    by construction every pair is cluster-correct. Each ordered direction
-    carries its own independent draws, so the two translators of a pair
-    start from genuinely different supervised knowledge, the asymmetry
-    that reconstruction training then transfers across.
+    ``parallel[(i, j)]`` is an (n, 2) int64 array of (source id, target id)
+    and ``monolingual[i]`` an (n,) int64 array, each converted from any
+    array-like and read-only; by construction every pair is
+    cluster-correct. Each ordered direction carries its own independent
+    draws, so the two translators of a pair start from genuinely different
+    supervised knowledge, the asymmetry that reconstruction training then
+    transfers across.
     """
 
     parallel: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     monolingual: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for arr in self.parallel.values():
+        parallel = {
+            key: _array(v, np.int64, (None, 2), f"parallel{key}")
+            for key, v in self.parallel.items()
+        }
+        monolingual = {
+            lang: _array(v, np.int64, (None,), f"monolingual[{lang}]")
+            for lang, v in self.monolingual.items()
+        }
+        for arr in (*parallel.values(), *monolingual.values()):
             _frozen(arr)
-        for arr in self.monolingual.values():
-            _frozen(arr)
+        object.__setattr__(self, "parallel", parallel)
+        object.__setattr__(self, "monolingual", monolingual)
 
 
 def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:

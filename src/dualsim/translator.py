@@ -13,7 +13,7 @@ training update in :mod:`dualsim.learner` is built from this one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,14 @@ class TabularTranslator:
         return np.argmax(self.theta, axis=1)
 
 
+# what each TrainConfig field type admits, and its description
+_FIELD_TYPES = {
+    "float": ("a real number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("a boolean", lambda v: type(v) is bool),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for all training phases.
@@ -111,6 +119,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # each field has the type it is declared with, checked first so that
+        # no wrong type fails inside numpy; a bool is no number, a number no flag
+        for f in fields(self):
+            what, ok = _FIELD_TYPES[f.type]
+            if not ok(getattr(self, f.name)):
+                raise ValidationError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
+        if not 0 <= self.seed < 2**64:  # the rule of every config seed and of monte_carlo
+            raise ValidationError(
+                f"seed must be a nonnegative integer below 2**64, got {self.seed!r}"
+            )
         if not 0.0 < self.learning_rate < np.inf:
             raise ValidationError(
                 f"learning_rate must be positive and finite, got {self.learning_rate!r}"

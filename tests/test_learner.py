@@ -49,32 +49,77 @@ def fd_row_grad(f, theta, row, h=1e-5):
     return g
 
 
-def peak_growth(*scripts):
+def run_probe(*scripts):
     """Run ``scripts``, one after another, in a new process with ``src/`` on
-    its path and a ``peak_kib()`` that reads the process's own VmHWM
-    (ru_maxrss would keep the peak of the forking test process across
-    exec); returns the two integers the scripts print. Skipped where the peak cannot show
-    unbacked rows: off Linux, and under transparent huge pages "always",
-    which back whole 2 MiB ranges on first write."""
+    its path, a ``peak_kib()`` that reads the process's own VmHWM (ru_maxrss
+    would keep the peak of the forking test process across exec) and a
+    ``page_counts(theta)`` (see below); returns the integers the scripts
+    print. A fresh process also has no freed chunk that could hand a new
+    theta pages written before. Skipped where memory cannot show unbacked
+    rows: off Linux, and under transparent huge pages "always", which back
+    whole 2 MiB ranges on first write."""
     if not sys.platform.startswith("linux"):
         pytest.skip("reads /proc/self/status")
     thp = Path("/sys/kernel/mm/transparent_hugepage/enabled")
     if thp.exists() and "[always]" in thp.read_text():
         pytest.skip("transparent huge pages back whole 2 MiB ranges on first write")
-    preamble = textwrap.dedent(
-        """
-        def peak_kib():
-            with open("/proc/self/status") as fh:
-                return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
-        """
-    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", "".join(map(textwrap.dedent, [preamble, *scripts]))],
+        [sys.executable, "-c", "".join(map(textwrap.dedent, [PROBES, *scripts]))],
         env=env, capture_output=True, text=True, check=True,
     )
     return map(int, done.stdout.split())
+
+
+PROBES = """
+    import os
+
+    import numpy as np
+
+    def peak_kib():
+        with open("/proc/self/status") as fh:
+            return next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+
+    # (written pages, expected pages, pages in only one of the two sets) of
+    # theta's buffer. A page is written when pagemap shows it present (bit 63)
+    # and exclusive (bit 56); the shared zero page that a read maps is present
+    # but not exclusive. The expected pages are those spanned by the rows
+    # holding a nonzero bit, plus the buffer's first, which holds the
+    # allocator's header
+    def page_counts(theta):
+        page = os.sysconf("SC_PAGE_SIZE")
+        addr, row = theta.__array_interface__["data"][0], theta.strides[0]
+        first, last = addr // page, (addr + theta.nbytes - 1) // page
+        with open("/proc/self/pagemap", "rb") as fh:
+            fh.seek(first * 8)
+            entries = np.frombuffer(fh.read((last - first + 1) * 8), dtype=np.uint64)
+        bits = np.uint64(1 << 63 | 1 << 56)
+        written = set((np.flatnonzero(entries & bits == bits) + first).tolist())
+        expected = {first}
+        for r in np.flatnonzero(theta.view(np.uint64).any(axis=1)).tolist():
+            expected.update(range((addr + r * row) // page, (addr + (r + 1) * row - 1) // page + 1))
+        return len(written), len(expected), len(written ^ expected)
+"""
+
+
+def assert_only_nonzero_rows_written(*scripts):
+    """Run ``scripts``, which print ``page_counts`` of trained thetas, and
+    check that each theta's written pages are exactly its expected ones.
+    Skipped unless this process's pagemap shows a page it wrote as present
+    and exclusive."""
+    arr = np.ones(4096)
+    try:
+        with open("/proc/self/pagemap", "rb") as fh:
+            fh.seek(arr.__array_interface__["data"][0] // os.sysconf("SC_PAGE_SIZE") * 8)
+            entry = int.from_bytes(fh.read(8), sys.byteorder)
+    except (OSError, ValueError, AttributeError):
+        pytest.skip("cannot read /proc/self/pagemap")
+    if entry >> 63 & 1 == 0 or entry >> 56 & 1 == 0:
+        pytest.skip("/proc/self/pagemap does not report written pages as exclusive")
+    counts = list(run_probe(*scripts))
+    per_theta = [counts[i : i + 3] for i in range(0, len(counts), 3)]
+    assert per_theta and all(w == e and d == 0 for w, e, d in per_theta), per_theta
 
 
 # n = 700 is 3.9 MB, below the 4 MiB from which numpy asks for huge pages;
@@ -165,6 +210,34 @@ class TestTabularTranslator:
         for field in ("supervised_batch", "reconstruction_batch"):
             with pytest.raises(ValidationError, match=f"^{field} must be at least 1, got 0$"):
                 TrainConfig(**{field: 0})
+        # the largest seed, and ints where real numbers belong, are accepted
+        assert TrainConfig(seed=2**64 - 1, learning_rate=1, supervised_mix=1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "field, value, what",
+        [
+            ("seed", -1, "a nonnegative integer below 2**64"),
+            ("seed", 2**64, "a nonnegative integer below 2**64"),
+            ("seed", 1.5, "an integer"),
+            ("steps", 2.5, "an integer"),
+            ("steps", True, "an integer"),
+            ("supervised_batch", 2.5, "an integer"),
+            ("reconstruction_batch", np.int64(2), "an integer"),
+            ("learning_rate", "x", "a real number"),
+            ("supervised_mix", True, "a real number"),
+            ("update_pivots", "no", "a boolean"),
+            ("update_pivots", 1, "a boolean"),
+        ],
+        ids=["seed-negative", "seed-2**64", "seed-float", "steps-float", "steps-bool",
+             "supervised_batch-float", "reconstruction_batch-numpy", "learning_rate-str",
+             "supervised_mix-bool", "update_pivots-str", "update_pivots-int"],
+    )
+    def test_config_rejects_what_it_cannot_train_with(self, field, value, what):
+        # each used to be accepted, then failed inside numpy or trained as
+        # something else (a truthy string updates the pivots, True is one step)
+        with pytest.raises(ValidationError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == f"{field} must be {what}, got {value!r}"
 
 
 class TestTrainSupervised:
@@ -194,7 +267,7 @@ class TestTrainSupervised:
     def test_unwritten_rows_cost_no_resident_memory(self):
         # 10 pairs write at most 10 of the 700 rows; n = 700 stays below
         # numpy's 4 MiB huge-page advice
-        grown_kib, nbytes = peak_growth(
+        grown_kib, nbytes = run_probe(
             """
             import numpy as np
             from dualsim.learner import train_supervised
@@ -209,6 +282,19 @@ class TestTrainSupervised:
             """
         )
         assert grown_kib * 1024 < nbytes / 4
+
+    def test_written_pages_are_the_rows_updates_wrote(self):
+        # the bare np.zeros start: 10 pairs write at most 10 of the 700 rows
+        assert_only_nonzero_rows_written(
+            """
+            import numpy as np
+            from dualsim.learner import train_supervised
+            from dualsim.translator import TrainConfig
+
+            pairs = np.stack([np.arange(0, 700, 70), np.arange(10)], axis=1)
+            print(*page_counts(train_supervised(0, 1, 700, pairs, TrainConfig(steps=50)).theta))
+            """
+        )
 
 
 class TestGradients:
@@ -360,7 +446,7 @@ class TestDualLearning:
     def test_phase_start_costs_only_written_rows(self):
         # two phase starts from 5-row starts; dense copies would grow the
         # peak by two whole thetas
-        grown_kib, nbytes = peak_growth(
+        grown_kib, nbytes = run_probe(
             SPARSE_STARTS,
             """
             small = sparse(2, 20)
@@ -372,6 +458,16 @@ class TestDualLearning:
             """
         )
         assert grown_kib * 1024 < nbytes / 4
+
+    def test_phase_start_writes_only_the_nonzero_rows(self):
+        assert_only_nonzero_rows_written(
+            SPARSE_STARTS,
+            """
+            ts = sparse(2, 700)
+            for t in dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, cfg):
+                print(*page_counts(t.theta))
+            """
+        )
 
     def test_zero_steps_returns_its_inputs_bit_for_bit(self):
         # written rows, all-zero rows and a row of -0.0 cells all come back
@@ -604,7 +700,7 @@ class TestMultistepDualLearning:
     def test_phase_start_costs_only_written_rows(self):
         # k = 3 with pivot updates trains six directions from 5-row starts;
         # dense copies would grow the peak by six whole thetas
-        grown_kib, nbytes = peak_growth(
+        grown_kib, nbytes = run_probe(
             SPARSE_STARTS,
             """
             multistep_dual_learning(sparse(3, 20), corpus, cfg)
@@ -616,6 +712,16 @@ class TestMultistepDualLearning:
             """
         )
         assert grown_kib * 1024 < nbytes / 4
+
+    def test_phase_start_writes_only_the_nonzero_rows(self):
+        # all six directions are trained, each from a 5-row start
+        assert_only_nonzero_rows_written(
+            SPARSE_STARTS,
+            """
+            for t in multistep_dual_learning(sparse(3, 700), corpus, cfg).values():
+                print(*page_counts(t.theta))
+            """
+        )
 
     def test_zero_steps_returns_its_inputs_bit_for_bit(self):
         _, corpus, ts = small_setup(k=4)

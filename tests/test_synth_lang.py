@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualsim.errors import ValidationError
-from dualsim.synth_lang import World, build_corpus, generate_world
+from dualsim.synth_lang import Corpus, World, build_corpus, generate_world
 
 
 class TestGenerateWorld:
@@ -65,6 +65,15 @@ class TestGenerateWorld:
         mu = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0]])
         with pytest.raises(ValidationError, match="^some language puts no mass on a cluster$"):
             World(n_langs=2, n_clusters=2, cluster_size=2, mu=mu)
+
+    def test_world_converts_mu(self):
+        # a nested list or a float32 array is held as read-only float64
+        for mu in ([[1.0], [1.0]], np.ones((2, 1), dtype=np.float32)):
+            world = World(n_langs=2, n_clusters=1, cluster_size=1, mu=mu)
+            assert world.mu.dtype == np.float64 and not world.mu.flags.writeable
+        for mu in ([1.0, 1.0], [[1.0], [1.0, 0.0]], "x"):
+            with pytest.raises(ValidationError, match="^mu "):
+                World(n_langs=2, n_clusters=1, cluster_size=1, mu=mu)
 
 
 class TestSampleParallel:
@@ -149,6 +158,15 @@ class TestBuildCorpus:
             assert np.array_equal(c1.parallel[key], c2.parallel[key])
         for key in c1.monolingual:
             assert np.array_equal(c1.monolingual[key], c2.monolingual[key])
+
+    def test_corpus_converts_ids(self):
+        corpus = Corpus(parallel={(0, 1): [[0, 1]]}, monolingual={0: [1, 2]})
+        for arr, shape in ((corpus.parallel[(0, 1)], (1, 2)), (corpus.monolingual[0], (2,))):
+            assert arr.dtype == np.int64 and arr.shape == shape and not arr.flags.writeable
+        for bad in ({"parallel": {(0, 1): [0, 1]}}, {"parallel": {(0, 1): [[0, 1, 2]]}},
+                    {"monolingual": {0: [[1, 2]]}}, {"monolingual": {0: ["a"]}}):
+            with pytest.raises(ValidationError):
+                Corpus(**bad)
 
     # sha256 of every array in key order, recorded before the per-pair and
     # per-language samplers were folded into build_corpus: the fold must keep

@@ -211,6 +211,24 @@ MUTANTS = {
         "synth_lang.py", "sum(axis=2) > 0.0)", "sum(axis=2) >= 0.0)",
         "tests/test_synth_lang.py::TestGenerateWorld::test_overflowing_skew_names_the_skew[800.0]",
     ),
+    # a TrainConfig seed may be negative
+    "train-seed-negative": (
+        "translator.py", "if not 0 <= self.seed < 2**64:", "if not self.seed < 2**64:",
+        "tests/test_learner.py::TestTabularTranslator"
+        "::test_config_rejects_what_it_cannot_train_with[seed-negative]",
+    ),
+    # a bool passes TrainConfig's integer check
+    "train-int-bool": (
+        "translator.py", "lambda v: type(v) is int)", "lambda v: isinstance(v, int))",
+        "tests/test_learner.py::TestTabularTranslator"
+        "::test_config_rejects_what_it_cannot_train_with[steps-bool]",
+    ),
+    # World checks mu without holding its float64 conversion
+    "world-mu-unconverted": (
+        "synth_lang.py", 'object.__setattr__(self, "mu", _array(self.mu, np.float64, shape, "mu"))',
+        '_array(self.mu, np.float64, shape, "mu")',
+        "tests/test_synth_lang.py::TestGenerateWorld::test_world_converts_mu",
+    ),
     # an empty monolingual list passes the check
     "mono-empty": ("learner.py", "mono[lang].size == 0", "mono[lang].size < 0",
                    "tests/test_learner.py::TestDualLearning::test_missing_monolingual_rejected"),
