@@ -25,11 +25,11 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DualSimError, ValidationError
+from .errors import FINITE, SCALAR_RULES, SEED, DualSimError, Rule, ValidationError
 from .learner import (
     PHASE_ORDER,
     PRIMARY_PAIR,
@@ -131,39 +131,29 @@ _ERRATA_PARAMS = TripleOutcomeParams(0.5, 0.5, 0.5, lam1=0.05, lam2=0.0, delta=0
 _TOLERANCE = 1e-12
 
 
-def _is_number(v: Any) -> bool:
-    """A JSON number that is a finite float: json reads NaN and Infinity,
-    and an int past the float range cannot become one."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _leaf_type(default: Any, path: str) -> tuple[Callable[[Any], bool], str]:
-    """Type check and its description for a config leaf, from its default."""
+def _leaf_type(default: Any, path: str) -> Rule:
+    """The rule of a config leaf, from its default."""
     if path == "theory.delta":
-        return (
-            lambda v: _is_number(v) or (isinstance(v, list) and v and all(map(_is_number, v))),
+        return Rule(
+            lambda v: FINITE.ok(v) or (isinstance(v, list) and v and all(map(FINITE.ok, v))),
             "a finite number or a nonempty list of finite numbers",
         )
     if default is None:
-        return (lambda v: v is None or isinstance(v, dict)), "null or an object"
+        return Rule(lambda v: v is None or isinstance(v, dict), "null or an object")
     if isinstance(default, list):
-        item, what = _leaf_type(default[0], path)
-        return (lambda v: isinstance(v, list) and all(map(item, v))), f"a list of items each {what}"
-    if isinstance(default, float):
-        return _is_number, "a finite number"
-    if path.endswith(("seed", "seeds")):  # one rule for every seed, as numpy requires
-        return (lambda v: type(v) is int and 0 <= v < 2**64), "a nonnegative integer below 2**64"
-    what = {bool: "a boolean", int: "an integer", str: "a string"}[type(default)]
-    return (lambda v: type(v) is type(default)), what
+        item = _leaf_type(default[0], path)
+        return Rule(lambda v: isinstance(v, list) and all(map(item.ok, v)),
+                    f"a list of items each {item.what}")
+    if path.endswith(("seed", "seeds")):
+        return SEED
+    return SCALAR_RULES[type(default)]
 
 
 def _merge_config(defaults: Any, user: Any, path: str) -> Any:
     """Overlay user config on defaults, rejecting unknown keys and leaves
     whose type does not match the default's (an int may stand for a float)."""
     if not isinstance(defaults, dict):
-        check, what = _leaf_type(defaults, path)
-        if not check(user):
-            raise ValidationError(f"config field {path} must be {what}, got {user!r}")
+        _leaf_type(defaults, path).require(user, f"config field {path}")
         return user
     if not isinstance(user, dict):
         raise ValidationError(f"config field {path or '<root>'} must be an object")
@@ -557,8 +547,7 @@ def cmd_report(out_dir: Path | None) -> int:
             if any(str(int(field)) != field for field in (seed, i, j)):  # the form train writes
                 raise ValueError(f"seed, src and dst must be plain decimals, got {seed}, {i}, {j}")
             row = [chash, int(seed), phase, int(i), int(j), float(p_hat), float(p_exp)]
-            if not 0 <= row[1] < 2**64:  # train.seeds' rule
-                raise ValueError(f"seed must be a nonnegative integer below 2**64, got {seed}")
+            SEED.require(row[1], "seed")  # a ValueError, reported with the line
             if phase not in _PHASE_RANK:
                 raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
             if row[3] < 0 or row[4] < 0 or row[3] == row[4]:

@@ -1,11 +1,20 @@
-"""Semantic exception hierarchy for dualsim.
+"""Semantic exception hierarchy for dualsim, and the one rule of each scalar input.
 
 Public functions never raise bare ValueError; they raise one of the types
 below so callers (and the CLI exit-code mapping) can tell invalid input
-apart from a genuinely infeasible probability model.
+apart from a genuinely infeasible probability model. A public function
+given a bad scalar (a bool where a number belongs, NaN, an infinity, an
+int past the float range, a float where an integer belongs, a size that
+no numpy array holds, a seed outside [0, 2**64)) raises ValidationError, never OverflowError,
+TypeError or a numpy ValueError: the config loader, TrainConfig and every
+public function that takes a scalar check it with one of the rules below,
+each stated once.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import Any, Callable, NamedTuple
 
 
 class DualSimError(Exception):
@@ -28,3 +37,29 @@ class InfeasibleParamsError(DualSimError, ValueError):
         self.value = value
         bits = ", ".join(str(b) for b in cell)
         super().__init__(f"joint cell ({bits}) would be negative: {value!r}")
+
+
+class Rule(NamedTuple):
+    """What a scalar input must be: its test and its description."""
+
+    ok: Callable[[Any], bool]
+    what: str
+
+    def require(self, value: Any, name: str) -> None:
+        if not self.ok(value):
+            raise ValidationError(f"{name} must be {self.what}, got {value!r}")
+
+
+# a bool is no number, and float() of an int past the float range overflows
+FINITE = Rule(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+              and abs(v) <= sys.float_info.max, "a finite number")
+INTEGER = Rule(lambda v: type(v) is int, "an integer")
+# the rule of a config leaf or TrainConfig field, by the type of its default
+SCALAR_RULES = {float: FINITE, int: INTEGER, bool: Rule(lambda v: type(v) is bool, "a boolean"),
+                str: Rule(lambda v: type(v) is str, "a string")}
+# the most 8-byte entries (float64 weights, int64 ids) that one numpy array holds
+MAX_ENTRIES = sys.maxsize // 8
+# a count of such entries: a size of a world or of a corpus
+SIZE = Rule(lambda v: type(v) is int and 0 <= v <= MAX_ENTRIES, f"an integer in [0, {MAX_ENTRIES}]")
+# Monte Carlo hashes a seed's low 64 bits, so -1 would alias the largest seed
+SEED = Rule(lambda v: type(v) is int and 0 <= v < 2**64, "a nonnegative integer below 2**64")

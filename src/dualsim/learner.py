@@ -31,9 +31,9 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import INTEGER, MAX_ENTRIES, ValidationError
 from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
-from .synth_lang import Corpus, World
+from .synth_lang import Corpus, World, _array
 from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs, sample_row
 
 PHASE_ORDER = ("vanilla", "dual", "multistep")
@@ -68,7 +68,9 @@ def train_supervised(
     """Pretrain an n x n translator from uniform scores on parallel pairs:
     :func:`_train_phase` with this one replay direction and no choices, so
     every step replays and ``supervised_mix`` is not read."""
-    pairs = np.asarray(pairs)
+    if not (INTEGER.ok(n) and n > 0 and n * n <= MAX_ENTRIES):
+        raise ValidationError(f"n must be a positive integer whose n x n theta fits, got {n!r}")
+    pairs = _array(pairs, np.int64, (None, 2), "pairs")
     if pairs.size == 0:
         raise ValidationError("train_supervised needs a nonempty pair list")
     return _train_phase({}, [((src_lang, dst_lang), pairs)], [], cfg, n)[(src_lang, dst_lang)]
@@ -99,6 +101,15 @@ def _reconstruct(
             theta[end] += lr * log_prob_grad_row(theta[end], x)
 
 
+def _check_ids(ids: np.ndarray, bounds: tuple[int, ...], what: str) -> None:
+    """Raise unless every id lies in [0, the bound of its column): numpy
+    would read a negative id as a row from the end."""
+    bounds = np.broadcast_to(bounds, ids.shape)
+    bad = (ids < 0) | (ids >= bounds)
+    if bad.any():
+        raise ValidationError(f"{what} hold id {ids[bad][0]}, outside [0, {bounds[bad][0]})")
+
+
 def _train_phase(
     translators: Mapping[tuple[int, int], TabularTranslator],
     replay: list[tuple[tuple[int, int], np.ndarray | None]],
@@ -124,6 +135,8 @@ def _train_phase(
     has written stays on the kernel's shared zero page through every
     phase, where a dense ``copy()`` would back every page. No input theta
     is written; the other directions come back as the caller's own objects.
+    Every replay pair and monolingual id is checked once against the
+    theta it indexes.
     """
     trained = {key for key, _ in replay}
     trained |= {bwd for groups in choices for group in groups for _, _, bwd in group}
@@ -132,6 +145,11 @@ def _train_phase(
         for key, t in translators.items()
     }
     thetas.update((key, np.zeros((n, n))) for key in trained.difference(thetas))
+    for key, pairs in replay:
+        if pairs is not None:
+            _check_ids(pairs, thetas[key].shape, f"parallel pairs of {key}")
+    for mono, chain, _ in (entry for groups in choices for group in groups for entry in group):
+        _check_ids(mono, thetas[chain[0]].shape[:1], f"monolingual ids of language {chain[0][0]}")
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.steps):
         if not choices or rng.random() < cfg.supervised_mix:

@@ -20,7 +20,8 @@ Conventions:
     to name the first negative one
   - parameter objects test each field once with ``_require_real`` or
     ``_require_prob``; a float within range passes on their first line, any
-    other value is converted or rejected with the field named
+    other value is converted, or rejected by the finite-number rule of
+    :mod:`dualsim.errors` with the field named
   - all types are immutable and slotted; all functions are pure, except
     the random_* draws, which advance the generator they are given
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleParamsError, ValidationError
+from .errors import FINITE, InfeasibleParamsError, ValidationError
 
 _SUM_TOL = 1e-12
 
@@ -40,12 +41,8 @@ _SUM_TOL = 1e-12
 def _require_real(x: float, name: str) -> float:
     if isinstance(x, float) and math.isfinite(x):
         return float(x)
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ValidationError(f"{name} must be a real number, got {x!r}")
-    v = float(x)
-    if not math.isfinite(v):
-        raise ValidationError(f"{name} must be finite, got {v!r}")
-    return v
+    FINITE.require(x, name)
+    return float(x)
 
 
 def _require_prob(x: float, name: str) -> float:

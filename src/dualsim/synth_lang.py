@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FINITE, INTEGER, MAX_ENTRIES, SEED, SIZE, ValidationError
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -33,7 +33,10 @@ def _array(value, dtype: type, shape: tuple[int | None, ...], what: str) -> np.n
     """``value`` as an array of ``dtype`` and ``shape`` (None: any length),
     the caller's own array when it already is one, else a converted copy."""
     try:
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value)
+        # a value that casts to dtype only with loss (a float id) is no array of
+        # it; an empty list reads as float64 and holds no value to lose
+        arr = arr.astype(dtype, casting="safe" if arr.size else "unsafe", copy=False)
     except (TypeError, ValueError) as e:
         raise ValidationError(f"{what} is not an array of {dtype.__name__}: {e}") from None
     if arr.ndim != len(shape) or any(d not in (None, got) for d, got in zip(shape, arr.shape)):
@@ -58,6 +61,11 @@ class World:
     mu: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("n_langs", "n_clusters", "cluster_size"):
+            size = getattr(self, name)
+            SIZE.require(size, name)
+            if size < 1:
+                raise ValidationError(f"{name} must be positive, got {size}")
         shape = (self.n_langs, self.n_sentences)
         object.__setattr__(self, "mu", _array(self.mu, np.float64, shape, "mu"))
         # build_corpus draws every parallel target inside its source's
@@ -80,6 +88,7 @@ class World:
         return _frozen(np.arange(self.n_sentences) // self.cluster_size)
 
     def check_language(self, lang: int) -> int:
+        INTEGER.require(lang, "language id")
         if not 0 <= lang < self.n_langs:
             raise ValidationError(f"language id {lang} out of range [0, {self.n_langs})")
         return lang
@@ -127,10 +136,16 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     rejected as too large.
     Deterministic in (arguments, seed).
     """
+    for name, count in (("k", k), ("m", m), ("s", s)):
+        INTEGER.require(count, name)
+    FINITE.require(skew, "skew")
+    SEED.require(seed, "seed")
     if k < 2:
         raise ValidationError(f"need at least 2 languages, got {k}")
     if m < 1 or s < 1:
         raise ValidationError(f"cluster counts must be positive, got m={m}, s={s}")
+    if k * m * s > MAX_ENTRIES:
+        raise ValidationError(f"a world of {k} x {m * s} sentence weights does not fit one array")
     if skew < 0.0:
         raise ValidationError(f"skew must be nonnegative, got {skew!r}")
     rng = np.random.default_rng(seed)
@@ -165,11 +180,10 @@ def build_corpus(
     spawned from ``seed`` in that order, so the whole corpus is
     reproducible from (world, arguments, seed).
     """
-    if parallel_per_pair < 0 or monolingual_per_language < 0:
-        raise ValidationError(
-            "corpus sizes must be nonnegative, got "
-            f"{parallel_per_pair} parallel and {monolingual_per_language} monolingual"
-        )
+    for name, size in (("parallel_per_pair", parallel_per_pair),
+                       ("monolingual_per_language", monolingual_per_language)):
+        SIZE.require(size, name)
+    SEED.require(seed, "seed")
     if within_cluster not in ("mu", "uniform"):
         raise ValidationError(f"unknown within_cluster mode {within_cluster!r}")
     k, s = world.n_langs, world.cluster_size

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import FINITE, ValidationError
 from .outcome_model import (
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
+    _require_prob,
     build_dual_joint,
     build_triple_joint,
 )
@@ -108,8 +109,7 @@ def _proportional_split(
     params type, and the reconstructing total 1.1 + 1.2 that the
     proportional policy divides by. Gamma is checked before a joint table is
     built; a zero total is rejected, since the ratio is then undefined."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValidationError(f"gamma must be in [0, 1], got {gamma!r}")
+    gamma = _require_prob(gamma, "gamma")
     masses = _dual_case_masses if isinstance(params, DualOutcomeParams) else _triple_case_masses
     pr11, pr12, pr2 = masses(params)
     total = pr11 + pr12
@@ -195,6 +195,8 @@ def m_factor(q23: float, q31: float, delta: float) -> float:
     round trip. Rejects a zero denominator (q23*q31 = 0 with delta = 0 or
     degenerate corners).
     """
+    for name, value in (("q23", q23), ("q31", q31), ("delta", delta)):
+        FINITE.require(value, name)
     denom = q23 * q31 + delta * (1.0 - q23) * (1.0 - q31)
     if denom <= 0.0:
         raise ValidationError(f"m_factor denominator must be positive, got {denom!r}")
@@ -222,4 +224,6 @@ def multistep_condition(q23: float, q31: float, delta: float) -> bool:
     where M itself has a zero denominator. The boundary is excluded: at
     equality (M = 1) the condition is False.
     """
+    for name, value in (("q23", q23), ("q31", q31), ("delta", delta)):
+        FINITE.require(value, name)
     return delta * (q23 + q31 - 2.0 * q23 * q31) < q23 * q31

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import INTEGER, SCALAR_RULES, SEED, ValidationError
 
 
 def shifted_exp(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,6 +70,8 @@ class TabularTranslator:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
+        INTEGER.require(self.src_lang, "src_lang")
+        INTEGER.require(self.dst_lang, "dst_lang")
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 2:
             raise ValidationError("theta must be a 2-d score matrix")
@@ -81,14 +83,6 @@ class TabularTranslator:
     def greedy_all(self) -> np.ndarray:
         # np.argmax takes the first maximum: ties break to the lowest id.
         return np.argmax(self.theta, axis=1)
-
-
-# what each TrainConfig field type admits, and its description
-_FIELD_TYPES = {
-    "float": ("a real number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "int": ("an integer", lambda v: type(v) is int),
-    "bool": ("a boolean", lambda v: type(v) is bool),
-}
 
 
 @dataclass(frozen=True)
@@ -119,20 +113,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # each field has the type it is declared with, checked first so that
-        # no wrong type fails inside numpy; a bool is no number, a number no flag
+        # each field has its default's type, checked first so that no wrong
+        # type fails inside numpy; the seed has the rule of every seed
         for f in fields(self):
-            what, ok = _FIELD_TYPES[f.type]
-            if not ok(getattr(self, f.name)):
-                raise ValidationError(f"{f.name} must be {what}, got {getattr(self, f.name)!r}")
-        if not 0 <= self.seed < 2**64:  # the rule of every config seed and of monte_carlo
-            raise ValidationError(
-                f"seed must be a nonnegative integer below 2**64, got {self.seed!r}"
-            )
-        if not 0.0 < self.learning_rate < np.inf:
-            raise ValidationError(
-                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
-            )
+            SCALAR_RULES[type(f.default)].require(getattr(self, f.name), f.name)
+        SEED.require(self.seed, "seed")
+        if self.learning_rate <= 0.0:
+            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.steps < 0:
             raise ValidationError(f"steps must be nonnegative, got {self.steps!r}")
         for name in ("supervised_batch", "reconstruction_batch"):

@@ -2,9 +2,14 @@
 
 import ast
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualsim
 from dualsim import cli
@@ -124,3 +129,54 @@ def test_every_def_is_entered_by_a_command(tmp_path, capsys):
         if key not in entered and name.split(".")[-1] not in AWAITING_A_CALLER
     )
     assert not missed, f"never entered by a command: {missed}"
+
+
+# scalars that no public function may let escape as anything but a
+# DualSimError: a bool, the non-finite floats, an int past the float range,
+# a negative, a seed's first excluded value, a fraction and a string
+HOSTILE = [True, math.nan, math.inf, -math.inf, 10**400, -1, 2**64, 2.5, "1"]
+_WORLD = dualsim.generate_world(2, 1, 1, 0.0, 0)
+_DUAL = dualsim.DualOutcomeParams(0.5, 0.5, 0.0, 0.1)
+_SPEC = dualsim.GenerativeSpec(_DUAL, dualsim.RedistributionPolicy(0.3, 0.3, 0.4))
+# each public callable that takes scalars, with valid scalar arguments to replace
+SCALAR_CALLS = {
+    "DualOutcomeParams": (dualsim.DualOutcomeParams, (0.5, 0.5, 0.0, 0.1)),
+    "TripleOutcomeParams": (dualsim.TripleOutcomeParams, (0.5, 0.5, 0.5, 0.0, 0.0, 0.1)),
+    "RedistributionPolicy": (dualsim.RedistributionPolicy, (0.3, 0.3, 0.4)),
+    "TrainConfig": (dualsim.TrainConfig, tuple(f.default for f in fields(dualsim.TrainConfig))),
+    "generate_world": (dualsim.generate_world, (2, 1, 1, 0.0, 0)),
+    "build_corpus": (lambda *args: dualsim.build_corpus(_WORLD, *args), (1, 1, 0)),
+    "monte_carlo": (lambda *args: dualsim.monte_carlo(_SPEC, *args), (10, 0)),
+    "World": (lambda *args: dualsim.World(*args, [[1.0], [1.0]]), (2, 1, 1)),
+    "World.check_language": (_WORLD.check_language, (0,)),
+    "TabularTranslator": (lambda *args: dualsim.TabularTranslator(*args, [[0.0]]), (0, 1)),
+    "train_supervised": (
+        lambda *args: dualsim.train_supervised(*args, [[0, 0]], dualsim.TrainConfig(steps=1)),
+        (0, 1, 1),
+    ),
+    "lambda_feasible_range": (dualsim.lambda_feasible_range, (0.5, 0.5)),
+    "lambda_loose_range": (dualsim.lambda_loose_range, (0.5, 0.5)),
+    "m_factor": (dualsim.m_factor, (0.5, 0.5, 0.1)),
+    "multistep_condition": (dualsim.multistep_condition, (0.5, 0.5, 0.1)),
+    "proportional_policy": (lambda gamma: dualsim.proportional_policy(_DUAL, gamma), (0.5,)),
+    "proportional_dual_accuracy": (
+        lambda gamma: dualsim.proportional_dual_accuracy(_DUAL, gamma), (0.5,)
+    ),
+    "dual_improvement": (lambda gamma: dualsim.dual_improvement(_DUAL, gamma), (0.5,)),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_scalars_raise_only_dualsim_errors(data):
+    """Each call with hostile scalars in some of its scalar arguments either
+    succeeds or raises a DualSimError: never OverflowError, TypeError or a
+    numpy ValueError."""
+    call, valid = SCALAR_CALLS[data.draw(st.sampled_from(sorted(SCALAR_CALLS)))]
+    hostile_at = data.draw(st.sets(st.integers(0, len(valid) - 1), min_size=1))
+    args = [data.draw(st.sampled_from(HOSTILE)) if i in hostile_at else v
+            for i, v in enumerate(valid)]
+    try:
+        call(*args)
+    except dualsim.DualSimError:
+        pass

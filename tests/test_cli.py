@@ -175,6 +175,22 @@ class TestConfigValidation:
         assert err.startswith(f"error: config field {field} must be ") and err.count("\n") == 1
         assert "nonnegative integer below 2**64" in err
 
+    @pytest.mark.parametrize(
+        "argv, cfg, message",
+        [
+            (["train"], {"train": {"world": {"k": 2**64}}},
+             f"error: a world of {2**64} x 200 sentence weights does not fit one array\n"),
+            (["simulate"], {"simulate": {"n": 2**64}},
+             f"error: n must be an integer in [1, {(2**64 - 1) // 3}], got {2**64}\n"),
+        ],
+        ids=["train.world.k", "simulate.n"],
+    )
+    def test_size_that_no_array_holds_exits_2(self, tmp_path, capsys, argv, cfg, message):
+        # the world raised numpy's ValueError; Monte Carlo ran on for 10**15 chunks
+        argv = argv + ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize(
         "path, default", NUMBER_LEAVES,
@@ -549,8 +565,11 @@ class TestTrain:
             ({"monolingual_per_language": -1},
              "error: train.corpus.monolingual_per_language must be at least 1, got -1\n"),
             ({"within_cluster": "nope"}, "within_cluster"),
+            # an OverflowError traceback inside numpy
+            ({"parallel_per_pair": 2**64}, "parallel_per_pair must be an integer in [0, "),
         ],
-        ids=["parallel_per_pair", "monolingual_per_language", "within_cluster"],
+        ids=["parallel_per_pair", "monolingual_per_language", "within_cluster",
+             "parallel_per_pair-2**64"],
     )
     def test_bad_corpus_setting_exits_2(self, tmp_path, capsys, corpus, what):
         cfg = json.loads(json.dumps(TINY_TRAIN))

@@ -223,18 +223,21 @@ class TestTabularTranslator:
             ("steps", True, "an integer"),
             ("supervised_batch", 2.5, "an integer"),
             ("reconstruction_batch", np.int64(2), "an integer"),
-            ("learning_rate", "x", "a real number"),
-            ("supervised_mix", True, "a real number"),
+            ("learning_rate", "x", "a finite number"),
+            ("learning_rate", 10**400, "a finite number"),
+            ("supervised_mix", True, "a finite number"),
             ("update_pivots", "no", "a boolean"),
             ("update_pivots", 1, "a boolean"),
         ],
         ids=["seed-negative", "seed-2**64", "seed-float", "steps-float", "steps-bool",
              "supervised_batch-float", "reconstruction_batch-numpy", "learning_rate-str",
-             "supervised_mix-bool", "update_pivots-str", "update_pivots-int"],
+             "learning_rate-10**400", "supervised_mix-bool", "update_pivots-str",
+             "update_pivots-int"],
     )
     def test_config_rejects_what_it_cannot_train_with(self, field, value, what):
         # each used to be accepted, then failed inside numpy or trained as
-        # something else (a truthy string updates the pivots, True is one step)
+        # something else (a truthy string updates the pivots, True is one
+        # step, an int past the float range overflows the first update)
         with pytest.raises(ValidationError) as info:
             TrainConfig(**{field: value})
         assert str(info.value) == f"{field} must be {what}, got {value!r}"
@@ -256,6 +259,24 @@ class TestTrainSupervised:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValidationError):
             train_supervised(0, 1, 4, np.empty((0, 2)), TrainConfig())
+
+    @pytest.mark.parametrize("pair, bad", [([-1, 0], -1), ([4, 0], 4), ([0, -1], -1), ([0, 4], 4)],
+                             ids=["src-negative", "src-n", "dst-negative", "dst-n"])
+    def test_ids_outside_the_theta_rejected(self, pair, bad):
+        # a negative id trained a row counted from the end; n raised IndexError
+        message = rf"^parallel pairs of \(0, 1\) hold id {bad}, outside \[0, 4\)$"
+        with pytest.raises(ValidationError, match=message):
+            train_supervised(0, 1, 4, np.array([pair]), TrainConfig(steps=5))
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([[0, 1, 2]], r"pairs must have shape \(n, 2\), got \(1, 3\)"),
+        ([[[0, 1]]], r"pairs must have shape \(n, 2\), got \(1, 1, 2\)"),
+        ([[0.5, 1.0]], "pairs is not an array of int64: "),
+    ], ids=["three-columns", "three-dims", "float"])
+    def test_pairs_that_are_no_id_pairs_rejected(self, pairs, message):
+        # (n, 3) pairs trained on their first two columns; float ids raised IndexError
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            train_supervised(0, 1, 4, np.array(pairs), TrainConfig(steps=5))
 
     def test_deterministic(self):
         pairs = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
@@ -539,6 +560,20 @@ class TestDualLearning:
         message = "^dual learning needs monolingual data for language 0$"
         with pytest.raises(ValidationError, match=message):
             dual_learning(t12, t21, corpus, TrainConfig(steps=5))
+
+    @pytest.mark.parametrize("bad", [-1, 6], ids=["negative", "n"])
+    def test_ids_outside_the_theta_rejected(self, bad):
+        # a negative id trained a row counted from the end; n raised IndexError
+        t12 = TabularTranslator(0, 1, np.zeros((6, 6)))
+        t21 = TabularTranslator(1, 0, np.zeros((6, 6)))
+        parallel = {(0, 1): [[0, 1]], (1, 0): [[1, 0]]}
+        for corpus, what in (
+            (Corpus({**parallel, (0, 1): [[0, bad]]}, {0: [1], 1: [3]}),
+             r"parallel pairs of \(0, 1\)"),
+            (Corpus(parallel, {0: [1, bad], 1: [3]}), "monolingual ids of language 0"),
+        ):
+            with pytest.raises(ValidationError, match=rf"^{what} hold id {bad}, outside \[0, 6\)$"):
+                dual_learning(t12, t21, corpus, TrainConfig(steps=5))
 
     def test_direction_mismatch_rejected(self):
         _, corpus, ts = small_setup()

@@ -1,11 +1,12 @@
 """World generation and corpus sampling."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from dualsim.errors import ValidationError
+from dualsim.errors import MAX_ENTRIES, ValidationError
 from dualsim.synth_lang import Corpus, World, build_corpus, generate_world
 
 
@@ -51,10 +52,29 @@ class TestGenerateWorld:
             generate_world(2, 0, 2, 0.0, 0)
         with pytest.raises(ValidationError):
             generate_world(2, 5, 2, -1.0, 0)
+        # each raised numpy's TypeError, ValueError or OverflowError, or ran
+        # on a seed outside the rule of every seed
+        for args, message in (
+            ((3.0, 5, 2, 0.0, 0), "k must be an integer, got 3.0"),
+            ((3, 2.5, 2, 0.0, 0), "m must be an integer, got 2.5"),
+            ((3, 5, True, 0.0, 0), "s must be an integer, got True"),
+            ((2**64, 1, 1, 0.0, 0), f"a world of {2**64} x 1 sentence weights does not fit"),
+            ((3, 5, 2, "1", 0), "skew must be a finite number, got '1'"),
+            ((3, 5, 2, 10**400, 0), "skew must be a finite number, got 1000"),
+            ((3, 5, 2, 0.0, -1), "seed must be a nonnegative integer below 2**64, got -1"),
+            ((3, 5, 2, 0.0, 2**64), f"seed must be a nonnegative integer below 2**64, got {2**64}"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+                generate_world(*args)
 
-    @pytest.mark.parametrize("skew", [800.0, np.inf, np.nan])
-    def test_overflowing_skew_names_the_skew(self, skew):
-        with pytest.raises(ValidationError, match=f"skew {skew!r}"):
+    @pytest.mark.parametrize(
+        "skew, message",
+        [(800.0, "skew 800.0 is too large: "), (np.inf, "skew must be a finite number, got inf$"),
+         (np.nan, "skew must be a finite number, got nan$")],
+        ids=["800.0", "inf", "nan"],
+    )
+    def test_overflowing_skew_names_the_skew(self, skew, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
             generate_world(3, 5, 2, skew, 0)
         # weights that do not overflow can still leave a cluster with no mass
         with pytest.raises(ValidationError, match="^skew 200.0 is too large: some language puts"):
@@ -65,6 +85,17 @@ class TestGenerateWorld:
         mu = np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0]])
         with pytest.raises(ValidationError, match="^some language puts no mass on a cluster$"):
             World(n_langs=2, n_clusters=2, cluster_size=2, mu=mu)
+
+    def test_world_rejects_sizes_that_are_no_positive_integer(self):
+        # -1 passed the integer rule and reached numpy's reshape, a bare ValueError
+        for sizes, message in (
+            ((2, -1, -1), f"n_clusters must be an integer in [0, {MAX_ENTRIES}], got -1"),
+            ((2, 0, 1), "n_clusters must be positive, got 0"),
+            ((2.0, 1, 1), f"n_langs must be an integer in [0, {MAX_ENTRIES}], got 2.0"),
+            ((2, 1, True), f"cluster_size must be an integer in [0, {MAX_ENTRIES}], got True"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                World(*sizes, mu=[[1.0], [1.0]])
 
     def test_world_converts_mu(self):
         # a nested list or a float32 array is held as read-only float64
@@ -159,12 +190,32 @@ class TestBuildCorpus:
         for key in c1.monolingual:
             assert np.array_equal(c1.monolingual[key], c2.monolingual[key])
 
+    def test_rejects_bad_sizes_and_seed(self):
+        # each raised numpy's TypeError, ValueError or OverflowError, or ran
+        # on a seed outside the rule of every seed
+        world = generate_world(2, 3, 2, 0.0, 0)
+        size = f"must be an integer in [0, {MAX_ENTRIES}], got"
+        for args, message in (
+            ((2.5, 3, 0), f"parallel_per_pair {size} 2.5"),
+            ((3, True, 0), f"monolingual_per_language {size} True"),
+            ((-1, 3, 0), f"parallel_per_pair {size} -1"),
+            ((3, 2**64, 0), f"monolingual_per_language {size} {2**64}"),
+            ((3, 3, -1), "seed must be a nonnegative integer below 2**64, got -1"),
+            ((3, 3, 2**64), f"seed must be a nonnegative integer below 2**64, got {2**64}"),
+            ((3, 3, 1.0), "seed must be a nonnegative integer below 2**64, got 1.0"),
+        ):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build_corpus(world, *args)
+
     def test_corpus_converts_ids(self):
-        corpus = Corpus(parallel={(0, 1): [[0, 1]]}, monolingual={0: [1, 2]})
-        for arr, shape in ((corpus.parallel[(0, 1)], (1, 2)), (corpus.monolingual[0], (2,))):
+        corpus = Corpus(parallel={(0, 1): [[0, 1]]}, monolingual={0: [1, 2], 1: []})
+        for arr, shape in ((corpus.parallel[(0, 1)], (1, 2)), (corpus.monolingual[0], (2,)),
+                           (corpus.monolingual[1], (0,))):
             assert arr.dtype == np.int64 and arr.shape == shape and not arr.flags.writeable
+        # the int64 cast truncated float ids: [1.5, 2.9] was held as [1, 2]
         for bad in ({"parallel": {(0, 1): [0, 1]}}, {"parallel": {(0, 1): [[0, 1, 2]]}},
-                    {"monolingual": {0: [[1, 2]]}}, {"monolingual": {0: ["a"]}}):
+                    {"monolingual": {0: [[1, 2]]}}, {"monolingual": {0: ["a"]}},
+                    {"monolingual": {0: [1.5, 2.9]}}, {"parallel": {(0, 1): [[0.5, 1]]}}):
             with pytest.raises(ValidationError):
                 Corpus(**bad)
 

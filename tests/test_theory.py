@@ -137,10 +137,15 @@ class TestProportionalTriplePolicy:
         with pytest.raises(ValidationError, match=r"^proportional policy undefined: case 1\.1 "):
             proportional_policy(TripleOutcomeParams(0.0, 0.5, 0.5, 0.0, 0.0, 0.0), 0.2)
 
-    @pytest.mark.parametrize("gamma", [2.0, -0.5, float("nan")])
-    def test_rejects_gamma_out_of_range(self, gamma):
+    @pytest.mark.parametrize(
+        "gamma, message",
+        [(2.0, r"must be in \[0, 1\], got 2\.0"), (-0.5, r"must be in \[0, 1\], got -0\.5"),
+         (float("nan"), "must be a finite number, got nan")],
+        ids=["2.0", "-0.5", "nan"],
+    )
+    def test_rejects_gamma_out_of_range(self, gamma, message):
         params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.1)
-        with pytest.raises(ValidationError, match=r"^gamma must be in \[0, 1\]"):
+        with pytest.raises(ValidationError, match=f"^gamma {message}$"):
             proportional_policy(params, gamma)
 
     def test_alpha_is_one_rounding_of_the_case_ratio(self):

@@ -177,7 +177,7 @@ MUTANTS = {
     ),
     # report takes a seed that train.seeds rejects
     "report-seed": (
-        "cli.py", "if not 0 <= row[1] < 2**64:", "if False:",
+        "cli.py", 'SEED.require(row[1], "seed")', "None",
         "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[seed-negative]",
     ),
     # report takes a negative src or dst
@@ -195,9 +195,10 @@ MUTANTS = {
         "theory.py", "if total <= 0.0:", "if total < 0.0:",
         "tests/test_theory.py::TestProportionalDualAccuracy::test_rejects_zero_case_mass",
     ),
-    # the proportional split takes a gamma above 1
+    # the probability rule, which the proportional split checks gamma with,
+    # takes a value above 1
     "split-gamma-high": (
-        "theory.py", "if not 0.0 <= gamma <= 1.0:", "if not 0.0 <= gamma:",
+        "outcome_model.py", "if v < 0.0 or v > 1.0:", "if v < 0.0:",
         "tests/test_theory.py::TestProportionalDualAccuracy::test_rejects_gamma_out_of_range",
     ),
     # the loose lambda range starts at the tight range's upper bound
@@ -213,15 +214,39 @@ MUTANTS = {
     ),
     # a TrainConfig seed may be negative
     "train-seed-negative": (
-        "translator.py", "if not 0 <= self.seed < 2**64:", "if not self.seed < 2**64:",
+        "translator.py", 'SEED.require(self.seed, "seed")', "None",
         "tests/test_learner.py::TestTabularTranslator"
         "::test_config_rejects_what_it_cannot_train_with[seed-negative]",
     ),
-    # a bool passes TrainConfig's integer check
+    # a bool passes the integer rule, which TrainConfig's int fields follow
     "train-int-bool": (
-        "translator.py", "lambda v: type(v) is int)", "lambda v: isinstance(v, int))",
+        "errors.py", 'Rule(lambda v: type(v) is int, "an integer")',
+        'Rule(lambda v: isinstance(v, int), "an integer")',
         "tests/test_learner.py::TestTabularTranslator"
         "::test_config_rejects_what_it_cannot_train_with[steps-bool]",
+    ),
+    # the finite-number rule takes an int past the float range
+    "finite-unbounded": (
+        "errors.py", "and abs(v) <= sys.float_info.max,", "and True,",
+        "tests/test_learner.py::TestTabularTranslator"
+        "::test_config_rejects_what_it_cannot_train_with[learning_rate-10**400]",
+    ),
+    # the seed rule takes a seed of 2**64 or more
+    "seed-unbounded": (
+        "errors.py", "0 <= v < 2**64,", "0 <= v,",
+        "tests/test_oracle.py::TestMonteCarlo"
+        "::test_rejects_a_seed_that_is_not_a_nonnegative_int[2**64]",
+    ),
+    # a trainer takes a negative id, which numpy reads as a row from the end
+    "ids-negative": (
+        "learner.py", "bad = (ids < 0) | (ids >= bounds)", "bad = ids >= bounds",
+        "tests/test_learner.py::TestTrainSupervised"
+        "::test_ids_outside_the_theta_rejected[src-negative]",
+    ),
+    # Corpus truncates float ids to int64
+    "corpus-unsafe-cast": (
+        "synth_lang.py", 'casting="safe" if arr.size else "unsafe"', 'casting="unsafe"',
+        "tests/test_synth_lang.py::TestBuildCorpus::test_corpus_converts_ids",
     ),
     # World checks mu without holding its float64 conversion
     "world-mu-unconverted": (
