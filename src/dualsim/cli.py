@@ -107,14 +107,12 @@ DEFAULT_CONFIG: dict[str, Any] = {
             "within_cluster": "mu",
         },
         "train": {
-            "learning_rate": 0.5,
             "supervised_steps": 3000,
             "dual_steps": 6000,
             "multistep_steps": 6000,
-            "supervised_batch": 16,
-            "reconstruction_batch": 1,
-            "supervised_mix": 0.5,
-            "update_pivots": False,
+            # every other knob defaults as TrainConfig does; each phase sets steps and seed
+            **{f.name: f.default for f in dataclasses.fields(TrainConfig)
+               if f.name not in ("steps", "seed")},
         },
         "seeds": [1, 2, 3, 4, 5],
         "phases": ["vanilla", "dual", "multistep"],
@@ -382,9 +380,10 @@ def _sub_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
 
 
-def run_training_experiment(cfg: dict[str, Any], run_seed: int):
-    """One run of the phases ``train.phases`` lists; returns (phases, world, corpus).
-    Vanilla, and dual before multistep, are trained as a start even when not listed."""
+def _plan(cfg: dict[str, Any], run_seed: int):
+    """Every check of one run, then its world, corpus and trainer calls in order:
+    (phase, pair, TrainConfig with its derived seed), multistep's pair None.
+    Vanilla, and dual before multistep, train as a start even when not listed."""
     block = cfg["train"]
     wb, cb, tb = block["world"], block["corpus"], block["train"]
     phases_wanted = list(block["phases"])
@@ -417,43 +416,40 @@ def run_training_experiment(cfg: dict[str, Any], run_seed: int):
             raise ValidationError(f"train.corpus.{size} must be at least 1, got {cb[size]!r}")
     world = generate_world(k, wb["m"], wb["s"], wb["skew"], wb["seed"])
     corpus_seed, *phase_seeds = _sub_seeds(run_seed, 4)
-    corpus = build_corpus(
-        world,
-        cb["parallel_per_pair"],
-        cb["monolingual_per_language"],
-        corpus_seed,
-        within_cluster=cb["within_cluster"],
-    )
-    n = world.n_sentences
-
-    vanilla: dict[tuple[int, int], TabularTranslator] = {}
-    directions = list(corpus.parallel)  # every ordered pair
-    seeds = _sub_seeds(phase_seeds[0], len(directions))
-    for seed, (i, j) in zip(seeds, directions):
-        cfg_ij = dataclasses.replace(phase_cfgs["vanilla"], seed=seed)
-        vanilla[(i, j)] = train_supervised(i, j, n, corpus.parallel[(i, j)], cfg_ij)
-    phases = {"vanilla": vanilla}
-
-    if "dual" in phase_cfgs:
-        dual_pairs = [PRIMARY_PAIR]
-        if "multistep" in phase_cfgs:
-            dual_pairs += [
-                (i, p) for p in range(k) if p not in PRIMARY_PAIR for i in PRIMARY_PAIR
-            ]
-        dual: dict[tuple[int, int], TabularTranslator] = dict(vanilla)
-        seeds = _sub_seeds(phase_seeds[1], len(dual_pairs))
-        for seed, (i, j) in zip(seeds, dual_pairs):
-            cfg_ij = dataclasses.replace(phase_cfgs["dual"], seed=seed)
-            dual[(i, j)], dual[(j, i)] = dual_learning(
-                vanilla[(i, j)], vanilla[(j, i)], corpus, cfg_ij
-            )
-        phases["dual"] = dual
-
+    corpus = build_corpus(world, cb["parallel_per_pair"], cb["monolingual_per_language"],
+                          corpus_seed, within_cluster=cb["within_cluster"])
+    # vanilla trains every ordered pair; dual the primary pair, and before
+    # multistep also each pair of a pivot with one of the primary pair
+    dual_pairs = [PRIMARY_PAIR]
     if "multistep" in phase_cfgs:
-        multi_cfg = dataclasses.replace(phase_cfgs["multistep"], seed=phase_seeds[2])
-        phases["multistep"] = multistep_dual_learning(dual, corpus, multi_cfg)
+        dual_pairs += [(i, p) for p in range(k) if p not in PRIMARY_PAIR for i in PRIMARY_PAIR]
+    pairs = {"vanilla": list(corpus.parallel), "dual": dual_pairs, "multistep": [None]}
+    calls = []
+    for (ph, phase_cfg), phase_seed in zip(phase_cfgs.items(), phase_seeds):
+        # a phase's calls take its phase seed's sub-seeds; multistep's one call the seed itself
+        seeds = [phase_seed] if ph == "multistep" else _sub_seeds(phase_seed, len(pairs[ph]))
+        calls += [(ph, pair, dataclasses.replace(phase_cfg, seed=seed))
+                  for pair, seed in zip(pairs[ph], seeds)]
+    return world, corpus, calls
 
-    return {ph: ts for ph, ts in phases.items() if ph in phases_wanted}, world, corpus
+
+def run_training_experiment(cfg: dict[str, Any], run_seed: int):
+    """One run of the phases ``train.phases`` lists: :func:`_plan`'s trainer
+    calls, made in order. Returns (phases, world, corpus)."""
+    world, corpus, calls = _plan(cfg, run_seed)
+    phases: dict[str, dict[tuple[int, int], TabularTranslator]] = {}
+    for ph, pair, phase_cfg in calls:
+        if ph not in phases:  # a phase starts from every translator of the phase before it
+            phases[ph] = dict(next(reversed(phases.values()), {}))
+        ts = phases[ph]
+        if ph == "vanilla":
+            ts[pair] = train_supervised(*pair, world.n_sentences, corpus.parallel[pair], phase_cfg)
+        elif ph == "dual":
+            vanilla, back = phases["vanilla"], pair[::-1]
+            ts[pair], ts[back] = dual_learning(vanilla[pair], vanilla[back], corpus, phase_cfg)
+        else:
+            ts.update(multistep_dual_learning(phases["dual"], corpus, phase_cfg))
+    return {ph: ts for ph, ts in phases.items() if ph in cfg["train"]["phases"]}, world, corpus
 
 
 def cmd_train(cfg: dict[str, Any], out_dir: Path | None) -> int:

@@ -68,6 +68,8 @@ def train_supervised(
     """Pretrain an n x n translator from uniform scores on parallel pairs:
     :func:`_train_phase` with this one replay direction and no choices, so
     every step replays and ``supervised_mix`` is not read."""
+    for name, lang in (("src_lang", src_lang), ("dst_lang", dst_lang)):
+        INTEGER.require(lang, name)  # before the first step, not when the result is built
     if not (INTEGER.ok(n) and n > 0 and n * n <= MAX_ENTRIES):
         raise ValidationError(f"n must be a positive integer whose n x n theta fits, got {n!r}")
     pairs = _array(pairs, np.int64, (None, 2), "pairs")

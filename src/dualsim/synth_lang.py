@@ -45,6 +45,10 @@ def _array(value, dtype: type, shape: tuple[int | None, ...], what: str) -> np.n
     return arr
 
 
+def _language_id(value) -> bool:
+    return INTEGER.ok(value) and value >= 0
+
+
 @dataclass(frozen=True)
 class World:
     """Immutable synthetic multi-language world.
@@ -112,6 +116,16 @@ class Corpus:
     monolingual: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the trainers only look keys up: data under a key that names no language is ignored
+        for key in self.parallel:
+            if not (type(key) is tuple and len(key) == 2 and all(map(_language_id, key))
+                    and key[0] != key[1]):
+                raise ValidationError(f"parallel key {key!r} is not a pair of two different "
+                                      "nonnegative integer language ids")
+        for lang in self.monolingual:
+            if not _language_id(lang):
+                raise ValidationError(
+                    f"monolingual key {lang!r} is not a nonnegative integer language id")
         parallel = {
             key: _array(v, np.int64, (None, 2), f"parallel{key}")
             for key, v in self.parallel.items()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from dualsim import cli
 from dualsim.cli import DEFAULT_CONFIG, load_config, main, run_training_experiment
 from dualsim.oracle import OracleResult
+from dualsim.translator import TrainConfig
 
 TINY_TRAIN = {
     "train": {
@@ -118,6 +119,10 @@ class TestConfigValidation:
         assert main(["theory", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config {path}") and err.count("\n") == 1
+
+    def test_default_train_config_hash_is_pinned(self):
+        # the train knobs default as TrainConfig does; every golden row holds this hash
+        assert cli._config_hash(DEFAULT_CONFIG["train"]) == "d1090cfa2ad2"
 
     def test_overrides_leave_defaults_untouched(self, tmp_path):
         path = write_config(tmp_path, {"theory": {}})
@@ -579,6 +584,61 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and what in err
         assert not out.exists()
+
+
+class TestPlan:
+    """The trainer calls of one run, read from the plan: no translator is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def trained(*args):
+            raise AssertionError("making the plan called a trainer")
+
+        for name in ("train_supervised", "dual_learning", "multistep_dual_learning"):
+            monkeypatch.setattr(cli, name, trained)
+
+    @staticmethod
+    def plan(k=3, phases=("vanilla", "dual", "multistep"), run_seed=1):
+        cfg = load_config(None)
+        cfg["train"]["world"]["k"] = k
+        cfg["train"]["phases"] = list(phases)
+        return cli._plan(cfg, run_seed)[2]
+
+    @pytest.mark.parametrize("k, phases, counts", [
+        (3, ("vanilla", "dual", "multistep"), [6, 3, 1]),
+        (4, ("vanilla", "dual", "multistep"), [12, 5, 1]),
+        (3, ("vanilla",), [6, 0, 0]),
+        (3, ("dual",), [6, 1, 0]),
+    ], ids=["default", "k4", "vanilla", "dual"])
+    def test_calls_per_phase(self, k, phases, counts):
+        # the trainer call counts that benchmarks/tracing.py reads on a traced run
+        calls = self.plan(k, phases)
+        assert [ph for ph, _, _ in calls] == [
+            ph for ph, count in zip(cli.PHASE_ORDER, counts) for _ in range(count)
+        ]
+
+    def test_pairs_in_call_order(self):
+        # every ordered pair; then the primary pair and each pivot with one of
+        # it, which multistep reads; then multistep's one call
+        calls = self.plan(k=4)
+        assert [pair for _, pair, _ in calls] == [
+            *[(i, j) for i in range(4) for j in range(4) if i != j],
+            (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), None,
+        ]
+
+    @pytest.mark.parametrize("run_seed", [1, 2**64 - 1])
+    def test_each_call_takes_its_phase_seeds_sub_seed(self, run_seed):
+        calls = self.plan(k=4, run_seed=run_seed)
+        _, *phase_seeds = cli._sub_seeds(run_seed, 4)
+        tb = DEFAULT_CONFIG["train"]["train"]
+        knobs = {key: value for key, value in tb.items() if not key.endswith("_steps")}
+        for ph, phase_seed, steps in zip(
+            cli.PHASE_ORDER, phase_seeds, ("supervised_steps", "dual_steps", "multistep_steps")
+        ):
+            cfgs = [c for p, _, c in calls if p == ph]
+            # multistep's one call takes the phase seed itself
+            seeds = [phase_seed] if ph == "multistep" else cli._sub_seeds(phase_seed, len(cfgs))
+            assert cfgs == [TrainConfig(steps=tb[steps], seed=s, **knobs) for s in seeds]
 
 
 class TestUnwritableOut:

@@ -278,6 +278,18 @@ class TestTrainSupervised:
         with pytest.raises(ValidationError, match=f"^{message}"):
             train_supervised(0, 1, 4, np.array(pairs), TrainConfig(steps=5))
 
+    @pytest.mark.parametrize("langs, name", [(("x", 1), "src_lang"), ((0, 1.0), "dst_lang")],
+                             ids=["src", "dst"])
+    def test_language_ids_checked_before_the_first_step(self, monkeypatch, langs, name):
+        # the ids were checked only when the result was built, after every step
+        def no_step(*args):
+            raise AssertionError("a step ran before the language ids were checked")
+
+        monkeypatch.setattr(learner, "_supervised_update", no_step)
+        message = f"^{name} must be an integer, got {langs[name == 'dst_lang']!r}$"
+        with pytest.raises(ValidationError, match=message):
+            train_supervised(*langs, 4, np.array([[0, 1]]), TrainConfig(steps=3000))
+
     def test_deterministic(self):
         pairs = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
         cfg = TrainConfig(steps=50, seed=9)

@@ -219,6 +219,24 @@ class TestBuildCorpus:
             with pytest.raises(ValidationError):
                 Corpus(**bad)
 
+    @pytest.mark.parametrize("data, key", [
+        ({"parallel": {(0, 0): [[0, 1]]}}, "(0, 0)"),
+        ({"parallel": {("a", 9): [[0, 1]]}}, "('a', 9)"),
+        ({"parallel": {(-1, 0): [[0, 1]]}}, "(-1, 0)"),
+        ({"parallel": {(0, 1, 2): [[0, 1]]}}, "(0, 1, 2)"),
+        ({"parallel": {(0, True): [[0, 1]]}}, "(0, True)"),
+        ({"parallel": {1: [[0, 1]]}}, "1"),
+        ({"monolingual": {"x": [1]}}, "'x'"),
+        ({"monolingual": {-1: [1]}}, "-1"),
+        ({"monolingual": {1.0: [1]}}, "1.0"),
+    ], ids=["self-pair", "text-id", "negative-pair", "triple", "bool-id", "int-pair",
+            "text-mono", "negative-mono", "float-mono"])
+    def test_corpus_rejects_keys_that_name_no_language(self, data, key):
+        # such keys were accepted, and the trainers, which only look keys up, ignored their data
+        which = next(iter(data))
+        with pytest.raises(ValidationError, match=f"^{which} key {re.escape(key)} is not a"):
+            Corpus(**data)
+
     # sha256 of every array in key order, recorded before the per-pair and
     # per-language samplers were folded into build_corpus: the fold must keep
     # each generator's stream and draw order. At skew 0 the "mu" and "uniform"

@@ -262,6 +262,53 @@ MUTANTS = {
         "learner.py", "cfg.supervised_mix > 0.0 and", "cfg.supervised_mix >= 0.0 and",
         "tests/test_learner.py::TestDualLearning::test_no_replay_needs_no_parallel_data",
     ),
+    # train_supervised checks its language ids only when the result is built, after every step
+    "supervised-late-ids": (
+        "learner.py", "INTEGER.require(lang, name)", "None",
+        "tests/test_learner.py::TestTrainSupervised"
+        "::test_language_ids_checked_before_the_first_step[src]",
+    ),
+    # the plan seeds multistep's one call with a sub-seed of its phase seed
+    "plan-multistep-sub-seed": (
+        "cli.py", 'seeds = [phase_seed] if ph == "multistep" else _sub_seeds(',
+        "seeds = _sub_seeds(",
+        "tests/test_cli.py::TestPlan::test_each_call_takes_its_phase_seeds_sub_seed[1]",
+    ),
+    # the dual phase drops its pivot pairs when multistep is requested
+    "plan-dual-no-pivots": (
+        "cli.py", 'if "multistep" in phase_cfgs:', "if False:",
+        "tests/test_cli.py::TestPlan::test_calls_per_phase[k4]",
+    ),
+    # Corpus takes parallel data from a language to itself
+    "corpus-self-pair": (
+        "synth_lang.py", "and key[0] != key[1]):", "):",
+        "tests/test_synth_lang.py::TestBuildCorpus"
+        "::test_corpus_rejects_keys_that_name_no_language[self-pair]",
+    ),
+    # Corpus takes a parallel key whose ids are no language ids
+    "corpus-pair-ids": (
+        "synth_lang.py", "all(map(_language_id, key))", "True",
+        "tests/test_synth_lang.py::TestBuildCorpus"
+        "::test_corpus_rejects_keys_that_name_no_language[text-id]",
+    ),
+    # Corpus takes a parallel key of three languages
+    "corpus-pair-length": (
+        "synth_lang.py", "len(key) == 2 and", "",
+        "tests/test_synth_lang.py::TestBuildCorpus"
+        "::test_corpus_rejects_keys_that_name_no_language[triple]",
+    ),
+    # Corpus takes a negative language id
+    "corpus-negative-id": (
+        "synth_lang.py", "return INTEGER.ok(value) and value >= 0", "return INTEGER.ok(value)",
+        "tests/test_synth_lang.py::TestBuildCorpus"
+        "::test_corpus_rejects_keys_that_name_no_language[negative-pair]",
+    ),
+    # Corpus takes a monolingual key that is no language id
+    "corpus-mono-ids": (
+        "synth_lang.py", "if not _language_id(lang):", "if False:",
+        "tests/test_synth_lang.py::TestBuildCorpus"
+        "::test_corpus_rejects_keys_that_name_no_language[text-mono]",
+    ),
 }
 
 # a few times the 30-40 s that one tier-1 run takes
