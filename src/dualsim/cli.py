@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import FINITE, SCALAR_RULES, SEED, DualSimError, Rule, ValidationError
+from .errors import DIRECTION, FINITE, SCALAR_RULES, SEED, DualSimError, Rule, ValidationError
 from .learner import (
     PHASE_ORDER,
     PRIMARY_PAIR,
@@ -248,47 +248,31 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["theory"]
     deltas = block["delta"] if isinstance(block["delta"], list) else [block["delta"]]
     explicit = _policy(block["policy"])
-    rows: list[list[Any]] = []
-    if block["kind"] == "dual":
+    dual = block["kind"] == "dual"
+    if dual:
         low, high = lambda_feasible_range(block["p12"], block["p21r"])
         loose_low, loose_high = lambda_loose_range(block["p12"], block["p21r"])
         lam = block["lambda"]
         print(f"lambda tight range: [{low!r}, {high!r}]")
         print(f"lambda loose range: [{loose_low!r}, {loose_high!r}]")
         print(f"lambda={lam!r} within loose range: {loose_low <= lam <= loose_high}")
-        header = [
-            "delta", "p_align", "alpha", "beta", "gamma",
-            "p_case11", "p_case12", "p_case2", "p_d12", "improvement",
-        ]
-        for delta in deltas:
-            params = _outcome_params({**block, "delta": delta}, "theory")
-            policy = explicit or proportional_policy(params, block["gamma"])
+    rows: list[list[Any]] = []
+    for delta in deltas:
+        # one model per delta; _outcome_params rejects a kind that is neither
+        params = _outcome_params({**block, "delta": delta}, "theory")
+        policy = explicit or proportional_policy(params, block["gamma"])
+        if dual:
             pred = predict_dual(params, policy)
-            rows.append(
-                [
-                    delta, pred.p_case12,
-                    policy.alpha, policy.beta, policy.gamma,
-                    pred.p_case11, pred.p_case12, pred.p_case2,
-                    pred.p_d12, pred.improvement,
-                ]
-            )
-    else:  # _outcome_params rejects a kind that is neither
-        header = [
-            "delta", "m_factor", "beats_dual",
-            "p_case11", "p_case12", "p_case2", "q_m12",
-        ]
-        for delta in deltas:
-            params = _outcome_params({**block, "delta": delta}, "theory")
-            policy = explicit or proportional_policy(params, block["gamma"])
+            rows.append([delta, pred.p_case12, policy.alpha, policy.beta, policy.gamma,
+                         pred.p_case11, pred.p_case12, pred.p_case2, pred.p_d12, pred.improvement])
+        else:
             pred = predict_multistep(params, policy)
-            rows.append(
-                [
-                    delta,
-                    m_factor(block["q23"], block["q31"], delta),
-                    multistep_condition(block["q23"], block["q31"], delta),
-                    pred.p_case11, pred.p_case12, pred.p_case2, pred.q_m12,
-                ]
-            )
+            rows.append([delta, m_factor(block["q23"], block["q31"], delta),
+                         multistep_condition(block["q23"], block["q31"], delta),
+                         pred.p_case11, pred.p_case12, pred.p_case2, pred.q_m12])
+    header = (["delta", "p_align", "alpha", "beta", "gamma",
+               "p_case11", "p_case12", "p_case2", "p_d12", "improvement"] if dual else
+              ["delta", "m_factor", "beats_dual", "p_case11", "p_case12", "p_case2", "q_m12"])
     _emit_table(header, rows, None if out_dir is None else out_dir / "theory.csv")
     return 0
 
@@ -546,8 +530,7 @@ def cmd_report(out_dir: Path | None) -> int:
             SEED.require(row[1], "seed")  # a ValueError, reported with the line
             if phase not in _PHASE_RANK:
                 raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
-            if row[3] < 0 or row[4] < 0 or row[3] == row[4]:
-                raise ValueError(f"src and dst must be two different nonnegative ids, got {i}, {j}")
+            DIRECTION.require((row[3], row[4]), "src and dst")
             if not all(0.0 <= p <= 1.0 for p in row[5:]):
                 raise ValueError(f"p_hat and p_expected must be in [0, 1], got {p_hat}, {p_exp}")
             if rows and chash != rows[0][0]:  # runs of two configs do not average

@@ -8,7 +8,9 @@ int past the float range, a float where an integer belongs, a size that
 no numpy array holds, a seed outside [0, 2**64)) raises ValidationError, never OverflowError,
 TypeError or a numpy ValueError: the config loader, TrainConfig and every
 public function that takes a scalar check it with one of the rules below,
-each stated once.
+each stated once. So are the rules of a language id and of a translation
+direction, two different language ids, as every translator, parallel
+corpus key and report row holds.
 """
 
 from __future__ import annotations
@@ -63,3 +65,7 @@ MAX_ENTRIES = sys.maxsize // 8
 SIZE = Rule(lambda v: type(v) is int and 0 <= v <= MAX_ENTRIES, f"an integer in [0, {MAX_ENTRIES}]")
 # Monte Carlo hashes a seed's low 64 bits, so -1 would alias the largest seed
 SEED = Rule(lambda v: type(v) is int and 0 <= v < 2**64, "a nonnegative integer below 2**64")
+# a language id, and a translation direction: from one language to another
+LANGUAGE = Rule(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+DIRECTION = Rule(lambda v: type(v) is tuple and len(v) == 2 and all(map(LANGUAGE.ok, v))
+                 and v[0] != v[1], "a pair of two different nonnegative integers")

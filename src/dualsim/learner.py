@@ -31,7 +31,7 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from .errors import INTEGER, MAX_ENTRIES, ValidationError
+from .errors import DIRECTION, INTEGER, MAX_ENTRIES, ValidationError
 from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
 from .synth_lang import Corpus, World, _array
 from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs, sample_row
@@ -68,8 +68,7 @@ def train_supervised(
     """Pretrain an n x n translator from uniform scores on parallel pairs:
     :func:`_train_phase` with this one replay direction and no choices, so
     every step replays and ``supervised_mix`` is not read."""
-    for name, lang in (("src_lang", src_lang), ("dst_lang", dst_lang)):
-        INTEGER.require(lang, name)  # before the first step, not when the result is built
+    DIRECTION.require((src_lang, dst_lang), "(src_lang, dst_lang)")  # before the first step
     if not (INTEGER.ok(n) and n > 0 and n * n <= MAX_ENTRIES):
         raise ValidationError(f"n must be a positive integer whose n x n theta fits, got {n!r}")
     pairs = _array(pairs, np.int64, (None, 2), "pairs")
@@ -112,6 +111,13 @@ def _check_ids(ids: np.ndarray, bounds: tuple[int, ...], what: str) -> None:
         raise ValidationError(f"{what} hold id {ids[bad][0]}, outside [0, {bounds[bad][0]})")
 
 
+def _check_keys(translators: Mapping[tuple[int, int], TabularTranslator]) -> None:
+    """Raise unless every translator sits under the key of its own direction."""
+    for key, t in translators.items():
+        if key != (t.src_lang, t.dst_lang):
+            raise ValidationError(f"key {key!r} holds a {t.src_lang} -> {t.dst_lang} translator")
+
+
 def _train_phase(
     translators: Mapping[tuple[int, int], TabularTranslator],
     replay: list[tuple[tuple[int, int], np.ndarray | None]],
@@ -137,9 +143,10 @@ def _train_phase(
     has written stays on the kernel's shared zero page through every
     phase, where a dense ``copy()`` would back every page. No input theta
     is written; the other directions come back as the caller's own objects.
-    Every replay pair and monolingual id is checked once against the
-    theta it indexes.
+    Every translator is checked to sit under its own direction's key, and
+    every replay pair and monolingual id once against the theta it indexes.
     """
+    _check_keys(translators)
     trained = {key for key, _ in replay}
     trained |= {bwd for groups in choices for group in groups for _, _, bwd in group}
     thetas = {
@@ -287,13 +294,15 @@ def evaluate(
 
     Estimators compare each two consecutive phases present
     (:func:`consecutive_phases`) on the primary pair, decoding greedily
-    over every sentence of the pair's source language. A translator object
-    that several phases share is scored once, and every (phase, direction)
+    over every sentence of the pair's source language. Every translator
+    must sit under its own direction's key. A translator object that
+    several phases share is scored once, and every (phase, direction)
     holding it gets that one report.
     """
     scored: dict[int, AccuracyReport] = {}  # by id(); phases keep every object alive
     accuracies: dict[tuple[str, tuple[int, int]], AccuracyReport] = {}
     for phase, ts in phases.items():
+        _check_keys(ts)
         for direction, t in ts.items():
             if id(t) not in scored:
                 scored[id(t)] = accuracy(t, world)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FINITE, INTEGER, MAX_ENTRIES, SEED, SIZE, ValidationError
+from .errors import (DIRECTION, FINITE, INTEGER, LANGUAGE, MAX_ENTRIES, SEED, SIZE,
+                     ValidationError)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -43,10 +44,6 @@ def _array(value, dtype: type, shape: tuple[int | None, ...], what: str) -> np.n
         dims = ", ".join("n" if d is None else str(d) for d in shape)
         raise ValidationError(f"{what} must have shape ({dims}), got {arr.shape}")
     return arr
-
-
-def _language_id(value) -> bool:
-    return INTEGER.ok(value) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -92,8 +89,8 @@ class World:
         return _frozen(np.arange(self.n_sentences) // self.cluster_size)
 
     def check_language(self, lang: int) -> int:
-        INTEGER.require(lang, "language id")
-        if not 0 <= lang < self.n_langs:
+        LANGUAGE.require(lang, "language id")
+        if lang >= self.n_langs:
             raise ValidationError(f"language id {lang} out of range [0, {self.n_langs})")
         return lang
 
@@ -118,14 +115,9 @@ class Corpus:
     def __post_init__(self) -> None:
         # the trainers only look keys up: data under a key that names no language is ignored
         for key in self.parallel:
-            if not (type(key) is tuple and len(key) == 2 and all(map(_language_id, key))
-                    and key[0] != key[1]):
-                raise ValidationError(f"parallel key {key!r} is not a pair of two different "
-                                      "nonnegative integer language ids")
+            DIRECTION.require(key, "parallel key")
         for lang in self.monolingual:
-            if not _language_id(lang):
-                raise ValidationError(
-                    f"monolingual key {lang!r} is not a nonnegative integer language id")
+            LANGUAGE.require(lang, "monolingual key")
         parallel = {
             key: _array(v, np.int64, (None, 2), f"parallel{key}")
             for key, v in self.parallel.items()

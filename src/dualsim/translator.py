@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import INTEGER, SCALAR_RULES, SEED, ValidationError
+from .errors import DIRECTION, SCALAR_RULES, SEED, ValidationError
 
 
 def shifted_exp(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,7 +54,7 @@ def log_prob_grad_row(theta_row: np.ndarray, y: int) -> np.ndarray:
 
 @dataclass
 class TabularTranslator:
-    """Categorical translation model between two languages.
+    """Categorical translation model from one language to another.
 
     ``theta`` is (n_src, n_dst) float64 and must stay finite; the induced
     row distributions are normalized by construction. Trainers never write
@@ -70,8 +70,7 @@ class TabularTranslator:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        INTEGER.require(self.src_lang, "src_lang")
-        INTEGER.require(self.dst_lang, "dst_lang")
+        DIRECTION.require((self.src_lang, self.dst_lang), "(src_lang, dst_lang)")
         self.theta = np.asarray(self.theta, dtype=np.float64)
         if self.theta.ndim != 2:
             raise ValidationError("theta must be a 2-d score matrix")

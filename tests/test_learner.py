@@ -2,6 +2,7 @@
 
 import copy
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -180,6 +181,15 @@ class TestTabularTranslator:
         with pytest.raises(ValidationError, match="finite scores"):
             TabularTranslator(0, 1, theta)
 
+    @pytest.mark.parametrize("langs", [(-1, -1), (0, 0), (-1, 0), (True, 1)],
+                             ids=["negative-self-pair", "self-pair", "negative", "bool"])
+    def test_rejects_a_direction_that_is_not_two_languages(self, langs):
+        # a negative id or a language paired with itself was accepted
+        message = (r"^\(src_lang, dst_lang\) must be a pair of two different nonnegative "
+                   rf"integers, got {re.escape(repr(langs))}$")
+        with pytest.raises(ValidationError, match=message):
+            TabularTranslator(*langs, np.zeros((2, 2)))
+
     def test_finite_check_builds_no_temporary(self):
         # a 600 x 600 theta is 2.9 MB; checking it must not allocate an
         # n x n mask (360 KB as bools)
@@ -278,15 +288,17 @@ class TestTrainSupervised:
         with pytest.raises(ValidationError, match=f"^{message}"):
             train_supervised(0, 1, 4, np.array(pairs), TrainConfig(steps=5))
 
-    @pytest.mark.parametrize("langs, name", [(("x", 1), "src_lang"), ((0, 1.0), "dst_lang")],
-                             ids=["src", "dst"])
-    def test_language_ids_checked_before_the_first_step(self, monkeypatch, langs, name):
-        # the ids were checked only when the result was built, after every step
+    @pytest.mark.parametrize("langs", [("x", 1), (0, 1.0), (-1, -1), (0, 0)],
+                             ids=["src", "dst", "negative", "self-pair"])
+    def test_language_ids_checked_before_the_first_step(self, monkeypatch, langs):
+        # the ids were checked only when the result was built, after every step,
+        # and a negative id or a language paired with itself trained
         def no_step(*args):
             raise AssertionError("a step ran before the language ids were checked")
 
         monkeypatch.setattr(learner, "_supervised_update", no_step)
-        message = f"^{name} must be an integer, got {langs[name == 'dst_lang']!r}$"
+        message = (r"^\(src_lang, dst_lang\) must be a pair of two different nonnegative "
+                   rf"integers, got {re.escape(repr(langs))}$")
         with pytest.raises(ValidationError, match=message):
             train_supervised(*langs, 4, np.array([[0, 1]]), TrainConfig(steps=3000))
 
@@ -649,6 +661,14 @@ class TestMultistepDualLearning:
             multistep_dual_learning(ts, no_pivot_mono, cfg)
         multistep_dual_learning(ts, no_pivot_mono, TrainConfig(steps=0))
 
+    def test_a_translator_under_another_direction_rejected(self):
+        # a 1 -> 0 translator under the key (0, 1) was trained as 0 -> 1 and
+        # came back relabelled 0 -> 1
+        _, corpus, ts = small_setup()
+        ts[(0, 1)] = ts[(1, 0)]
+        with pytest.raises(ValidationError, match=r"^key \(0, 1\) holds a 1 -> 0 translator$"):
+            multistep_dual_learning(ts, corpus, TrainConfig(steps=1))
+
     def test_single_step_applies_exact_sampled_gradients(self):
         _, corpus, ts = small_setup(seed=7)
         lr = 0.6
@@ -820,6 +840,13 @@ class TestEvaluate:
         assert "vanilla->dual" in record.estimator_reports
         rep = record.estimator_reports["vanilla->dual"]
         assert rep.eta_hat == 1.0  # identical systems keep every reconstruction
+
+    def test_a_translator_under_another_direction_rejected(self):
+        # a 1 -> 0 translator under the key (0, 1) was scored with language 1's
+        # mu and filed under the row (0, 1)
+        world, _, ts = small_setup(seed=15)
+        with pytest.raises(ValidationError, match=r"^key \(0, 1\) holds a 1 -> 0 translator$"):
+            evaluate({"vanilla": {(0, 1): ts[(1, 0)]}}, world)
 
     def test_low_eta_is_warned_not_fatal(self):
         world, _, _ = small_setup(seed=16)

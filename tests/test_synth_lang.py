@@ -234,7 +234,10 @@ class TestBuildCorpus:
     def test_corpus_rejects_keys_that_name_no_language(self, data, key):
         # such keys were accepted, and the trainers, which only look keys up, ignored their data
         which = next(iter(data))
-        with pytest.raises(ValidationError, match=f"^{which} key {re.escape(key)} is not a"):
+        what = {"parallel": "a pair of two different nonnegative integers",
+                "monolingual": "a nonnegative integer"}[which]
+        message = f"^{which} key must be {what}, got {re.escape(key)}$"
+        with pytest.raises(ValidationError, match=message):
             Corpus(**data)
 
     # sha256 of every array in key order, recorded before the per-pair and

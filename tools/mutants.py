@@ -180,14 +180,9 @@ MUTANTS = {
         "cli.py", 'SEED.require(row[1], "seed")', "None",
         "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[seed-negative]",
     ),
-    # report takes a negative src or dst
-    "report-negative-pair": (
-        "cli.py", "if row[3] < 0 or row[4] < 0 or row[3] == row[4]:", "if row[3] == row[4]:",
-        "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[src-negative]",
-    ),
-    # report takes a pair whose src is its dst
+    # report takes a pair that is no direction, such as one whose src is its dst
     "report-same-pair": (
-        "cli.py", " or row[3] == row[4]:", ":",
+        "cli.py", 'DIRECTION.require((row[3], row[4]), "src and dst")', "None",
         "tests/test_cli.py::TestReport::test_malformed_accuracy_csv_exits_2[src-equals-dst]",
     ),
     # the proportional split divides by a zero reconstructing total
@@ -262,9 +257,9 @@ MUTANTS = {
         "learner.py", "cfg.supervised_mix > 0.0 and", "cfg.supervised_mix >= 0.0 and",
         "tests/test_learner.py::TestDualLearning::test_no_replay_needs_no_parallel_data",
     ),
-    # train_supervised checks its language ids only when the result is built, after every step
+    # train_supervised checks its direction only when the result is built, after every step
     "supervised-late-ids": (
-        "learner.py", "INTEGER.require(lang, name)", "None",
+        "learner.py", 'DIRECTION.require((src_lang, dst_lang), "(src_lang, dst_lang)")', "None",
         "tests/test_learner.py::TestTrainSupervised"
         "::test_language_ids_checked_before_the_first_step[src]",
     ),
@@ -279,35 +274,53 @@ MUTANTS = {
         "cli.py", 'if "multistep" in phase_cfgs:', "if False:",
         "tests/test_cli.py::TestPlan::test_calls_per_phase[k4]",
     ),
-    # Corpus takes parallel data from a language to itself
-    "corpus-self-pair": (
-        "synth_lang.py", "and key[0] != key[1]):", "):",
+    # the direction rule, which Corpus, report and the translators follow,
+    # takes a pair from a language to itself
+    "direction-self-pair": (
+        "errors.py", "and v[0] != v[1]", "and True",
         "tests/test_synth_lang.py::TestBuildCorpus"
         "::test_corpus_rejects_keys_that_name_no_language[self-pair]",
     ),
-    # Corpus takes a parallel key whose ids are no language ids
-    "corpus-pair-ids": (
-        "synth_lang.py", "all(map(_language_id, key))", "True",
+    # the direction rule takes a pair whose ids are no language ids
+    "direction-ids": (
+        "errors.py", "all(map(LANGUAGE.ok, v))", "True",
         "tests/test_synth_lang.py::TestBuildCorpus"
         "::test_corpus_rejects_keys_that_name_no_language[text-id]",
     ),
-    # Corpus takes a parallel key of three languages
-    "corpus-pair-length": (
-        "synth_lang.py", "len(key) == 2 and", "",
+    # the direction rule takes a tuple of three languages
+    "direction-length": (
+        "errors.py", "len(v) == 2 and ", "",
         "tests/test_synth_lang.py::TestBuildCorpus"
         "::test_corpus_rejects_keys_that_name_no_language[triple]",
     ),
-    # Corpus takes a negative language id
-    "corpus-negative-id": (
-        "synth_lang.py", "return INTEGER.ok(value) and value >= 0", "return INTEGER.ok(value)",
+    # the language rule, and so the direction rule, takes a negative id
+    "language-negative": (
+        "errors.py", "type(v) is int and v >= 0", "type(v) is int",
         "tests/test_synth_lang.py::TestBuildCorpus"
         "::test_corpus_rejects_keys_that_name_no_language[negative-pair]",
     ),
     # Corpus takes a monolingual key that is no language id
     "corpus-mono-ids": (
-        "synth_lang.py", "if not _language_id(lang):", "if False:",
+        "synth_lang.py", 'LANGUAGE.require(lang, "monolingual key")', "None",
         "tests/test_synth_lang.py::TestBuildCorpus"
         "::test_corpus_rejects_keys_that_name_no_language[text-mono]",
+    ),
+    # a translator may translate from a language to itself
+    "translator-direction": (
+        "translator.py", "DIRECTION.require((self.src_lang, self.dst_lang),", "None and (",
+        "tests/test_learner.py::TestTabularTranslator"
+        "::test_rejects_a_direction_that_is_not_two_languages[self-pair]",
+    ),
+    # a trainer takes a translator filed under another direction's key
+    "phase-key-check": (
+        "learner.py", "_check_keys(translators)", "None",
+        "tests/test_learner.py::TestMultistepDualLearning"
+        "::test_a_translator_under_another_direction_rejected",
+    ),
+    # evaluate files a translator's accuracy under another direction's key
+    "evaluate-key-check": (
+        "learner.py", "_check_keys(ts)", "None",
+        "tests/test_learner.py::TestEvaluate::test_a_translator_under_another_direction_rejected",
     ),
 }
 
