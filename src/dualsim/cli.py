@@ -29,7 +29,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DIRECTION, FINITE, SCALAR_RULES, SEED, DualSimError, Rule, ValidationError
+from .errors import (COUNT, DIRECTION, FINITE, PROBABILITY, SCALAR_RULES, SEED, DualSimError,
+                     Rule, ValidationError)
 from .learner import (
     PHASE_ORDER,
     PRIMARY_PAIR,
@@ -280,8 +281,7 @@ def cmd_theory(cfg: dict[str, Any], out_dir: Path | None) -> int:
 def cmd_verify(cfg: dict[str, Any], out_dir: Path | None) -> int:
     block = cfg["verify"]
     draws = block["draws"]
-    if draws < 1:
-        raise ValidationError(f"verify.draws must be at least 1, got {draws!r}")
+    COUNT.require(draws, "verify.draws")
     rng = np.random.default_rng(block["seed"])
     # (|difference|, what was compared, the params it was compared at); only
     # the printed offender's params are formatted
@@ -396,8 +396,7 @@ def _plan(cfg: dict[str, Any], run_seed: int):
             raise ValidationError(f"train.train.{field} {rest}") from None
     # vanilla trains on parallel pairs; dual and multistep on monolingual data too
     for size in ("parallel_per_pair", "monolingual_per_language")[: len(trained)]:
-        if cb[size] < 1:
-            raise ValidationError(f"train.corpus.{size} must be at least 1, got {cb[size]!r}")
+        COUNT.require(cb[size], f"train.corpus.{size}")
     world = generate_world(k, wb["m"], wb["s"], wb["skew"], wb["seed"])
     corpus_seed, *phase_seeds = _sub_seeds(run_seed, 4)
     corpus = build_corpus(world, cb["parallel_per_pair"], cb["monolingual_per_language"],
@@ -531,8 +530,8 @@ def cmd_report(out_dir: Path | None) -> int:
             if phase not in _PHASE_RANK:
                 raise ValueError(f"unknown phase {phase!r}; allowed: {list(PHASE_ORDER)}")
             DIRECTION.require((row[3], row[4]), "src and dst")
-            if not all(0.0 <= p <= 1.0 for p in row[5:]):
-                raise ValueError(f"p_hat and p_expected must be in [0, 1], got {p_hat}, {p_exp}")
+            PROBABILITY.require(row[5], "p_hat")
+            PROBABILITY.require(row[6], "p_expected")
             if rows and chash != rows[0][0]:  # runs of two configs do not average
                 raise ValueError(f"config_hash {chash} differs from {rows[0][0]} on line 2")
             key = (row[1], phase, row[3], row[4])

@@ -5,12 +5,13 @@ below so callers (and the CLI exit-code mapping) can tell invalid input
 apart from a genuinely infeasible probability model. A public function
 given a bad scalar (a bool where a number belongs, NaN, an infinity, an
 int past the float range, a float where an integer belongs, a size that
-no numpy array holds, a seed outside [0, 2**64)) raises ValidationError, never OverflowError,
+no numpy array holds, a seed outside [0, 2**64), a probability outside
+[0, 1], a count below 1) raises ValidationError, never OverflowError,
 TypeError or a numpy ValueError: the config loader, TrainConfig and every
 public function that takes a scalar check it with one of the rules below,
-each stated once. So are the rules of a language id and of a translation
-direction, two different language ids, as every translator, parallel
-corpus key and report row holds.
+each stated once, its range with it. So are the rules of a language id and
+of a translation direction, two different language ids, as every
+translator, parallel corpus key and report row holds.
 """
 
 from __future__ import annotations
@@ -56,16 +57,22 @@ class Rule(NamedTuple):
 FINITE = Rule(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
               and abs(v) <= sys.float_info.max, "a finite number")
 INTEGER = Rule(lambda v: type(v) is int, "an integer")
-# the rule of a config leaf or TrainConfig field, by the type of its default
+# the rule of a config leaf, by the type of its default
 SCALAR_RULES = {float: FINITE, int: INTEGER, bool: Rule(lambda v: type(v) is bool, "a boolean"),
                 str: Rule(lambda v: type(v) is str, "a string")}
 # the most 8-byte entries (float64 weights, int64 ids) that one numpy array holds
 MAX_ENTRIES = sys.maxsize // 8
-# a count of such entries: a size of a world or of a corpus
+# a count of such entries: a size of a world or of a corpus; a count holds at least one
 SIZE = Rule(lambda v: type(v) is int and 0 <= v <= MAX_ENTRIES, f"an integer in [0, {MAX_ENTRIES}]")
+COUNT = Rule(lambda v: SIZE.ok(v) and v >= 1, f"an integer in [1, {MAX_ENTRIES}]")
 # Monte Carlo hashes a seed's low 64 bits, so -1 would alias the largest seed
 SEED = Rule(lambda v: type(v) is int and 0 <= v < 2**64, "a nonnegative integer below 2**64")
-# a language id, and a translation direction: from one language to another
-LANGUAGE = Rule(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
+# verify's draws test millions of probabilities: a float in range passes on its first test
+PROBABILITY = Rule(lambda v: isinstance(v, float) and 0.0 <= v <= 1.0
+                   or FINITE.ok(v) and 0 <= v <= 1, "a number in [0, 1]")
+POSITIVE = Rule(lambda v: FINITE.ok(v) and v > 0, "a positive finite number")
+NONNEGATIVE = Rule(lambda v: FINITE.ok(v) and v >= 0, "a nonnegative finite number")
+# a number of steps, and a language id; a translation direction is from one language to another
+NATURAL = LANGUAGE = Rule(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
 DIRECTION = Rule(lambda v: type(v) is tuple and len(v) == 2 and all(map(LANGUAGE.ok, v))
                  and v[0] != v[1], "a pair of two different nonnegative integers")

@@ -31,7 +31,7 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from .errors import DIRECTION, INTEGER, MAX_ENTRIES, ValidationError
+from .errors import COUNT, DIRECTION, MAX_ENTRIES, ValidationError
 from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
 from .synth_lang import Corpus, World, _array
 from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs, sample_row
@@ -69,7 +69,7 @@ def train_supervised(
     :func:`_train_phase` with this one replay direction and no choices, so
     every step replays and ``supervised_mix`` is not read."""
     DIRECTION.require((src_lang, dst_lang), "(src_lang, dst_lang)")  # before the first step
-    if not (INTEGER.ok(n) and n > 0 and n * n <= MAX_ENTRIES):
+    if not (COUNT.ok(n) and n * n <= MAX_ENTRIES):
         raise ValidationError(f"n must be a positive integer whose n x n theta fits, got {n!r}")
     pairs = _array(pairs, np.int64, (None, 2), "pairs")
     if pairs.size == 0:
@@ -112,8 +112,11 @@ def _check_ids(ids: np.ndarray, bounds: tuple[int, ...], what: str) -> None:
 
 
 def _check_keys(translators: Mapping[tuple[int, int], TabularTranslator]) -> None:
-    """Raise unless every translator sits under the key of its own direction."""
+    """Raise unless every key is a direction and holds a translator of that direction."""
     for key, t in translators.items():
+        DIRECTION.require(key, "translator key")
+        if not isinstance(t, TabularTranslator):
+            raise ValidationError(f"key {key!r} holds a {type(t).__name__}, not a translator")
         if key != (t.src_lang, t.dst_lang):
             raise ValidationError(f"key {key!r} holds a {t.src_lang} -> {t.dst_lang} translator")
 
@@ -143,10 +146,9 @@ def _train_phase(
     has written stays on the kernel's shared zero page through every
     phase, where a dense ``copy()`` would back every page. No input theta
     is written; the other directions come back as the caller's own objects.
-    Every translator is checked to sit under its own direction's key, and
-    every replay pair and monolingual id once against the theta it indexes.
+    Every replay pair and monolingual id is checked once against the theta
+    it indexes.
     """
-    _check_keys(translators)
     trained = {key for key, _ in replay}
     trained |= {bwd for groups in choices for group in groups for _, _, bwd in group}
     thetas = {
@@ -220,11 +222,12 @@ def multistep_dual_learning(
     """Refine the primary pair (a, b) = ``PRIMARY_PAIR`` with feedback
     routed through pivot languages, through :func:`_train_phase`.
 
-    Languages are inferred from the translator keys; every language other
-    than a and b acts as a pivot. Each non-replay step samples a
-    pivot, draws one monolingual sentence on each side of the pair,
-    generates a pseudo-partner for it through the pivot chain, and
-    applies the last-hop gradient update to the pair translators:
+    Languages are inferred from the translator keys, once every key is
+    checked to be a direction holding a translator of that direction;
+    every language other than a and b acts as a pivot. Each non-replay
+    step samples a pivot, draws one monolingual sentence on each side of
+    the pair, generates a pseudo-partner for it through the pivot chain,
+    and applies the last-hop gradient update to the pair translators:
 
         theta_ab at row pseudo_source(a) pushed toward the real b sample,
         theta_ba at row pseudo_target(b) pushed toward the real a sample.
@@ -242,6 +245,7 @@ def multistep_dual_learning(
     caller's own object, shared with the input phase.
     """
     a, b = PRIMARY_PAIR
+    _check_keys(translators)
     pivots = sorted({lang for key in translators for lang in key} - {a, b})
     if not pivots:
         raise ValidationError(

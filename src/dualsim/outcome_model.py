@@ -18,40 +18,23 @@ Conventions:
     tests them all with one ``min(cells) < 0.0``; only a table that fails
     is scanned again, in the order the builder's docstring lists its cells,
     to name the first negative one
-  - parameter objects test each field once with ``_require_real`` or
-    ``_require_prob``; a float within range passes on their first line, any
-    other value is converted, or rejected by the finite-number rule of
-    :mod:`dualsim.errors` with the field named
+  - parameter objects test each field once, with the finite-number or
+    the probability rule of :mod:`dualsim.errors`, and reject a bad value
+    with the field named; a value is converted to float where it is
+    computed with
   - all types are immutable and slotted; all functions are pure, except
     the random_* draws, which advance the generator they are given
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, InfeasibleParamsError, ValidationError
+from .errors import FINITE, PROBABILITY, InfeasibleParamsError, ValidationError
 
 _SUM_TOL = 1e-12
-
-
-def _require_real(x: float, name: str) -> float:
-    if isinstance(x, float) and math.isfinite(x):
-        return float(x)
-    FINITE.require(x, name)
-    return float(x)
-
-
-def _require_prob(x: float, name: str) -> float:
-    if isinstance(x, float) and 0.0 <= x <= 1.0:
-        return float(x)
-    v = _require_real(x, name)
-    if v < 0.0 or v > 1.0:
-        raise ValidationError(f"{name} must be in [0, 1], got {v!r}")
-    return v
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +56,10 @@ class DualOutcomeParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _require_prob(self.p12, "p12")
-        _require_prob(self.p21r, "p21r")
-        _require_real(self.lam, "lam")
-        _require_prob(self.delta, "delta")
+        PROBABILITY.require(self.p12, "p12")
+        PROBABILITY.require(self.p21r, "p21r")
+        FINITE.require(self.lam, "lam")
+        PROBABILITY.require(self.delta, "delta")
 
 
 def _checked_table(cells: tuple[float, ...]) -> tuple[float, ...]:
@@ -117,9 +100,9 @@ class RedistributionPolicy:
     gamma: float
 
     def __post_init__(self) -> None:
-        a = _require_prob(self.alpha, "alpha")
-        b = _require_prob(self.beta, "beta")
-        g = _require_prob(self.gamma, "gamma")
+        for name in ("alpha", "beta", "gamma"):
+            PROBABILITY.require(getattr(self, name), name)
+        a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
         if abs(a + b + g - 1.0) > _SUM_TOL:
             raise ValidationError(
                 f"alpha + beta + gamma must be 1 within {_SUM_TOL}, got {a + b + g!r}"
@@ -145,12 +128,12 @@ class TripleOutcomeParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _require_prob(self.q12, "q12")
-        _require_prob(self.q23, "q23")
-        _require_prob(self.q31, "q31")
-        _require_real(self.lam1, "lam1")
-        _require_real(self.lam2, "lam2")
-        _require_prob(self.delta, "delta")
+        PROBABILITY.require(self.q12, "q12")
+        PROBABILITY.require(self.q23, "q23")
+        PROBABILITY.require(self.q31, "q31")
+        FINITE.require(self.lam1, "lam1")
+        FINITE.require(self.lam2, "lam2")
+        PROBABILITY.require(self.delta, "delta")
 
 
 def build_dual_joint(params: DualOutcomeParams) -> tuple[float, ...]:
@@ -183,8 +166,9 @@ def lambda_feasible_range(p12: float, p21r: float) -> tuple[float, float]:
     rejected by build_dual_joint. The expressions mirror the cell formulas
     exactly so the endpoints are feasible in floating point too.
     """
-    p = _require_prob(p12, "p12")
-    q = _require_prob(p21r, "p21r")
+    PROBABILITY.require(p12, "p12")
+    PROBABILITY.require(p21r, "p21r")
+    p, q = float(p12), float(p21r)
     low = -min(p * q, (1.0 - p) * (1.0 - q))
     high = min(p * (1.0 - q), (1.0 - p) * q)
     return low, high

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DIRECTION, FINITE, INTEGER, LANGUAGE, MAX_ENTRIES, SEED, SIZE,
+from .errors import (COUNT, DIRECTION, LANGUAGE, MAX_ENTRIES, NONNEGATIVE, SEED, SIZE,
                      ValidationError)
 
 
@@ -63,10 +63,7 @@ class World:
 
     def __post_init__(self) -> None:
         for name in ("n_langs", "n_clusters", "cluster_size"):
-            size = getattr(self, name)
-            SIZE.require(size, name)
-            if size < 1:
-                raise ValidationError(f"{name} must be positive, got {size}")
+            COUNT.require(getattr(self, name), name)
         shape = (self.n_langs, self.n_sentences)
         object.__setattr__(self, "mu", _array(self.mu, np.float64, shape, "mu"))
         # build_corpus draws every parallel target inside its source's
@@ -143,17 +140,13 @@ def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     Deterministic in (arguments, seed).
     """
     for name, count in (("k", k), ("m", m), ("s", s)):
-        INTEGER.require(count, name)
-    FINITE.require(skew, "skew")
+        COUNT.require(count, name)
+    NONNEGATIVE.require(skew, "skew")
     SEED.require(seed, "seed")
     if k < 2:
         raise ValidationError(f"need at least 2 languages, got {k}")
-    if m < 1 or s < 1:
-        raise ValidationError(f"cluster counts must be positive, got m={m}, s={s}")
     if k * m * s > MAX_ENTRIES:
         raise ValidationError(f"a world of {k} x {m * s} sentence weights does not fit one array")
-    if skew < 0.0:
-        raise ValidationError(f"skew must be nonnegative, got {skew!r}")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.exp(skew * rng.standard_normal((k, m * s)))

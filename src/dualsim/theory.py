@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FINITE, ValidationError
+from .errors import NONNEGATIVE, POSITIVE, PROBABILITY, ValidationError
 from .outcome_model import (
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
-    _require_prob,
     build_dual_joint,
     build_triple_joint,
 )
@@ -109,7 +108,7 @@ def _proportional_split(
     params type, and the reconstructing total 1.1 + 1.2 that the
     proportional policy divides by. Gamma is checked before a joint table is
     built; a zero total is rejected, since the ratio is then undefined."""
-    gamma = _require_prob(gamma, "gamma")
+    PROBABILITY.require(gamma, "gamma")
     masses = _dual_case_masses if isinstance(params, DualOutcomeParams) else _triple_case_masses
     pr11, pr12, pr2 = masses(params)
     total = pr11 + pr12
@@ -192,11 +191,11 @@ def m_factor(q23: float, q31: float, delta: float) -> float:
         M = delta * (1 - q23*q31) / (q23*q31 + delta*(1-q23)*(1-q31))
 
     M < 1 marks the regime where the pivot cycle beats the plain dual
-    round trip. Rejects a zero denominator (q23*q31 = 0 with delta = 0 or
-    degenerate corners).
+    round trip. Rejects a value outside [0, 1] and a zero denominator
+    (q23*q31 = 0 with delta = 0 or degenerate corners).
     """
     for name, value in (("q23", q23), ("q31", q31), ("delta", delta)):
-        FINITE.require(value, name)
+        PROBABILITY.require(value, name)
     denom = q23 * q31 + delta * (1.0 - q23) * (1.0 - q31)
     if denom <= 0.0:
         raise ValidationError(f"m_factor denominator must be positive, got {denom!r}")
@@ -209,10 +208,13 @@ def simplified_multistep_accuracy(q12: float, m: float, loss: float) -> float:
     ``loss`` is Gamma' = gamma' * p_case2, the case-2 mass the policy
     leaves unreconstructed. With Gamma' = 0 and M = 1 this collapses to q12
     (no gain over plain dual training); it is strictly decreasing in M for
-    q12 in (0, 1). Rejects q12 <= 0.
+    q12 in (0, 1). Rejects q12 outside (0, 1], a negative or non-finite M
+    and a loss outside [0, 1].
     """
-    if q12 <= 0.0:
-        raise ValidationError(f"q12 must be positive, got {q12!r}")
+    POSITIVE.require(q12, "q12")
+    PROBABILITY.require(q12, "q12")
+    NONNEGATIVE.require(m, "m")
+    PROBABILITY.require(loss, "loss")
     return (1.0 - loss) / (1.0 + m * (1.0 - q12) / q12)
 
 
@@ -222,8 +224,8 @@ def multistep_condition(q23: float, q31: float, delta: float) -> bool:
     Evaluated in cleared-denominator form,
     ``delta*(q23 + q31 - 2*q23*q31) < q23*q31``, which is defined even
     where M itself has a zero denominator. The boundary is excluded: at
-    equality (M = 1) the condition is False.
+    equality (M = 1) the condition is False. Rejects a value outside [0, 1].
     """
     for name, value in (("q23", q23), ("q31", q31), ("delta", delta)):
-        FINITE.require(value, name)
+        PROBABILITY.require(value, name)
     return delta * (q23 + q31 - 2.0 * q23 * q31) < q23 * q31

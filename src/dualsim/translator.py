@@ -13,11 +13,12 @@ training update in :mod:`dualsim.learner` is built from this one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DIRECTION, SCALAR_RULES, SEED, ValidationError
+from .errors import (COUNT, DIRECTION, NATURAL, POSITIVE, PROBABILITY, SCALAR_RULES, SEED,
+                     ValidationError)
 
 
 def shifted_exp(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,26 +104,16 @@ class TrainConfig:
     seed                 drives all sampling in the phase
     """
 
-    learning_rate: float = 0.5
-    steps: int = 2000
-    supervised_batch: int = 16
-    reconstruction_batch: int = 1
-    supervised_mix: float = 0.5
-    update_pivots: bool = False
-    seed: int = 0
+    learning_rate: float = field(default=0.5, metadata={"rule": POSITIVE})
+    steps: int = field(default=2000, metadata={"rule": NATURAL})
+    supervised_batch: int = field(default=16, metadata={"rule": COUNT})
+    reconstruction_batch: int = field(default=1, metadata={"rule": COUNT})
+    supervised_mix: float = field(default=0.5, metadata={"rule": PROBABILITY})
+    update_pivots: bool = field(default=False, metadata={"rule": SCALAR_RULES[bool]})
+    seed: int = field(default=0, metadata={"rule": SEED})
 
     def __post_init__(self) -> None:
-        # each field has its default's type, checked first so that no wrong
-        # type fails inside numpy; the seed has the rule of every seed
+        # each field's one rule, its type with its range, so that no wrong
+        # type fails inside numpy; every message opens with the field's name
         for f in fields(self):
-            SCALAR_RULES[type(f.default)].require(getattr(self, f.name), f.name)
-        SEED.require(self.seed, "seed")
-        if self.learning_rate <= 0.0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.steps < 0:
-            raise ValidationError(f"steps must be nonnegative, got {self.steps!r}")
-        for name in ("supervised_batch", "reconstruction_batch"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        if not 0.0 <= self.supervised_mix <= 1.0:
-            raise ValidationError(f"supervised_mix must be in [0, 1], got {self.supervised_mix!r}")
+            f.metadata["rule"].require(getattr(self, f.name), f.name)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualsim
-from dualsim import cli
+from dualsim import cli, theory
 
 # Every name a caller reaches through ``import dualsim``: the package's
 # non-underscore attributes other than its submodules. A name added here
@@ -40,6 +40,27 @@ def test_public_names_are_pinned():
     }
     assert len(PUBLIC_NAMES) == 42
     assert public == PUBLIC_NAMES
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module of the package imports is read in that module;
+    ``__init__.py`` imports names to re-export them."""
+    src = Path(dualsim.__file__).resolve().parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, f"imported and never used: {unused}"
 
 
 def test_no_module_keeps_a_second_list_of_names():
@@ -138,7 +159,8 @@ HOSTILE = [True, math.nan, math.inf, -math.inf, 10**400, -1, 2**64, 2.5, "1"]
 _WORLD = dualsim.generate_world(2, 1, 1, 0.0, 0)
 _DUAL = dualsim.DualOutcomeParams(0.5, 0.5, 0.0, 0.1)
 _SPEC = dualsim.GenerativeSpec(_DUAL, dualsim.RedistributionPolicy(0.3, 0.3, 0.4))
-# each public callable that takes scalars, with valid scalar arguments to replace
+# each callable that takes scalars, public or awaiting a caller, with valid
+# scalar arguments to replace
 SCALAR_CALLS = {
     "DualOutcomeParams": (dualsim.DualOutcomeParams, (0.5, 0.5, 0.0, 0.1)),
     "TripleOutcomeParams": (dualsim.TripleOutcomeParams, (0.5, 0.5, 0.5, 0.0, 0.0, 0.1)),
@@ -163,6 +185,7 @@ SCALAR_CALLS = {
         lambda gamma: dualsim.proportional_dual_accuracy(_DUAL, gamma), (0.5,)
     ),
     "dual_improvement": (lambda gamma: dualsim.dual_improvement(_DUAL, gamma), (0.5,)),
+    "simplified_multistep_accuracy": (theory.simplified_multistep_accuracy, (0.5, 1.0, 0.0)),
 }
 
 

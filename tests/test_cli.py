@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dualsim import cli
 from dualsim.cli import DEFAULT_CONFIG, load_config, main, run_training_experiment
+from dualsim.errors import MAX_ENTRIES
 from dualsim.oracle import OracleResult
 from dualsim.translator import TrainConfig
 
@@ -184,7 +185,7 @@ class TestConfigValidation:
         "argv, cfg, message",
         [
             (["train"], {"train": {"world": {"k": 2**64}}},
-             f"error: a world of {2**64} x 200 sentence weights does not fit one array\n"),
+             f"error: k must be an integer in [1, {MAX_ENTRIES}], got {2**64}\n"),
             (["simulate"], {"simulate": {"n": 2**64}},
              f"error: n must be an integer in [1, {(2**64 - 1) // 3}], got {2**64}\n"),
         ],
@@ -288,7 +289,7 @@ class TestTheory:
     def test_triple_gamma_out_of_range_names_gamma(self, tmp_path, capsys):
         cfg = {"theory": {"kind": "triple", "gamma": 2.0}}
         assert main(["theory", "--config", write_config(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err == "error: gamma must be in [0, 1], got 2.0\n"
+        assert capsys.readouterr().err == "error: gamma must be a number in [0, 1], got 2.0\n"
 
     def test_triple_zero_case_mass_exits_2(self, tmp_path, capsys):
         cfg = {"theory": {"kind": "triple", "q12": 0, "delta": 0}}
@@ -446,7 +447,8 @@ class TestTrain:
         # the one-line error names the config field and its value
         block = "train" if field in DEFAULT_CONFIG["train"]["train"] else "corpus"
         steps = field.endswith("_steps")
-        value, rule = (-1, "must be nonnegative") if steps else (0, "must be at least 1")
+        value, rule = ((-1, "must be a nonnegative integer") if steps else
+                       (0, f"must be an integer in [1, {MAX_ENTRIES}]"))
 
         def no_training(*args):
             raise AssertionError("the world was built before the config was checked")
@@ -566,12 +568,14 @@ class TestTrain:
         "corpus, what",
         [
             ({"parallel_per_pair": -1},
-             "error: train.corpus.parallel_per_pair must be at least 1, got -1\n"),
+             f"error: train.corpus.parallel_per_pair must be an integer in [1, {MAX_ENTRIES}], "
+             "got -1\n"),
             ({"monolingual_per_language": -1},
-             "error: train.corpus.monolingual_per_language must be at least 1, got -1\n"),
+             "error: train.corpus.monolingual_per_language must be an integer in "
+             f"[1, {MAX_ENTRIES}], got -1\n"),
             ({"within_cluster": "nope"}, "within_cluster"),
             # an OverflowError traceback inside numpy
-            ({"parallel_per_pair": 2**64}, "parallel_per_pair must be an integer in [0, "),
+            ({"parallel_per_pair": 2**64}, "parallel_per_pair must be an integer in [1, "),
         ],
         ids=["parallel_per_pair", "monolingual_per_language", "within_cluster",
              "parallel_per_pair-2**64"],

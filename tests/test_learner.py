@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import log_prob, loop_log_prob, loop_log_prob_bound, perfect_translator
-from dualsim.errors import ValidationError
+from dualsim.errors import MAX_ENTRIES, ValidationError
 from dualsim.learner import (
     dual_learning,
     evaluate,
@@ -217,8 +217,9 @@ class TestTabularTranslator:
             TrainConfig(steps=-1)
         with pytest.raises(ValidationError):
             TrainConfig(supervised_mix=1.5)
+        count = rf"an integer in \[1, {MAX_ENTRIES}\]"
         for field in ("supervised_batch", "reconstruction_batch"):
-            with pytest.raises(ValidationError, match=f"^{field} must be at least 1, got 0$"):
+            with pytest.raises(ValidationError, match=f"^{field} must be {count}, got 0$"):
                 TrainConfig(**{field: 0})
         # the largest seed, and ints where real numbers belong, are accepted
         assert TrainConfig(seed=2**64 - 1, learning_rate=1, supervised_mix=1).seed == 2**64 - 1
@@ -228,14 +229,14 @@ class TestTabularTranslator:
         [
             ("seed", -1, "a nonnegative integer below 2**64"),
             ("seed", 2**64, "a nonnegative integer below 2**64"),
-            ("seed", 1.5, "an integer"),
-            ("steps", 2.5, "an integer"),
-            ("steps", True, "an integer"),
-            ("supervised_batch", 2.5, "an integer"),
-            ("reconstruction_batch", np.int64(2), "an integer"),
-            ("learning_rate", "x", "a finite number"),
-            ("learning_rate", 10**400, "a finite number"),
-            ("supervised_mix", True, "a finite number"),
+            ("seed", 1.5, "a nonnegative integer below 2**64"),
+            ("steps", 2.5, "a nonnegative integer"),
+            ("steps", True, "a nonnegative integer"),
+            ("supervised_batch", 2.5, f"an integer in [1, {MAX_ENTRIES}]"),
+            ("reconstruction_batch", np.int64(2), f"an integer in [1, {MAX_ENTRIES}]"),
+            ("learning_rate", "x", "a positive finite number"),
+            ("learning_rate", 10**400, "a positive finite number"),
+            ("supervised_mix", True, "a number in [0, 1]"),
             ("update_pivots", "no", "a boolean"),
             ("update_pivots", 1, "a boolean"),
         ],
@@ -421,6 +422,15 @@ def small_setup(seed=0, m=6, s=2, pairs=25, mono=200, k=3):
         if i != j
     }
     return world, corpus, translators
+
+
+# translator mapping entries that are no translator under its own direction:
+# (key, value, message), a value of None standing for the 0 -> 1 translator
+BAD_ENTRIES = [
+    (5, None, "translator key must be a pair of two different nonnegative integers, got 5"),
+    ((0, 1), "theta", "key (0, 1) holds a str, not a translator"),
+]
+BAD_ENTRY_IDS = ["int-key", "str-value"]
 
 
 class TestDualLearning:
@@ -669,6 +679,15 @@ class TestMultistepDualLearning:
         with pytest.raises(ValidationError, match=r"^key \(0, 1\) holds a 1 -> 0 translator$"):
             multistep_dual_learning(ts, corpus, TrainConfig(steps=1))
 
+    @pytest.mark.parametrize("key, value, message", BAD_ENTRIES, ids=BAD_ENTRY_IDS)
+    def test_an_entry_that_is_no_keyed_translator_rejected(self, key, value, message):
+        # an int key raised a bare TypeError from the pivot set, a str value
+        # a bare AttributeError from the key check
+        _, corpus, ts = small_setup()
+        ts[key] = ts[(0, 1)] if value is None else value
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            multistep_dual_learning(ts, corpus, TrainConfig(steps=1))
+
     def test_single_step_applies_exact_sampled_gradients(self):
         _, corpus, ts = small_setup(seed=7)
         lr = 0.6
@@ -847,6 +866,13 @@ class TestEvaluate:
         world, _, ts = small_setup(seed=15)
         with pytest.raises(ValidationError, match=r"^key \(0, 1\) holds a 1 -> 0 translator$"):
             evaluate({"vanilla": {(0, 1): ts[(1, 0)]}}, world)
+
+    @pytest.mark.parametrize("key, value, message", BAD_ENTRIES, ids=BAD_ENTRY_IDS)
+    def test_an_entry_that_is_no_keyed_translator_rejected(self, key, value, message):
+        world, _, ts = small_setup(seed=15)
+        entry = ts[(0, 1)] if value is None else value
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            evaluate({"vanilla": {**ts, key: entry}}, world)
 
     def test_low_eta_is_warned_not_fatal(self):
         world, _, _ = small_setup(seed=16)

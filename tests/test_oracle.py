@@ -253,8 +253,8 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             monte_carlo(spec, 0, seed=1)
         # past (2**64 - 1) // 3 samples the uint64 counters wrap; 2**64 ran on
-        # for some 10**15 chunks
-        for n in (2**64, (2**64 - 1) // 3 + 1, 10**400):
+        # for some 10**15 chunks; True is no count
+        for n in (2**64, (2**64 - 1) // 3 + 1, 10**400, True):
             with pytest.raises(ValidationError, match=r"^n must be an integer in \[1, "):
                 monte_carlo(spec, n, seed=1)
 

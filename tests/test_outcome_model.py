@@ -90,7 +90,7 @@ class TestBuildDualJoint:
             DualOutcomeParams(0.5, 0.5, float("nan"), 0.0)
         with pytest.raises(ValidationError):
             DualOutcomeParams(0.5, 0.5, 0.0, -0.1)
-        with pytest.raises(ValidationError, match="^p12 must be a finite number, got nan$"):
+        with pytest.raises(ValidationError, match=r"^p12 must be a number in \[0, 1\], got nan$"):
             DualOutcomeParams(float("nan"), 0.5, 0.0, 0.0)
         # float() of an int past the float range raised OverflowError
         with pytest.raises(ValidationError, match="^lam must be a finite number, got 1000"):
@@ -209,7 +209,7 @@ class TestRedistributionPolicy:
             RedistributionPolicy(0.5, 0.5, 0.5)
         with pytest.raises(ValidationError):
             RedistributionPolicy(-0.1, 0.6, 0.5)
-        with pytest.raises(ValidationError, match="^alpha must be a finite number, got 1000"):
+        with pytest.raises(ValidationError, match=r"^alpha must be a number in \[0, 1\], got 1000"):
             RedistributionPolicy(10**400, 0, 0)
 
 

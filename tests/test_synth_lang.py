@@ -55,12 +55,13 @@ class TestGenerateWorld:
         # each raised numpy's TypeError, ValueError or OverflowError, or ran
         # on a seed outside the rule of every seed
         for args, message in (
-            ((3.0, 5, 2, 0.0, 0), "k must be an integer, got 3.0"),
-            ((3, 2.5, 2, 0.0, 0), "m must be an integer, got 2.5"),
-            ((3, 5, True, 0.0, 0), "s must be an integer, got True"),
-            ((2**64, 1, 1, 0.0, 0), f"a world of {2**64} x 1 sentence weights does not fit"),
-            ((3, 5, 2, "1", 0), "skew must be a finite number, got '1'"),
-            ((3, 5, 2, 10**400, 0), "skew must be a finite number, got 1000"),
+            ((3.0, 5, 2, 0.0, 0), f"k must be an integer in [1, {MAX_ENTRIES}], got 3.0"),
+            ((3, 2.5, 2, 0.0, 0), f"m must be an integer in [1, {MAX_ENTRIES}], got 2.5"),
+            ((3, 5, True, 0.0, 0), f"s must be an integer in [1, {MAX_ENTRIES}], got True"),
+            ((2**64, 1, 1, 0.0, 0), f"k must be an integer in [1, {MAX_ENTRIES}], got {2**64}"),
+            ((2**30, 2**30, 2, 0.0, 0), f"a world of {2**30} x {2**31} sentence weights does not fit"),
+            ((3, 5, 2, "1", 0), "skew must be a nonnegative finite number, got '1'"),
+            ((3, 5, 2, 10**400, 0), "skew must be a nonnegative finite number, got 1000"),
             ((3, 5, 2, 0.0, -1), "seed must be a nonnegative integer below 2**64, got -1"),
             ((3, 5, 2, 0.0, 2**64), f"seed must be a nonnegative integer below 2**64, got {2**64}"),
         ):
@@ -69,8 +70,9 @@ class TestGenerateWorld:
 
     @pytest.mark.parametrize(
         "skew, message",
-        [(800.0, "skew 800.0 is too large: "), (np.inf, "skew must be a finite number, got inf$"),
-         (np.nan, "skew must be a finite number, got nan$")],
+        [(800.0, "skew 800.0 is too large: "),
+         (np.inf, "skew must be a nonnegative finite number, got inf$"),
+         (np.nan, "skew must be a nonnegative finite number, got nan$")],
         ids=["800.0", "inf", "nan"],
     )
     def test_overflowing_skew_names_the_skew(self, skew, message):
@@ -89,10 +91,10 @@ class TestGenerateWorld:
     def test_world_rejects_sizes_that_are_no_positive_integer(self):
         # -1 passed the integer rule and reached numpy's reshape, a bare ValueError
         for sizes, message in (
-            ((2, -1, -1), f"n_clusters must be an integer in [0, {MAX_ENTRIES}], got -1"),
-            ((2, 0, 1), "n_clusters must be positive, got 0"),
-            ((2.0, 1, 1), f"n_langs must be an integer in [0, {MAX_ENTRIES}], got 2.0"),
-            ((2, 1, True), f"cluster_size must be an integer in [0, {MAX_ENTRIES}], got True"),
+            ((2, -1, -1), f"n_clusters must be an integer in [1, {MAX_ENTRIES}], got -1"),
+            ((2, 0, 1), f"n_clusters must be an integer in [1, {MAX_ENTRIES}], got 0"),
+            ((2.0, 1, 1), f"n_langs must be an integer in [1, {MAX_ENTRIES}], got 2.0"),
+            ((2, 1, True), f"cluster_size must be an integer in [1, {MAX_ENTRIES}], got True"),
         ):
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 World(*sizes, mu=[[1.0], [1.0]])

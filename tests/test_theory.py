@@ -1,5 +1,7 @@
 """Closed-form prediction formulas: spot values, identities, monotonicity."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -139,8 +141,9 @@ class TestProportionalTriplePolicy:
 
     @pytest.mark.parametrize(
         "gamma, message",
-        [(2.0, r"must be in \[0, 1\], got 2\.0"), (-0.5, r"must be in \[0, 1\], got -0\.5"),
-         (float("nan"), "must be a finite number, got nan")],
+        [(2.0, r"must be a number in \[0, 1\], got 2\.0"),
+         (-0.5, r"must be a number in \[0, 1\], got -0\.5"),
+         (float("nan"), r"must be a number in \[0, 1\], got nan")],
         ids=["2.0", "-0.5", "nan"],
     )
     def test_rejects_gamma_out_of_range(self, gamma, message):
@@ -180,7 +183,7 @@ class TestProportionalDualAccuracy:
         assert proportional_dual_accuracy(p, 0.42) == pytest.approx(0.740289, abs=1e-6)
 
     def test_rejects_gamma_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"^gamma must be in \[0, 1\], got 2.0$"):
+        with pytest.raises(ValidationError, match=r"^gamma must be a number in \[0, 1\], got 2.0$"):
             proportional_dual_accuracy(DualOutcomeParams(0.6, 0.7, 0.0, 0.1), 2.0)
 
     def test_rejects_zero_case_mass(self):
@@ -285,6 +288,18 @@ class TestMFactor:
         with pytest.raises(ValidationError):
             m_factor(0.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("condition", [False, True], ids=["m_factor", "multistep_condition"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [((2.5, 0.5, 0.1), "q23 must be a number in [0, 1], got 2.5"),
+         ((0.5, 0.5, -0.5), "delta must be a number in [0, 1], got -0.5")],
+        ids=["q23-2.5", "delta-negative"],
+    )
+    def test_rejects_a_value_that_is_no_probability(self, condition, args, message):
+        # M read -0.021 at q23 = 2.5, and the condition True; M read -3.0 at delta = -0.5
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            (multistep_condition if condition else m_factor)(*args)
+
 
 class TestSimplifiedMultistepAccuracy:
     def test_neutral_factor_returns_q12(self):
@@ -296,6 +311,20 @@ class TestSimplifiedMultistepAccuracy:
     def test_rejects_zero_q12(self):
         with pytest.raises(ValidationError):
             simplified_multistep_accuracy(0.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((float("nan"), 0.5, 0.0), "q12 must be a positive finite number, got nan"),
+         ((0.5, float("nan"), 0.0), "m must be a nonnegative finite number, got nan"),
+         ((2.0, 1.0, 0.0), "q12 must be a number in [0, 1], got 2.0"),
+         (("x", 1.0, 0.0), "q12 must be a positive finite number, got 'x'"),
+         ((0.5, 1.0, 1.5), "loss must be a number in [0, 1], got 1.5")],
+        ids=["q12-nan", "m-nan", "q12-2.0", "q12-str", "loss-1.5"],
+    )
+    def test_rejects_inputs_outside_the_domain(self, args, message):
+        # each returned nan, an accuracy outside [0, 1] or raised a bare TypeError
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            simplified_multistep_accuracy(*args)
 
     def test_matches_full_prediction_under_proportional_policy(self):
         params = TripleOutcomeParams(0.6, 0.7, 0.8, 0.0, 0.0, 0.1)

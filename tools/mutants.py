@@ -190,11 +190,37 @@ MUTANTS = {
         "theory.py", "if total <= 0.0:", "if total < 0.0:",
         "tests/test_theory.py::TestProportionalDualAccuracy::test_rejects_zero_case_mass",
     ),
-    # the probability rule, which the proportional split checks gamma with,
-    # takes a value above 1
+    # the proportional split takes a gamma above 1
     "split-gamma-high": (
-        "outcome_model.py", "if v < 0.0 or v > 1.0:", "if v < 0.0:",
+        "theory.py", 'PROBABILITY.require(gamma, "gamma")', "None",
         "tests/test_theory.py::TestProportionalDualAccuracy::test_rejects_gamma_out_of_range",
+    ),
+    # the probability rule takes a value above 1 that is no float in range
+    "probability-high": (
+        "errors.py", "0 <= v <= 1,", "0 <= v,",
+        "tests/test_outcome_model.py::TestBuildDualJoint::test_param_validation",
+    ),
+    # the probability rule's float fast path takes a float above 1
+    "probability-fast-high": (
+        "errors.py", "0.0 <= v <= 1.0", "0.0 <= v",
+        "tests/test_outcome_model.py::TestBuildDualJoint::test_param_validation",
+    ),
+    # the count rule takes 0
+    "count-low": (
+        "errors.py", "SIZE.ok(v) and v >= 1", "SIZE.ok(v)",
+        "tests/test_synth_lang.py::TestGenerateWorld"
+        "::test_world_rejects_sizes_that_are_no_positive_integer",
+    ),
+    # the positive rule takes 0
+    "positive-zero": (
+        "errors.py", "FINITE.ok(v) and v > 0", "FINITE.ok(v) and v >= 0",
+        "tests/test_learner.py::TestTabularTranslator::test_config_validation",
+    ),
+    # m_factor takes a q23, q31 or delta outside [0, 1]
+    "m-factor-probability": (
+        "theory.py", "PROBABILITY.require(value, name)\n    denom", "None\n    denom",
+        "tests/test_theory.py::TestMFactor"
+        "::test_rejects_a_value_that_is_no_probability[q23-2.5-m_factor]",
     ),
     # the loose lambda range starts at the tight range's upper bound
     "loose-low-from-high": (
@@ -209,14 +235,19 @@ MUTANTS = {
     ),
     # a TrainConfig seed may be negative
     "train-seed-negative": (
-        "translator.py", 'SEED.require(self.seed, "seed")', "None",
+        "translator.py", 'metadata={"rule": SEED}', 'metadata={"rule": SCALAR_RULES[int]}',
         "tests/test_learner.py::TestTabularTranslator"
         "::test_config_rejects_what_it_cannot_train_with[seed-negative]",
     ),
-    # a bool passes the integer rule, which TrainConfig's int fields follow
-    "train-int-bool": (
+    # a bool passes the integer rule, which Monte Carlo's sample count follows
+    "integer-bool": (
         "errors.py", 'Rule(lambda v: type(v) is int, "an integer")',
         'Rule(lambda v: isinstance(v, int), "an integer")',
+        "tests/test_oracle.py::TestMonteCarlo::test_rejects_zero_samples",
+    ),
+    # a bool passes the nonnegative-integer rule, which TrainConfig's steps follow
+    "natural-bool": (
+        "errors.py", "type(v) is int and v >= 0", "isinstance(v, int) and v >= 0",
         "tests/test_learner.py::TestTabularTranslator"
         "::test_config_rejects_what_it_cannot_train_with[steps-bool]",
     ),
@@ -311,7 +342,7 @@ MUTANTS = {
         "tests/test_learner.py::TestTabularTranslator"
         "::test_rejects_a_direction_that_is_not_two_languages[self-pair]",
     ),
-    # a trainer takes a translator filed under another direction's key
+    # multi-step learning takes a translator filed under another direction's key
     "phase-key-check": (
         "learner.py", "_check_keys(translators)", "None",
         "tests/test_learner.py::TestMultistepDualLearning"
@@ -321,6 +352,12 @@ MUTANTS = {
     "evaluate-key-check": (
         "learner.py", "_check_keys(ts)", "None",
         "tests/test_learner.py::TestEvaluate::test_a_translator_under_another_direction_rejected",
+    ),
+    # a translator mapping may hold a value that is no translator
+    "check-keys-type": (
+        "learner.py", "if not isinstance(t, TabularTranslator):", "if False:",
+        "tests/test_learner.py::TestEvaluate"
+        "::test_an_entry_that_is_no_keyed_translator_rejected[str-value]",
     ),
 }
 
