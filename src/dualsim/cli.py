@@ -6,7 +6,9 @@ in DEFAULT_CONFIG) and unknown fields are rejected so a typo like
 "lamda1" cannot silently fall back to a default. Each value must have the
 type of its default, checked when the config is loaded and again once the
 command-line flags are applied; every seed is a nonnegative integer below
-2**64 (Monte Carlo hashes a 64-bit seed). All randomness flows from
+2**64 (Monte Carlo hashes a 64-bit seed), and a train knob's range is
+checked at load with the rule of its TrainConfig field, so every command
+rejects one that no phase could train with. All randomness flows from
 declared seeds, so every command is deterministic given its config.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
@@ -128,10 +130,15 @@ _PHASE_RANK = {ph: idx for idx, ph in enumerate(PHASE_ORDER)}
 _ERRATA_PARAMS = TripleOutcomeParams(0.5, 0.5, 0.5, lam1=0.05, lam2=0.0, delta=0.1)
 # verify passes when every closed form agrees with exact enumeration this closely
 _TOLERANCE = 1e-12
+# the rule of each train.train knob: its TrainConfig field's, steps' for each phase's steps
+_TRAIN_RULES = {f.name: f.metadata["rule"] for f in dataclasses.fields(TrainConfig)}
 
 
 def _leaf_type(default: Any, path: str) -> Rule:
-    """The rule of a config leaf, from its default."""
+    """The rule of a config leaf: a train knob's TrainConfig rule, else from its default."""
+    section, _, leaf = path.rpartition(".")
+    if section == "train.train":
+        return _TRAIN_RULES["steps" if leaf.endswith("_steps") else leaf]
     if path == "theory.delta":
         return Rule(
             lambda v: FINITE.ok(v) or (isinstance(v, list) and v and all(map(FINITE.ok, v))),
@@ -382,21 +389,16 @@ def _plan(cfg: dict[str, Any], run_seed: int):
             "multistep phase needs at least 3 languages (k >= 3); "
             "a 2-language world degenerates to plain dual learning"
         )
-    # the config and corpus sizes of every phase that trains, checked before any of them does
+    # the config loader checked every knob with its TrainConfig rule
     knobs = {key: value for key, value in tb.items() if not key.endswith("_steps")}
     trained = PHASE_ORDER[: max(_PHASE_RANK[ph] for ph in phases_wanted) + 1]
-    phase_cfgs = {}
-    for ph, steps in zip(trained, ("supervised_steps", "dual_steps", "multistep_steps")):
-        try:
-            phase_cfgs[ph] = TrainConfig(steps=tb[steps], **knobs)
-        except ValidationError as e:
-            # TrainConfig's messages open with the field's name: report it under its config path
-            field, rest = str(e).split(" ", 1)
-            field = steps if field == "steps" else field
-            raise ValidationError(f"train.train.{field} {rest}") from None
+    step_leaves = ("supervised_steps", "dual_steps", "multistep_steps")
+    phase_cfgs = {ph: TrainConfig(steps=tb[leaf], **knobs)
+                  for ph, leaf in zip(trained, step_leaves)}
+    # the corpus sizes of every phase that trains, checked before any of them does:
     # vanilla trains on parallel pairs; dual and multistep on monolingual data too
     for size in ("parallel_per_pair", "monolingual_per_language")[: len(trained)]:
-        COUNT.require(cb[size], f"train.corpus.{size}")
+        COUNT.require(cb[size], f"config field train.corpus.{size}")
     world = generate_world(k, wb["m"], wb["s"], wb["skew"], wb["seed"])
     corpus_seed, *phase_seeds = _sub_seeds(run_seed, 4)
     corpus = build_corpus(world, cb["parallel_per_pair"], cb["monolingual_per_language"],

@@ -7,11 +7,12 @@ given a bad scalar (a bool where a number belongs, NaN, an infinity, an
 int past the float range, a float where an integer belongs, a size that
 no numpy array holds, a seed outside [0, 2**64), a probability outside
 [0, 1], a count below 1) raises ValidationError, never OverflowError,
-TypeError or a numpy ValueError: the config loader, TrainConfig and every
-public function that takes a scalar check it with one of the rules below,
-each stated once, its range with it. So are the rules of a language id and
-of a translation direction, two different language ids, as every
-translator, parallel corpus key and report row holds.
+TypeError or a numpy ValueError: the config loader, each value type (on
+its fields, for :func:`check_fields`) and every public function check it
+with one of the rules below, each stated once, its range with it. So are
+the rules of a language id and of a translation direction, two different
+language ids, as every translator, parallel corpus key and report row
+holds. An argument of one of the package's types has its type's rule.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ class Rule(NamedTuple):
     def require(self, value: Any, name: str) -> None:
         if not self.ok(value):
             raise ValidationError(f"{name} must be {self.what}, got {value!r}")
+
+
+def check_fields(obj: Any) -> None:
+    """Check each field of the dataclass ``obj`` in order with the rule in its
+    metadata, skipping one with none; it reads the field dict, as
+    ``dataclasses.fields`` builds a tuple per call, kept on Python's free list."""
+    for f in obj.__dataclass_fields__.values():
+        if "rule" in f.metadata:
+            f.metadata["rule"].require(getattr(obj, f.name), f.name)
 
 
 # a bool is no number, and float() of an int past the float range overflows

@@ -31,14 +31,17 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from .errors import COUNT, DIRECTION, MAX_ENTRIES, ValidationError
+from .errors import COUNT, DIRECTION, MAX_ENTRIES, Rule, ValidationError
 from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
-from .synth_lang import Corpus, World, _array
-from .translator import TabularTranslator, TrainConfig, log_prob_grad_row, row_probs, sample_row
+from .synth_lang import CORPUS, WORLD, Corpus, World, _array
+from .translator import (TRANSLATOR, TabularTranslator, TrainConfig, log_prob_grad_row,
+                         row_probs, sample_row)
 
 PHASE_ORDER = ("vanilla", "dual", "multistep")
 # the pair that dual and multi-step learning train and the estimators compare
 PRIMARY_PAIR = (0, 1)
+# a phase's translators by direction, and a record's phases by name
+_MAPPING = Rule(lambda v: isinstance(v, Mapping), "a mapping")
 
 
 def consecutive_phases(present: Collection[str]) -> list[tuple[str, str]]:
@@ -113,6 +116,7 @@ def _check_ids(ids: np.ndarray, bounds: tuple[int, ...], what: str) -> None:
 
 def _check_keys(translators: Mapping[tuple[int, int], TabularTranslator]) -> None:
     """Raise unless every key is a direction and holds a translator of that direction."""
+    _MAPPING.require(translators, "translators")
     for key, t in translators.items():
         DIRECTION.require(key, "translator key")
         if not isinstance(t, TabularTranslator):
@@ -204,6 +208,9 @@ def dual_learning(
     to undo them, symmetrically in both directions. Returns new
     translators for both directions; no input theta is written.
     """
+    TRANSLATOR.require(t12, "t12")
+    TRANSLATOR.require(t21, "t21")
+    CORPUS.require(corpus, "corpus")
     i, j = t12.src_lang, t12.dst_lang
     if (t21.src_lang, t21.dst_lang) != (j, i):
         raise ValidationError("t21 must invert t12's direction")
@@ -246,6 +253,7 @@ def multistep_dual_learning(
     """
     a, b = PRIMARY_PAIR
     _check_keys(translators)
+    CORPUS.require(corpus, "corpus")
     pivots = sorted({lang for key in translators for lang in key} - {a, b})
     if not pivots:
         raise ValidationError(
@@ -303,6 +311,8 @@ def evaluate(
     several phases share is scored once, and every (phase, direction)
     holding it gets that one report.
     """
+    _MAPPING.require(phases, "phases")
+    WORLD.require(world, "world")
     scored: dict[int, AccuracyReport] = {}  # by id(); phases keep every object alive
     accuracies: dict[tuple[str, tuple[int, int]], AccuracyReport] = {}
     for phase, ts in phases.items():

@@ -16,14 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Rule, ValidationError
 from .oracle import OutcomeCounts
-from .synth_lang import World
-from .translator import TabularTranslator, shifted_exp
+from .synth_lang import WORLD, World
+from .translator import TRANSLATOR, TabularTranslator, shifted_exp
 
 # rows of a score matrix that ``accuracy`` exponentiates at once: 64 rows of
 # a 600-sentence world are 300 KB, where the whole matrix would be 2.9 MB
 _BLOCK_ROWS = 64
+# each of the two systems that ``estimators`` compares
+_PAIR = Rule(lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(TRANSLATOR.ok, v)),
+             "a (forward, backward) pair of TabularTranslators")
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class EstimatorReport:
 
 
 def _check_defined_on(t: TabularTranslator, world: World) -> None:
+    TRANSLATOR.require(t, "t")
+    WORLD.require(world, "world")
     n = world.n_sentences
     if t.theta.shape != (n, n):
         raise ValidationError(
@@ -156,6 +161,8 @@ def estimators(
     unreconstructed); estimate the kept-reconstruction rate eta over the
     complementary set. Undefined ratios (empty denominators) are None.
     """
+    _PAIR.require(vanilla, "vanilla")
+    _PAIR.require(dual, "dual")
     for fwd, bwd in (vanilla, dual):
         _check_defined_on(fwd, world)
         _check_defined_on(bwd, world)

@@ -27,11 +27,11 @@ cycle (3 hops), by the number of wrong hops in a joint-table cell:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import INTEGER, SEED, ValidationError
+from .errors import INTEGER, SEED, Rule, ValidationError, check_fields
 from .outcome_model import (
     DualOutcomeParams,
     RedistributionPolicy,
@@ -45,12 +45,20 @@ from .outcome_model import (
 class GenerativeSpec:
     """A complete generative model: outcome params plus redistribution policy."""
 
-    params: DualOutcomeParams | TripleOutcomeParams
-    policy: RedistributionPolicy
+    params: DualOutcomeParams | TripleOutcomeParams = field(metadata={"rule": Rule(
+        lambda v: isinstance(v, (DualOutcomeParams, TripleOutcomeParams)),
+        "a DualOutcomeParams or a TripleOutcomeParams")})
+    policy: RedistributionPolicy = field(metadata={"rule": Rule(
+        lambda v: isinstance(v, RedistributionPolicy), "a RedistributionPolicy")})
+
+    __post_init__ = check_fields
 
     @property
     def kind(self) -> str:
         return "dual" if isinstance(self.params, DualOutcomeParams) else "triple"
+
+
+SPEC = Rule(lambda v: isinstance(v, GenerativeSpec), "a GenerativeSpec")
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,6 +142,7 @@ def _walk(spec: GenerativeSpec) -> OracleResult:
 
 def enumerate_dual(spec: GenerativeSpec) -> OracleResult:
     """Exact event-tree summation of the dual accuracy over the four cells."""
+    SPEC.require(spec, "spec")
     if spec.kind != "dual":
         raise ValidationError("enumerate_dual requires a dual GenerativeSpec")
     return _walk(spec)
@@ -145,6 +154,7 @@ def enumerate_triple(spec: GenerativeSpec) -> OracleResult:
     Same walk as enumerate_dual over the eight cells of the 3-hop cycle,
     with the reconstruction rule documented at module level.
     """
+    SPEC.require(spec, "spec")
     if spec.kind != "triple":
         raise ValidationError("enumerate_triple requires a triple GenerativeSpec")
     return _walk(spec)
@@ -204,6 +214,7 @@ def monte_carlo(spec: GenerativeSpec, n: int, seed: int) -> OracleResult:
     and freed before the next is drawn, so the working set is a few arrays
     of one chunk whatever n is.
     """
+    SPEC.require(spec, "spec")
     if not (INTEGER.ok(n) and 1 <= n <= _MAX_SAMPLES):
         raise ValidationError(f"n must be an integer in [1, {_MAX_SAMPLES}], got {n!r}")
     SEED.require(seed, "seed")

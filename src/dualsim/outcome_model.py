@@ -18,21 +18,21 @@ Conventions:
     tests them all with one ``min(cells) < 0.0``; only a table that fails
     is scanned again, in the order the builder's docstring lists its cells,
     to name the first negative one
-  - parameter objects test each field once, with the finite-number or
-    the probability rule of :mod:`dualsim.errors`, and reject a bad value
-    with the field named; a value is converted to float where it is
-    computed with
+  - parameter objects declare each field's rule, the finite-number or
+    the probability rule of :mod:`dualsim.errors`, on the field, and
+    ``check_fields`` rejects a bad value with the field named; a value is
+    converted to float where it is computed with
   - all types are immutable and slotted; all functions are pure, except
     the random_* draws, which advance the generator they are given
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FINITE, PROBABILITY, InfeasibleParamsError, ValidationError
+from .errors import FINITE, PROBABILITY, InfeasibleParamsError, ValidationError, check_fields
 
 _SUM_TOL = 1e-12
 
@@ -50,16 +50,23 @@ class DualOutcomeParams:
            both hops wrong still closes into the source cluster
     """
 
-    p12: float
-    p21r: float
-    lam: float
-    delta: float
+    p12: float = field(metadata={"rule": PROBABILITY})
+    p21r: float = field(metadata={"rule": PROBABILITY})
+    lam: float = field(metadata={"rule": FINITE})
+    delta: float = field(metadata={"rule": PROBABILITY})
 
-    def __post_init__(self) -> None:
-        PROBABILITY.require(self.p12, "p12")
-        PROBABILITY.require(self.p21r, "p21r")
-        FINITE.require(self.lam, "lam")
-        PROBABILITY.require(self.delta, "delta")
+    __post_init__ = check_fields
+
+
+# (cell index, hop bits) per joint cell, by table size, in the order a
+# failing table is scanned: more correct hops first, then the larger index
+_REPORT_ORDER = {
+    1 << hops: tuple(
+        (i, tuple(i >> (hops - 1 - h) & 1 for h in range(hops)))
+        for i in sorted(range(1 << hops), key=lambda i: (-i.bit_count(), -i))
+    )
+    for hops in (2, 3)
+}
 
 
 def _checked_table(cells: tuple[float, ...]) -> tuple[float, ...]:
@@ -75,10 +82,8 @@ def _checked_table(cells: tuple[float, ...]) -> tuple[float, ...]:
     then the larger index.
     """
     if min(cells) < 0.0:
-        hops = len(cells).bit_length() - 1
-        for index in sorted(range(len(cells)), key=lambda i: (-i.bit_count(), -i)):
+        for index, bits in _REPORT_ORDER[len(cells)]:
             if cells[index] < 0.0:
-                bits = tuple(index >> (hops - 1 - h) & 1 for h in range(hops))
                 raise InfeasibleParamsError(bits, cells[index])
     return cells
 
@@ -95,13 +100,12 @@ class RedistributionPolicy:
     alpha + beta + gamma == 1 within 1e-12.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
+    alpha: float = field(metadata={"rule": PROBABILITY})
+    beta: float = field(metadata={"rule": PROBABILITY})
+    gamma: float = field(metadata={"rule": PROBABILITY})
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            PROBABILITY.require(getattr(self, name), name)
+        check_fields(self)
         a, b, g = float(self.alpha), float(self.beta), float(self.gamma)
         if abs(a + b + g - 1.0) > _SUM_TOL:
             raise ValidationError(
@@ -120,20 +124,14 @@ class TripleOutcomeParams:
     ``delta`` plays the same alignment role as in the dual model.
     """
 
-    q12: float
-    q23: float
-    q31: float
-    lam1: float
-    lam2: float
-    delta: float
+    q12: float = field(metadata={"rule": PROBABILITY})
+    q23: float = field(metadata={"rule": PROBABILITY})
+    q31: float = field(metadata={"rule": PROBABILITY})
+    lam1: float = field(metadata={"rule": FINITE})
+    lam2: float = field(metadata={"rule": FINITE})
+    delta: float = field(metadata={"rule": PROBABILITY})
 
-    def __post_init__(self) -> None:
-        PROBABILITY.require(self.q12, "q12")
-        PROBABILITY.require(self.q23, "q23")
-        PROBABILITY.require(self.q31, "q31")
-        FINITE.require(self.lam1, "lam1")
-        FINITE.require(self.lam2, "lam2")
-        PROBABILITY.require(self.delta, "delta")
+    __post_init__ = check_fields
 
 
 def build_dual_joint(params: DualOutcomeParams) -> tuple[float, ...]:

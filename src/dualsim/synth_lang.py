@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (COUNT, DIRECTION, LANGUAGE, MAX_ENTRIES, NONNEGATIVE, SEED, SIZE,
-                     ValidationError)
+                     Rule, ValidationError, check_fields)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -56,14 +56,13 @@ class World:
     cluster_of  read-only (m*s,) sentence id -> cluster id, x // s in every language
     """
 
-    n_langs: int
-    n_clusters: int
-    cluster_size: int
+    n_langs: int = field(metadata={"rule": COUNT})
+    n_clusters: int = field(metadata={"rule": COUNT})
+    cluster_size: int = field(metadata={"rule": COUNT})
     mu: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("n_langs", "n_clusters", "cluster_size"):
-            COUNT.require(getattr(self, name), name)
+        check_fields(self)  # the sizes; mu's checks follow
         shape = (self.n_langs, self.n_sentences)
         object.__setattr__(self, "mu", _array(self.mu, np.float64, shape, "mu"))
         # build_corpus draws every parallel target inside its source's
@@ -129,6 +128,10 @@ class Corpus:
         object.__setattr__(self, "monolingual", monolingual)
 
 
+WORLD = Rule(lambda v: isinstance(v, World), "a World")
+CORPUS = Rule(lambda v: isinstance(v, Corpus), "a Corpus")
+
+
 def generate_world(k: int, m: int, s: int, skew: float, seed: int) -> World:
     """Build a k-language world with m clusters of s sentences each.
 
@@ -179,6 +182,7 @@ def build_corpus(
     spawned from ``seed`` in that order, so the whole corpus is
     reproducible from (world, arguments, seed).
     """
+    WORLD.require(world, "world")
     for name, size in (("parallel_per_pair", parallel_per_pair),
                        ("monolingual_per_language", monolingual_per_language)):
         SIZE.require(size, name)

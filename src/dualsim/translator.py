@@ -13,12 +13,12 @@ training update in :mod:`dualsim.learner` is built from this one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (COUNT, DIRECTION, NATURAL, POSITIVE, PROBABILITY, SCALAR_RULES, SEED,
-                     ValidationError)
+                     Rule, ValidationError, check_fields)
 
 
 def shifted_exp(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,6 +85,9 @@ class TabularTranslator:
         return np.argmax(self.theta, axis=1)
 
 
+TRANSLATOR = Rule(lambda v: isinstance(v, TabularTranslator), "a TabularTranslator")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for all training phases.
@@ -112,8 +115,5 @@ class TrainConfig:
     update_pivots: bool = field(default=False, metadata={"rule": SCALAR_RULES[bool]})
     seed: int = field(default=0, metadata={"rule": SEED})
 
-    def __post_init__(self) -> None:
-        # each field's one rule, its type with its range, so that no wrong
-        # type fails inside numpy; every message opens with the field's name
-        for f in fields(self):
-            f.metadata["rule"].require(getattr(self, f.name), f.name)
+    # each field's one rule, its type with its range, which the config loader reads too
+    __post_init__ = check_fields

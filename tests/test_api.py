@@ -4,15 +4,18 @@ import ast
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualsim
 from dualsim import cli, theory
+from dualsim.errors import Rule
 
 # Every name a caller reaches through ``import dualsim``: the package's
 # non-underscore attributes other than its submodules. A name added here
@@ -152,13 +155,24 @@ def test_every_def_is_entered_by_a_command(tmp_path, capsys):
     assert not missed, f"never entered by a command: {missed}"
 
 
-# scalars that no public function may let escape as anything but a
+# values that no public function may let escape as anything but a
 # DualSimError: a bool, the non-finite floats, an int past the float range,
-# a negative, a seed's first excluded value, a fraction and a string
-HOSTILE = [True, math.nan, math.inf, -math.inf, 10**400, -1, 2**64, 2.5, "1"]
+# a negative, a seed's first excluded value, a fraction, a string and None
+HOSTILE = [True, math.nan, math.inf, -math.inf, 10**400, -1, 2**64, 2.5, "1", None]
 _WORLD = dualsim.generate_world(2, 1, 1, 0.0, 0)
 _DUAL = dualsim.DualOutcomeParams(0.5, 0.5, 0.0, 0.1)
-_SPEC = dualsim.GenerativeSpec(_DUAL, dualsim.RedistributionPolicy(0.3, 0.3, 0.4))
+_POLICY = dualsim.RedistributionPolicy(0.3, 0.3, 0.4)
+_SPEC = dualsim.GenerativeSpec(_DUAL, _POLICY)
+_TRIPLE_SPEC = dualsim.GenerativeSpec(
+    dualsim.TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.1), _POLICY
+)
+# a three-language world of one sentence each, and a translator for every direction
+_WORLD3 = dualsim.generate_world(3, 1, 1, 0.0, 0)
+_CORPUS3 = dualsim.build_corpus(_WORLD3, 1, 1, 0)
+_T = {(i, j): dualsim.TabularTranslator(i, j, [[0.0]])
+      for i in range(3) for j in range(3) if i != j}
+_PAIR, _BACK = (_T[(0, 1)], _T[(1, 0)]), (_T[(1, 0)], _T[(0, 1)])
+_STEP = dualsim.TrainConfig(steps=1)
 # each callable that takes scalars, public or awaiting a caller, with valid
 # scalar arguments to replace
 SCALAR_CALLS = {
@@ -167,8 +181,8 @@ SCALAR_CALLS = {
     "RedistributionPolicy": (dualsim.RedistributionPolicy, (0.3, 0.3, 0.4)),
     "TrainConfig": (dualsim.TrainConfig, tuple(f.default for f in fields(dualsim.TrainConfig))),
     "generate_world": (dualsim.generate_world, (2, 1, 1, 0.0, 0)),
-    "build_corpus": (lambda *args: dualsim.build_corpus(_WORLD, *args), (1, 1, 0)),
-    "monte_carlo": (lambda *args: dualsim.monte_carlo(_SPEC, *args), (10, 0)),
+    "build_corpus": (dualsim.build_corpus, (_WORLD, 1, 1, 0)),
+    "monte_carlo": (dualsim.monte_carlo, (_SPEC, 10, 0)),
     "World": (lambda *args: dualsim.World(*args, [[1.0], [1.0]]), (2, 1, 1)),
     "World.check_language": (_WORLD.check_language, (0,)),
     "TabularTranslator": (lambda *args: dualsim.TabularTranslator(*args, [[0.0]]), (0, 1)),
@@ -187,15 +201,31 @@ SCALAR_CALLS = {
     "dual_improvement": (lambda gamma: dualsim.dual_improvement(_DUAL, gamma), (0.5,)),
     "simplified_multistep_accuracy": (theory.simplified_multistep_accuracy, (0.5, 1.0, 0.0)),
 }
+# each callable that takes a translator, a world, a corpus or a spec (or a
+# pair or mapping of translators), with valid arguments to replace; the
+# hostile-value test below feeds them the hostile scalars too
+OBJECT_CALLS = {
+    "dual_learning": (lambda *args: dualsim.dual_learning(*args, _STEP), (*_PAIR, _CORPUS3)),
+    "multistep_dual_learning": (
+        lambda *args: dualsim.multistep_dual_learning(*args, _STEP), (_T, _CORPUS3)
+    ),
+    "accuracy": (dualsim.accuracy, (_T[(0, 1)], _WORLD3)),
+    "estimators": (dualsim.estimators, (_PAIR, _BACK, _WORLD3)),
+    "evaluate": (dualsim.evaluate, ({"vanilla": _T}, _WORLD3)),
+    "enumerate_dual": (dualsim.enumerate_dual, (_SPEC,)),
+    "enumerate_triple": (dualsim.enumerate_triple, (_TRIPLE_SPEC,)),
+    "GenerativeSpec": (dualsim.GenerativeSpec, (_DUAL, _POLICY)),
+}
+CALLS = {**SCALAR_CALLS, **OBJECT_CALLS}
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=800, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_hostile_scalars_raise_only_dualsim_errors(data):
-    """Each call with hostile scalars in some of its scalar arguments either
-    succeeds or raises a DualSimError: never OverflowError, TypeError or a
-    numpy ValueError."""
-    call, valid = SCALAR_CALLS[data.draw(st.sampled_from(sorted(SCALAR_CALLS)))]
+    """Each call with hostile values in some of its arguments either
+    succeeds or raises a DualSimError: never AttributeError, OverflowError,
+    TypeError or a numpy ValueError."""
+    call, valid = CALLS[data.draw(st.sampled_from(sorted(CALLS)))]
     hostile_at = data.draw(st.sets(st.integers(0, len(valid) - 1), min_size=1))
     args = [data.draw(st.sampled_from(HOSTILE)) if i in hostile_at else v
             for i, v in enumerate(valid)]
@@ -203,3 +233,53 @@ def test_hostile_scalars_raise_only_dualsim_errors(data):
         call(*args)
     except dualsim.DualSimError:
         pass
+
+
+def test_every_call_runs_on_its_valid_arguments():
+    """The valid arguments that the hostile-value test replaces are valid."""
+    for call, valid in CALLS.values():
+        call(*valid)
+
+
+# (call, position, name) of each argument that must be a translator, a
+# world, a corpus or a spec, or a pair or mapping of translators
+OBJECT_PARAMS = [
+    ("dual_learning", 0, "t12"), ("dual_learning", 1, "t21"), ("dual_learning", 2, "corpus"),
+    ("multistep_dual_learning", 0, "translators"), ("multistep_dual_learning", 1, "corpus"),
+    ("accuracy", 0, "t"), ("accuracy", 1, "world"),
+    ("estimators", 0, "vanilla"), ("estimators", 1, "dual"), ("estimators", 2, "world"),
+    ("evaluate", 0, "phases"), ("evaluate", 1, "world"),
+    ("build_corpus", 0, "world"), ("monte_carlo", 0, "spec"),
+    ("enumerate_dual", 0, "spec"), ("enumerate_triple", 0, "spec"),
+    ("GenerativeSpec", 0, "params"), ("GenerativeSpec", 1, "policy"),
+]
+
+
+@pytest.mark.parametrize("bad", ["x", None], ids=["str", "None"])
+@pytest.mark.parametrize("call, at, name", OBJECT_PARAMS,
+                         ids=[f"{call}.{name}" for call, _, name in OBJECT_PARAMS])
+def test_an_argument_of_the_wrong_kind_is_named(call, at, name, bad):
+    fn, valid = CALLS[call]
+    args = [bad if i == at else v for i, v in enumerate(valid)]
+    message = rf"^{re.escape(name)} must be a .*, got {bad!r}$"
+    with pytest.raises(dualsim.ValidationError, match=message):
+        fn(*args)
+
+
+# every value type that checks its fields with errors.check_fields
+CHECKED_TYPES = [dualsim.DualOutcomeParams, dualsim.TripleOutcomeParams,
+                 dualsim.RedistributionPolicy, dualsim.World, dualsim.TrainConfig,
+                 dualsim.GenerativeSpec]
+
+
+def test_every_field_of_a_checked_type_carries_a_rule():
+    """Each field states its rule on itself; World's mu alone is checked
+    by World's array checks. Every train knob of the config is checked at
+    load with the rule of its TrainConfig field, steps' for each phase's steps."""
+    unruled = [f"{cls.__name__}.{f.name}" for cls in CHECKED_TYPES for f in fields(cls)
+               if not isinstance(f.metadata.get("rule"), Rule)]
+    assert unruled == ["World.mu"]
+    rules = {f.name: f.metadata["rule"] for f in fields(dualsim.TrainConfig)}
+    for leaf, default in cli.DEFAULT_CONFIG["train"]["train"].items():
+        rule = rules["steps" if leaf.endswith("_steps") else leaf]
+        assert cli._leaf_type(default, f"train.train.{leaf}") is rule, leaf

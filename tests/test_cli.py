@@ -139,12 +139,24 @@ class TestConfigValidation:
             ("theory", {"theory": {"delta": []}}),
             ("simulate", {"simulate": {"policy": None}}),
             ("verify", {"verify": None}),
+            # a train knob out of its TrainConfig range fails every command, not only train
+            ("verify", {"train": {"train": {"learning_rate": -1}}}),
+            ("theory", {"train": {"train": {"supervised_mix": 1.5}}}),
+            ("simulate", {"train": {"train": {"dual_steps": -1}}}),
         ],
     )
     def test_malformed_leaf_rejected_at_load(self, tmp_path, capsys, command, cfg):
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config field ") and err.count("\n") == 1
+
+    def test_train_knob_reports_its_trainconfig_rule(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"train": {"train": {"learning_rate": -1}}})
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field train.train.learning_rate must be a positive finite number, "
+            "got -1\n"
+        )
 
     @pytest.mark.parametrize("command", ["theory", "simulate"])
     def test_unknown_kind_rejected(self, tmp_path, capsys, command):
@@ -215,7 +227,8 @@ class TestConfigValidation:
         assert err.startswith(f"error: config field {'.'.join(path)} must be ")
         assert err.count("\n") == 1 and out == ""
         if isinstance(default, float):
-            assert "finite number" in err
+            # a train knob reads its TrainConfig field's rule: supervised_mix is a probability
+            assert ("a number in [0, 1]" if path[-1] == "supervised_mix" else "finite number") in err
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -442,9 +455,10 @@ class TestTrain:
     def test_bad_phase_steps_rejected_before_any_training(
         self, tmp_path, capsys, monkeypatch, field
     ):
-        # the config and corpus sizes of every phase that trains are checked
-        # before the world is built, not after the earlier phases have run;
-        # the one-line error names the config field and its value
+        # a train knob is checked when the config loads, and the corpus sizes
+        # of every phase that trains before the world is built, not after the
+        # earlier phases have run; the one-line error names the config field
+        # and its value
         block = "train" if field in DEFAULT_CONFIG["train"]["train"] else "corpus"
         steps = field.endswith("_steps")
         value, rule = ((-1, "must be a nonnegative integer") if steps else
@@ -456,7 +470,8 @@ class TestTrain:
         monkeypatch.setattr(cli, "generate_world", no_training)
         path = write_config(tmp_path, {"train": {block: {field: value}}})
         assert main(["train", "--config", path, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: train.{block}.{field} {rule}, got {value}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: config field train.{block}.{field} {rule}, got {value}\n"
 
     def test_monolingual_size_unchecked_when_only_vanilla_trains(self, tmp_path):
         cfg = {
@@ -568,10 +583,10 @@ class TestTrain:
         "corpus, what",
         [
             ({"parallel_per_pair": -1},
-             f"error: train.corpus.parallel_per_pair must be an integer in [1, {MAX_ENTRIES}], "
-             "got -1\n"),
+             "error: config field train.corpus.parallel_per_pair must be an integer in "
+             f"[1, {MAX_ENTRIES}], got -1\n"),
             ({"monolingual_per_language": -1},
-             "error: train.corpus.monolingual_per_language must be an integer in "
+             "error: config field train.corpus.monolingual_per_language must be an integer in "
              f"[1, {MAX_ENTRIES}], got -1\n"),
             ({"within_cluster": "nope"}, "within_cluster"),
             # an OverflowError traceback inside numpy

@@ -283,3 +283,19 @@ class TestBuildTripleJoint:
         with pytest.raises(InfeasibleParamsError) as exc:
             build_triple_joint(TripleOutcomeParams(0.5, 0.6, 0.7, 0.1, 0.0, 0.0))
         assert len(exc.value.cell) == 3
+
+    @pytest.mark.parametrize(
+        "at, message",
+        [(0, r"q12 must be a number in \[0, 1\], got 1.5"),
+         (1, r"q23 must be a number in \[0, 1\], got 1.5"),
+         (2, r"q31 must be a number in \[0, 1\], got 1.5"),
+         (3, "lam1 must be a finite number, got 'x'"),
+         (4, "lam2 must be a finite number, got 'x'"),
+         (5, r"delta must be a number in \[0, 1\], got 1.5")],
+        ids=["q12", "q23", "q31", "lam1", "lam2", "delta"],
+    )
+    def test_param_validation_names_each_field(self, at, message):
+        args = [0.5, 0.5, 0.5, 0.0, 0.0, 0.1]
+        args[at] = "x" if at in (3, 4) else 1.5
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            TripleOutcomeParams(*args)

@@ -359,6 +359,24 @@ MUTANTS = {
         "tests/test_learner.py::TestEvaluate"
         "::test_an_entry_that_is_no_keyed_translator_rejected[str-value]",
     ),
+    # the config loader checks a train knob with the rule of its default's
+    # type, not its TrainConfig field's, so -1 passes as a learning rate
+    "leaf-train-rule": (
+        "cli.py", 'if section == "train.train":', "if False:",
+        "tests/test_cli.py::TestConfigValidation::test_train_knob_reports_its_trainconfig_rule",
+    ),
+    # a generative spec takes params of any kind
+    "spec-params-any": (
+        "oracle.py", "isinstance(v, (DualOutcomeParams, TripleOutcomeParams))", "True",
+        "tests/test_api.py::test_an_argument_of_the_wrong_kind_is_named[GenerativeSpec.params-str]",
+    ),
+    # a triple-model field declares no rule, so check_fields skips it
+    "triple-field-unruled": (
+        "outcome_model.py", 'q23: float = field(metadata={"rule": PROBABILITY})',
+        "q23: float = field()",
+        "tests/test_outcome_model.py::TestBuildTripleJoint"
+        "::test_param_validation_names_each_field[q23]",
+    ),
 }
 
 # a few times the 30-40 s that one tier-1 run takes
