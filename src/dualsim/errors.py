@@ -18,6 +18,7 @@ holds. An argument of one of the package's types has its type's rule.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from typing import Any, Callable, NamedTuple
 
 
@@ -86,3 +87,5 @@ NONNEGATIVE = Rule(lambda v: FINITE.ok(v) and v >= 0, "a nonnegative finite numb
 NATURAL = LANGUAGE = Rule(lambda v: type(v) is int and v >= 0, "a nonnegative integer")
 DIRECTION = Rule(lambda v: type(v) is tuple and len(v) == 2 and all(map(LANGUAGE.ok, v))
                  and v[0] != v[1], "a pair of two different nonnegative integers")
+# a corpus's data by key, a phase's translators by direction, a record's phases by name
+MAPPING = Rule(lambda v: isinstance(v, Mapping), "a mapping")

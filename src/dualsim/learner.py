@@ -31,17 +31,15 @@ from typing import Collection, Mapping
 
 import numpy as np
 
-from .errors import COUNT, DIRECTION, MAX_ENTRIES, Rule, ValidationError
+from .errors import COUNT, DIRECTION, MAPPING, MAX_ENTRIES, ValidationError
 from .metrics import AccuracyReport, EstimatorReport, accuracy, estimators
 from .synth_lang import CORPUS, WORLD, Corpus, World, _array
-from .translator import (TRANSLATOR, TabularTranslator, TrainConfig, log_prob_grad_row,
-                         row_probs, sample_row)
+from .translator import (TRAIN_CONFIG, TRANSLATOR, TabularTranslator, TrainConfig,
+                         log_prob_grad_row, row_probs, sample_row)
 
 PHASE_ORDER = ("vanilla", "dual", "multistep")
 # the pair that dual and multi-step learning train and the estimators compare
 PRIMARY_PAIR = (0, 1)
-# a phase's translators by direction, and a record's phases by name
-_MAPPING = Rule(lambda v: isinstance(v, Mapping), "a mapping")
 
 
 def consecutive_phases(present: Collection[str]) -> list[tuple[str, str]]:
@@ -75,8 +73,7 @@ def train_supervised(
     if not (COUNT.ok(n) and n * n <= MAX_ENTRIES):
         raise ValidationError(f"n must be a positive integer whose n x n theta fits, got {n!r}")
     pairs = _array(pairs, np.int64, (None, 2), "pairs")
-    if pairs.size == 0:
-        raise ValidationError("train_supervised needs a nonempty pair list")
+    TRAIN_CONFIG.require(cfg, "cfg")
     return _train_phase({}, [((src_lang, dst_lang), pairs)], [], cfg, n)[(src_lang, dst_lang)]
 
 
@@ -105,9 +102,11 @@ def _reconstruct(
             theta[end] += lr * log_prob_grad_row(theta[end], x)
 
 
-def _check_ids(ids: np.ndarray, bounds: tuple[int, ...], what: str) -> None:
-    """Raise unless every id lies in [0, the bound of its column): numpy
-    would read a negative id as a row from the end."""
+def _check_ids(ids: np.ndarray | None, bounds: tuple[int, ...], what: str) -> None:
+    """Raise unless ``ids`` holds an id and every id lies in [0, the bound of
+    its column): numpy would read a negative id as a row from the end."""
+    if ids is None or ids.size == 0:
+        raise ValidationError(f"{what} hold no id")
     bounds = np.broadcast_to(bounds, ids.shape)
     bad = (ids < 0) | (ids >= bounds)
     if bad.any():
@@ -116,7 +115,7 @@ def _check_ids(ids: np.ndarray, bounds: tuple[int, ...], what: str) -> None:
 
 def _check_keys(translators: Mapping[tuple[int, int], TabularTranslator]) -> None:
     """Raise unless every key is a direction and holds a translator of that direction."""
-    _MAPPING.require(translators, "translators")
+    MAPPING.require(translators, "translators")
     for key, t in translators.items():
         DIRECTION.require(key, "translator key")
         if not isinstance(t, TabularTranslator):
@@ -150,8 +149,12 @@ def _train_phase(
     has written stays on the kernel's shared zero page through every
     phase, where a dense ``copy()`` would back every page. No input theta
     is written; the other directions come back as the caller's own objects.
-    Every replay pair and monolingual id is checked once against the theta
-    it indexes.
+
+    One pass, before the Generator is made, checks all that the phase
+    draws from: the replay pairs, if a step can replay (no choices or a
+    positive ``supervised_mix``), and each entry's monolingual ids must
+    hold an id, and every id present must index its theta. So a rejected
+    call draws nothing, also with ``steps=0``.
     """
     trained = {key for key, _ in replay}
     trained |= {bwd for groups in choices for group in groups for _, _, bwd in group}
@@ -160,8 +163,9 @@ def _train_phase(
         for key, t in translators.items()
     }
     thetas.update((key, np.zeros((n, n))) for key in trained.difference(thetas))
+    replays = not choices or cfg.supervised_mix > 0.0
     for key, pairs in replay:
-        if pairs is not None:
+        if replays or pairs is not None and pairs.size:
             _check_ids(pairs, thetas[key].shape, f"parallel pairs of {key}")
     for mono, chain, _ in (entry for groups in choices for group in groups for entry in group):
         _check_ids(mono, thetas[chain[0]].shape[:1], f"monolingual ids of language {chain[0][0]}")
@@ -176,24 +180,6 @@ def _train_phase(
         key: TabularTranslator(*key, theta) if key in trained else translators[key]
         for key, theta in thetas.items()
     }
-
-
-def _monolingual(corpus: Corpus, langs: Collection[int], what: str) -> dict[int, np.ndarray]:
-    """The monolingual ids of each of ``langs``; raises naming the first language without any."""
-    mono = {}
-    for lang in langs:
-        mono[lang] = corpus.monolingual.get(lang)
-        if mono[lang] is None or mono[lang].size == 0:
-            raise ValidationError(f"{what} needs monolingual data for language {lang}")
-    return mono
-
-
-def _replay_pairs(corpus: Corpus, key: tuple[int, int], cfg: TrainConfig) -> np.ndarray | None:
-    """The pairs that replay of direction ``key`` draws; raises if replay is on and has none."""
-    pairs = corpus.parallel.get(key)
-    if cfg.supervised_mix > 0.0 and (pairs is None or pairs.size == 0):
-        raise ValidationError(f"supervised replay needs parallel data for pair {key}")
-    return pairs
 
 
 def dual_learning(
@@ -211,11 +197,12 @@ def dual_learning(
     TRANSLATOR.require(t12, "t12")
     TRANSLATOR.require(t21, "t21")
     CORPUS.require(corpus, "corpus")
+    TRAIN_CONFIG.require(cfg, "cfg")
     i, j = t12.src_lang, t12.dst_lang
     if (t21.src_lang, t21.dst_lang) != (j, i):
         raise ValidationError("t21 must invert t12's direction")
-    mono = _monolingual(corpus, (i, j), "dual learning")
-    replay = [(key, _replay_pairs(corpus, key, cfg)) for key in ((i, j), (j, i))]
+    mono = {lang: corpus.monolingual.get(lang) for lang in (i, j)}
+    replay = [(key, corpus.parallel.get(key)) for key in ((i, j), (j, i))]
     trips = [[(mono[i], ((i, j),), (j, i))], [(mono[j], ((j, i),), (i, j))]]
     out = _train_phase({(i, j): t12, (j, i): t21}, replay, [trips * cfg.reconstruction_batch], cfg)
     return out[(i, j)], out[(j, i)]
@@ -254,6 +241,7 @@ def multistep_dual_learning(
     a, b = PRIMARY_PAIR
     _check_keys(translators)
     CORPUS.require(corpus, "corpus")
+    TRAIN_CONFIG.require(cfg, "cfg")
     pivots = sorted({lang for key in translators for lang in key} - {a, b})
     if not pivots:
         raise ValidationError(
@@ -265,10 +253,8 @@ def multistep_dual_learning(
     missing = [key for key in [(a, b), (b, a), *pivot_dirs] if key not in translators]
     if missing:
         raise ValidationError(f"missing pretrained translators for pairs: {missing}")
-    mono = _monolingual(corpus, (a, b), "multi-step training")
-    if cfg.update_pivots:
-        mono.update(_monolingual(corpus, pivots, "update_pivots"))
-    pairs_ab = _replay_pairs(corpus, (a, b), cfg)
+    mono = {lang: corpus.monolingual.get(lang) for lang in (a, b, *pivots)}
+    pairs_ab = corpus.parallel.get((a, b))
     replay = [((a, b), pairs_ab), ((b, a), pairs_ab[:, ::-1] if pairs_ab is not None else None)]
     # one choice per pivot p: the pivot chains a -> p -> b (training b -> a)
     # and b -> p -> a (training a -> b), then one round trip per refreshed direction
@@ -311,7 +297,7 @@ def evaluate(
     several phases share is scored once, and every (phase, direction)
     holding it gets that one report.
     """
-    _MAPPING.require(phases, "phases")
+    MAPPING.require(phases, "phases")
     WORLD.require(world, "world")
     scored: dict[int, AccuracyReport] = {}  # by id(); phases keep every object alive
     accuracies: dict[tuple[str, tuple[int, int]], AccuracyReport] = {}

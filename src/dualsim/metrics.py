@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Rule, ValidationError
-from .oracle import OutcomeCounts
+from .oracle import COUNTS, OutcomeCounts
 from .synth_lang import WORLD, World
 from .translator import TRANSLATOR, TabularTranslator, shifted_exp
 
@@ -193,6 +193,7 @@ def estimators_from_counts(counts: OutcomeCounts) -> EstimatorReport:
     baseline-failure set is exactly the redistributed mass and every
     baseline reconstruction is kept, so eta_hat is 1 whenever defined.
     """
+    COUNTS.require(counts, "counts")
     n_fail = counts.n_case2
     n_ok = counts.case11 + counts.case12
     return _report(

@@ -33,6 +33,9 @@ import numpy as np
 
 from .errors import INTEGER, SEED, Rule, ValidationError, check_fields
 from .outcome_model import (
+    PARAMS,
+    POLICY,
+    TRIPLE_PARAMS,
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
@@ -45,11 +48,8 @@ from .outcome_model import (
 class GenerativeSpec:
     """A complete generative model: outcome params plus redistribution policy."""
 
-    params: DualOutcomeParams | TripleOutcomeParams = field(metadata={"rule": Rule(
-        lambda v: isinstance(v, (DualOutcomeParams, TripleOutcomeParams)),
-        "a DualOutcomeParams or a TripleOutcomeParams")})
-    policy: RedistributionPolicy = field(metadata={"rule": Rule(
-        lambda v: isinstance(v, RedistributionPolicy), "a RedistributionPolicy")})
+    params: DualOutcomeParams | TripleOutcomeParams = field(metadata={"rule": PARAMS})
+    policy: RedistributionPolicy = field(metadata={"rule": POLICY})
 
     __post_init__ = check_fields
 
@@ -78,6 +78,9 @@ class OutcomeCounts:
     @property
     def n_case2(self) -> int:
         return self.case2_corrected + self.case2_aligned + self.case2_unreconstructed
+
+
+COUNTS = Rule(lambda v: isinstance(v, OutcomeCounts), "an OutcomeCounts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,6 +295,7 @@ def errata_report(params: TripleOutcomeParams) -> list[ErrataRecord]:
     case masses, so any nonzero difference pins the shortcut as the
     inconsistent variant.
     """
+    TRIPLE_PARAMS.require(params, "params")
     q1, q2, q3 = params.q12, params.q23, params.q31
     l1, l2, d = params.lam1, params.lam2, params.delta
     cells = build_triple_joint(params)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FINITE, PROBABILITY, InfeasibleParamsError, ValidationError, check_fields
+from .errors import FINITE, PROBABILITY, InfeasibleParamsError, Rule, ValidationError, check_fields
 
 _SUM_TOL = 1e-12
 
@@ -56,6 +56,9 @@ class DualOutcomeParams:
     delta: float = field(metadata={"rule": PROBABILITY})
 
     __post_init__ = check_fields
+
+
+DUAL_PARAMS = Rule(lambda v: isinstance(v, DualOutcomeParams), "a DualOutcomeParams")
 
 
 # (cell index, hop bits) per joint cell, by table size, in the order a
@@ -113,6 +116,9 @@ class RedistributionPolicy:
             )
 
 
+POLICY = Rule(lambda v: isinstance(v, RedistributionPolicy), "a RedistributionPolicy")
+
+
 @dataclass(frozen=True, slots=True)
 class TripleOutcomeParams:
     """Parameters of the three-indicator outcome model for a 3-hop cycle.
@@ -134,6 +140,12 @@ class TripleOutcomeParams:
     __post_init__ = check_fields
 
 
+TRIPLE_PARAMS = Rule(lambda v: isinstance(v, TripleOutcomeParams), "a TripleOutcomeParams")
+# the params of either outcome model
+PARAMS = Rule(lambda v: isinstance(v, (DualOutcomeParams, TripleOutcomeParams)),
+              "a DualOutcomeParams or a TripleOutcomeParams")
+
+
 def build_dual_joint(params: DualOutcomeParams) -> tuple[float, ...]:
     """Build the exact 4-cell joint table of a round trip, in bit order.
 
@@ -144,6 +156,7 @@ def build_dual_joint(params: DualOutcomeParams) -> tuple[float, ...]:
     Raises InfeasibleParamsError naming the first negative cell, in the
     order above, when ``lam`` lies outside the tight feasible range.
     """
+    DUAL_PARAMS.require(params, "params")
     p, q, lam = float(params.p12), float(params.p21r), float(params.lam)
     return _checked_table((
         (1.0 - p) * (1.0 - q) + lam,  # (0,0)
@@ -198,6 +211,7 @@ def build_triple_joint(params: TripleOutcomeParams) -> tuple[float, ...]:
     order (1,1,1), (1,1,0), (1,0,1), (0,1,1), (1,0,0), (0,1,0), (0,0,1),
     (0,0,0).
     """
+    TRIPLE_PARAMS.require(params, "params")
     q1, q2, q3 = float(params.q12), float(params.q23), float(params.q31)
     l1, l2 = float(params.lam1), float(params.lam2)
     r1, r2, r3 = 1.0 - q1, 1.0 - q2, 1.0 - q3

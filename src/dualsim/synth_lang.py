@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (COUNT, DIRECTION, LANGUAGE, MAX_ENTRIES, NONNEGATIVE, SEED, SIZE,
+from .errors import (COUNT, DIRECTION, LANGUAGE, MAPPING, MAX_ENTRIES, NONNEGATIVE, SEED, SIZE,
                      Rule, ValidationError, check_fields)
 
 
@@ -105,10 +105,12 @@ class Corpus:
     transfers across.
     """
 
-    parallel: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    monolingual: dict[int, np.ndarray] = field(default_factory=dict)
+    parallel: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, metadata={"rule": MAPPING})
+    monolingual: dict[int, np.ndarray] = field(default_factory=dict, metadata={"rule": MAPPING})
 
     def __post_init__(self) -> None:
+        check_fields(self)  # both are mappings; their keys and arrays follow
         # the trainers only look keys up: data under a key that names no language is ignored
         for key in self.parallel:
             DIRECTION.require(key, "parallel key")

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 from .errors import NONNEGATIVE, POSITIVE, PROBABILITY, ValidationError
 from .outcome_model import (
+    DUAL_PARAMS,
+    PARAMS,
+    POLICY,
+    TRIPLE_PARAMS,
     DualOutcomeParams,
     RedistributionPolicy,
     TripleOutcomeParams,
@@ -84,6 +88,8 @@ def predict_dual(params: DualOutcomeParams, policy: RedistributionPolicy) -> Dua
     incorrect); the full policy is taken so the prediction carries the
     same information as the enumeration oracle.
     """
+    DUAL_PARAMS.require(params, "params")
+    POLICY.require(policy, "policy")
     p, q, lam, delta = params.p12, params.p21r, params.lam, params.delta
     pr11, pr12, pr2 = _dual_case_masses(params)
     a = policy.alpha
@@ -131,6 +137,7 @@ def proportional_policy(
     likewise. When case 1.2 has zero mass, beta = 0 and alpha = 1 - gamma.
     Rejects gamma outside [0, 1] and inputs where both case masses vanish.
     """
+    PARAMS.require(params, "params")
     pr11, pr12, _, total = _proportional_split(params, gamma)
     rest = 1.0 - gamma
     return RedistributionPolicy(rest * (pr11 / total), rest * (pr12 / total), gamma)
@@ -147,6 +154,7 @@ def proportional_dual_accuracy(params: DualOutcomeParams, gamma: float) -> float
     ``predict_dual(params, proportional_policy(params, gamma)).p_d12``;
     the test suite asserts the identity to 1e-12.
     """
+    DUAL_PARAMS.require(params, "params")
     pr11, _, pr2, total = _proportional_split(params, gamma)
     return pr11 * (1.0 - gamma * pr2) / total
 
@@ -176,6 +184,8 @@ def predict_multistep(
     no alignment mass. Computing from cells keeps the prediction exact for
     nonzero lam1/lam2 as well.
     """
+    TRIPLE_PARAMS.require(params, "params")
+    POLICY.require(policy, "policy")
     pr11, pr12, pr2 = _triple_case_masses(params)
     return TriplePrediction(
         p_case11=pr11,

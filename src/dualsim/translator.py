@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (COUNT, DIRECTION, NATURAL, POSITIVE, PROBABILITY, SCALAR_RULES, SEED,
                      Rule, ValidationError, check_fields)
+from .synth_lang import _array
 
 
 def shifted_exp(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,9 +73,7 @@ class TabularTranslator:
 
     def __post_init__(self) -> None:
         DIRECTION.require((self.src_lang, self.dst_lang), "(src_lang, dst_lang)")
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.ndim != 2:
-            raise ValidationError("theta must be a 2-d score matrix")
+        self.theta = _array(self.theta, np.float64, (None, None), "theta")
         # the two reductions see every NaN and inf without an n x n temporary
         theta = self.theta
         if theta.size and not (np.isfinite(theta.max()) and np.isfinite(theta.min())):
@@ -117,3 +116,6 @@ class TrainConfig:
 
     # each field's one rule, its type with its range, which the config loader reads too
     __post_init__ = check_fields
+
+
+TRAIN_CONFIG = Rule(lambda v: isinstance(v, TrainConfig), "a TrainConfig")

@@ -163,9 +163,8 @@ _WORLD = dualsim.generate_world(2, 1, 1, 0.0, 0)
 _DUAL = dualsim.DualOutcomeParams(0.5, 0.5, 0.0, 0.1)
 _POLICY = dualsim.RedistributionPolicy(0.3, 0.3, 0.4)
 _SPEC = dualsim.GenerativeSpec(_DUAL, _POLICY)
-_TRIPLE_SPEC = dualsim.GenerativeSpec(
-    dualsim.TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.1), _POLICY
-)
+_TRIPLE = dualsim.TripleOutcomeParams(0.5, 0.5, 0.5, 0.0, 0.0, 0.1)
+_TRIPLE_SPEC = dualsim.GenerativeSpec(_TRIPLE, _POLICY)
 # a three-language world of one sentence each, and a translator for every direction
 _WORLD3 = dualsim.generate_world(3, 1, 1, 0.0, 0)
 _CORPUS3 = dualsim.build_corpus(_WORLD3, 1, 1, 0)
@@ -186,35 +185,38 @@ SCALAR_CALLS = {
     "World": (lambda *args: dualsim.World(*args, [[1.0], [1.0]]), (2, 1, 1)),
     "World.check_language": (_WORLD.check_language, (0,)),
     "TabularTranslator": (lambda *args: dualsim.TabularTranslator(*args, [[0.0]]), (0, 1)),
-    "train_supervised": (
-        lambda *args: dualsim.train_supervised(*args, [[0, 0]], dualsim.TrainConfig(steps=1)),
-        (0, 1, 1),
-    ),
+    "train_supervised": (dualsim.train_supervised, (0, 1, 1, [[0, 0]], _STEP)),
     "lambda_feasible_range": (dualsim.lambda_feasible_range, (0.5, 0.5)),
     "lambda_loose_range": (dualsim.lambda_loose_range, (0.5, 0.5)),
     "m_factor": (dualsim.m_factor, (0.5, 0.5, 0.1)),
     "multistep_condition": (dualsim.multistep_condition, (0.5, 0.5, 0.1)),
-    "proportional_policy": (lambda gamma: dualsim.proportional_policy(_DUAL, gamma), (0.5,)),
-    "proportional_dual_accuracy": (
-        lambda gamma: dualsim.proportional_dual_accuracy(_DUAL, gamma), (0.5,)
-    ),
+    "proportional_policy": (dualsim.proportional_policy, (_DUAL, 0.5)),
+    "proportional_dual_accuracy": (dualsim.proportional_dual_accuracy, (_DUAL, 0.5)),
     "dual_improvement": (lambda gamma: dualsim.dual_improvement(_DUAL, gamma), (0.5,)),
     "simplified_multistep_accuracy": (theory.simplified_multistep_accuracy, (0.5, 1.0, 0.0)),
 }
-# each callable that takes a translator, a world, a corpus or a spec (or a
-# pair or mapping of translators), with valid arguments to replace; the
-# hostile-value test below feeds them the hostile scalars too
+# each callable that takes a translator, a world, a corpus, a config, a spec,
+# outcome params, a policy or outcome counts (or a pair or mapping of
+# translators, or a mapping of corpus data), with valid arguments to
+# replace; the hostile-value test below feeds them the hostile scalars too
 OBJECT_CALLS = {
-    "dual_learning": (lambda *args: dualsim.dual_learning(*args, _STEP), (*_PAIR, _CORPUS3)),
-    "multistep_dual_learning": (
-        lambda *args: dualsim.multistep_dual_learning(*args, _STEP), (_T, _CORPUS3)
-    ),
+    "dual_learning": (dualsim.dual_learning, (*_PAIR, _CORPUS3, _STEP)),
+    "multistep_dual_learning": (dualsim.multistep_dual_learning, (_T, _CORPUS3, _STEP)),
     "accuracy": (dualsim.accuracy, (_T[(0, 1)], _WORLD3)),
     "estimators": (dualsim.estimators, (_PAIR, _BACK, _WORLD3)),
     "evaluate": (dualsim.evaluate, ({"vanilla": _T}, _WORLD3)),
     "enumerate_dual": (dualsim.enumerate_dual, (_SPEC,)),
     "enumerate_triple": (dualsim.enumerate_triple, (_TRIPLE_SPEC,)),
     "GenerativeSpec": (dualsim.GenerativeSpec, (_DUAL, _POLICY)),
+    "Corpus": (dualsim.Corpus, ({}, {})),
+    "predict_dual": (dualsim.predict_dual, (_DUAL, _POLICY)),
+    "predict_multistep": (dualsim.predict_multistep, (_TRIPLE, _POLICY)),
+    "build_dual_joint": (dualsim.build_dual_joint, (_DUAL,)),
+    "build_triple_joint": (dualsim.build_triple_joint, (_TRIPLE,)),
+    "errata_report": (dualsim.errata_report, (_TRIPLE,)),
+    "estimators_from_counts": (
+        dualsim.estimators_from_counts, (dualsim.OutcomeCounts(1, 1, 1, 1, 1),)
+    ),
 }
 CALLS = {**SCALAR_CALLS, **OBJECT_CALLS}
 
@@ -241,17 +243,25 @@ def test_every_call_runs_on_its_valid_arguments():
         call(*valid)
 
 
-# (call, position, name) of each argument that must be a translator, a
-# world, a corpus or a spec, or a pair or mapping of translators
+# (call, position, name) of each argument that must be one of the kinds above
 OBJECT_PARAMS = [
+    ("train_supervised", 4, "cfg"),
     ("dual_learning", 0, "t12"), ("dual_learning", 1, "t21"), ("dual_learning", 2, "corpus"),
+    ("dual_learning", 3, "cfg"),
     ("multistep_dual_learning", 0, "translators"), ("multistep_dual_learning", 1, "corpus"),
+    ("multistep_dual_learning", 2, "cfg"),
     ("accuracy", 0, "t"), ("accuracy", 1, "world"),
     ("estimators", 0, "vanilla"), ("estimators", 1, "dual"), ("estimators", 2, "world"),
     ("evaluate", 0, "phases"), ("evaluate", 1, "world"),
     ("build_corpus", 0, "world"), ("monte_carlo", 0, "spec"),
     ("enumerate_dual", 0, "spec"), ("enumerate_triple", 0, "spec"),
     ("GenerativeSpec", 0, "params"), ("GenerativeSpec", 1, "policy"),
+    ("Corpus", 0, "parallel"), ("Corpus", 1, "monolingual"),
+    ("predict_dual", 0, "params"), ("predict_dual", 1, "policy"),
+    ("predict_multistep", 0, "params"), ("predict_multistep", 1, "policy"),
+    ("proportional_policy", 0, "params"), ("proportional_dual_accuracy", 0, "params"),
+    ("build_dual_joint", 0, "params"), ("build_triple_joint", 0, "params"),
+    ("errata_report", 0, "params"), ("estimators_from_counts", 0, "counts"),
 ]
 
 
@@ -261,15 +271,22 @@ OBJECT_PARAMS = [
 def test_an_argument_of_the_wrong_kind_is_named(call, at, name, bad):
     fn, valid = CALLS[call]
     args = [bad if i == at else v for i, v in enumerate(valid)]
-    message = rf"^{re.escape(name)} must be a .*, got {bad!r}$"
+    message = rf"^{re.escape(name)} must be an? .*, got {bad!r}$"
     with pytest.raises(dualsim.ValidationError, match=message):
         fn(*args)
+
+
+@pytest.mark.parametrize("bad", ["x", None], ids=["str", "None"])
+def test_a_theta_of_the_wrong_kind_is_named(bad):
+    # a string escaped as numpy's ValueError; None became a 0-d NaN array
+    with pytest.raises(dualsim.ValidationError, match="^theta is not an array of float64: "):
+        dualsim.TabularTranslator(0, 1, bad)
 
 
 # every value type that checks its fields with errors.check_fields
 CHECKED_TYPES = [dualsim.DualOutcomeParams, dualsim.TripleOutcomeParams,
                  dualsim.RedistributionPolicy, dualsim.World, dualsim.TrainConfig,
-                 dualsim.GenerativeSpec]
+                 dualsim.GenerativeSpec, dualsim.Corpus]
 
 
 def test_every_field_of_a_checked_type_carries_a_rule():

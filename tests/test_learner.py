@@ -271,6 +271,12 @@ class TestTrainSupervised:
         with pytest.raises(ValidationError):
             train_supervised(0, 1, 4, np.empty((0, 2)), TrainConfig())
 
+    def test_empty_pairs_rejected_without_a_mix(self):
+        # with no choice every step replays, whatever supervised_mix says
+        cfg = TrainConfig(steps=0, supervised_mix=0.0)
+        with pytest.raises(ValidationError, match=r"^parallel pairs of \(0, 1\) hold no id$"):
+            train_supervised(0, 1, 4, np.empty((0, 2)), cfg)
+
     @pytest.mark.parametrize("pair, bad", [([-1, 0], -1), ([4, 0], 4), ([0, -1], -1), ([0, 4], 4)],
                              ids=["src-negative", "src-n", "dst-negative", "dst-n"])
     def test_ids_outside_the_theta_rejected(self, pair, bad):
@@ -591,7 +597,7 @@ class TestDualLearning:
         corpus = build_corpus(world, 10, 0, 1)
         t12 = TabularTranslator(0, 1, np.zeros((6, 6)))
         t21 = TabularTranslator(1, 0, np.zeros((6, 6)))
-        message = "^dual learning needs monolingual data for language 0$"
+        message = "^monolingual ids of language 0 hold no id$"
         with pytest.raises(ValidationError, match=message):
             dual_learning(t12, t21, corpus, TrainConfig(steps=5))
 
@@ -624,7 +630,7 @@ class TestDualLearning:
             parallel[(1, 0)] = reverse
         no_reverse = Corpus(parallel=parallel, monolingual=corpus.monolingual)
         cfg = TrainConfig(steps=5, supervised_mix=1.0)
-        with pytest.raises(ValidationError, match=r"parallel data for pair \(1, 0\)"):
+        with pytest.raises(ValidationError, match=r"^parallel pairs of \(1, 0\) hold no id$"):
             dual_learning(ts[(0, 1)], ts[(1, 0)], no_reverse, cfg)
 
     def test_no_replay_needs_no_parallel_data(self):
@@ -666,7 +672,7 @@ class TestMultistepDualLearning:
             monolingual={**corpus.monolingual, 2: np.empty(0, dtype=np.int64)},
         )
         cfg = TrainConfig(steps=0, update_pivots=True)
-        message = "^update_pivots needs monolingual data for language 2$"
+        message = "^monolingual ids of language 2 hold no id$"
         with pytest.raises(ValidationError, match=message):
             multistep_dual_learning(ts, no_pivot_mono, cfg)
         multistep_dual_learning(ts, no_pivot_mono, TrainConfig(steps=0))
@@ -845,6 +851,39 @@ class TestMultistepDualLearning:
             else:
                 assert out[key] is t
             assert t.theta.tobytes() == before[key]
+
+
+def _without(corpus, pair=None, lang=None):
+    """``corpus`` without the parallel pairs of ``pair`` and with no monolingual ids of ``lang``."""
+    return Corpus({key: v for key, v in corpus.parallel.items() if key != pair},
+                  {key: v[:0] if key == lang else v for key, v in corpus.monolingual.items()})
+
+
+@pytest.mark.parametrize("train, drop, message", [
+    (lambda corpus, ts, cfg: train_supervised(
+        0, 1, 12, corpus.parallel.get((0, 1), np.empty((0, 2))), cfg),
+     {"pair": (0, 1)}, r"parallel pairs of \(0, 1\)"),
+    (lambda corpus, ts, cfg: dual_learning(ts[(0, 1)], ts[(1, 0)], corpus, cfg),
+     {"pair": (1, 0)}, r"parallel pairs of \(1, 0\)"),
+    (lambda corpus, ts, cfg: multistep_dual_learning(ts, corpus, cfg),
+     {"lang": 1}, "monolingual ids of language 1"),
+], ids=["supervised", "dual", "multistep"])
+def test_data_a_phase_draws_from_is_checked_before_its_generator(
+    monkeypatch, train, drop, message
+):
+    # the one check pass of _train_phase runs before default_rng, so a
+    # rejected call draws nothing, also with steps=0
+    _, corpus, ts = small_setup()
+    cfg = TrainConfig(steps=0)
+
+    def no_generator(seed):
+        raise AssertionError("a Generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(AssertionError, match="a Generator was made"):
+        train(corpus, ts, cfg)  # with its data, the phase reaches its Generator
+    with pytest.raises(ValidationError, match=f"^{message} hold no id$"):
+        train(_without(corpus, **drop), ts, cfg)
 
 
 class TestEvaluate:

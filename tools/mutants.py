@@ -280,13 +280,20 @@ MUTANTS = {
         '_array(self.mu, np.float64, shape, "mu")',
         "tests/test_synth_lang.py::TestGenerateWorld::test_world_converts_mu",
     ),
-    # an empty monolingual list passes the check
-    "mono-empty": ("learner.py", "mono[lang].size == 0", "mono[lang].size < 0",
+    # an empty monolingual list passes the phase's check pass
+    "mono-empty": ("learner.py", "ids is None or ids.size == 0", "ids is None or ids.size < 0",
                    "tests/test_learner.py::TestDualLearning::test_missing_monolingual_rejected"),
     # replay data is required even when no step replays
     "replay-off": (
-        "learner.py", "cfg.supervised_mix > 0.0 and", "cfg.supervised_mix >= 0.0 and",
+        "learner.py", "replays = not choices or cfg.supervised_mix > 0.0",
+        "replays = not choices or cfg.supervised_mix >= 0.0",
         "tests/test_learner.py::TestDualLearning::test_no_replay_needs_no_parallel_data",
+    ),
+    # replay data is required only by supervised_mix, so supervised
+    # pretraining at supervised_mix 0 takes an empty pair list
+    "replay-mix-only": (
+        "learner.py", "replays = not choices or cfg.supervised_mix", "replays = cfg.supervised_mix",
+        "tests/test_learner.py::TestTrainSupervised::test_empty_pairs_rejected_without_a_mix",
     ),
     # train_supervised checks its direction only when the result is built, after every step
     "supervised-late-ids": (
@@ -365,9 +372,9 @@ MUTANTS = {
         "cli.py", 'if section == "train.train":', "if False:",
         "tests/test_cli.py::TestConfigValidation::test_train_knob_reports_its_trainconfig_rule",
     ),
-    # a generative spec takes params of any kind
+    # the either-params rule, a generative spec's params field's, takes params of any kind
     "spec-params-any": (
-        "oracle.py", "isinstance(v, (DualOutcomeParams, TripleOutcomeParams))", "True",
+        "outcome_model.py", "isinstance(v, (DualOutcomeParams, TripleOutcomeParams))", "True",
         "tests/test_api.py::test_an_argument_of_the_wrong_kind_is_named[GenerativeSpec.params-str]",
     ),
     # a triple-model field declares no rule, so check_fields skips it
